@@ -79,7 +79,8 @@ def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) ->
     """Execute all (policy, scenario) pairs; returns the summary payload."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary: dict = {"config": config.raw, "pairs": [], "seeds": list(range(config.repetitions))}
+    seeds = [episode_seed(config.master_seed, rep).entropy for rep in range(config.repetitions)]
+    summary: dict = {"config": config.raw, "pairs": [], "seeds": seeds}
     for policy_index, spec in enumerate(config.policies):
         horizon = config.effective_horizon(spec)
         for scenario_name in config.scenarios:
@@ -92,8 +93,9 @@ def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) ->
             results.sort(key=lambda r: r["rep"])
             traces = [r["trace"] for r in results]
             stats = aggregate(traces)
-            window = (min(config.slope_window[0], horizon // 4), min(config.slope_window[1], horizon))
-            fit = fit_slope(stats, window)
+            window = config.fit_window(spec)
+            # the oracle is the regret comparator: its regret is zero, so no slope
+            fit = None if spec["kind"] == "oracle" else fit_slope(stats, window)
             name = f"{spec['kind']}_{scenario_name}"
             write_trace_csv(out / f"{name}.csv", traces, stats)
             summary["pairs"].append(
@@ -103,8 +105,8 @@ def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) ->
                     "horizon": horizon,
                     "repetitions": config.repetitions,
                     "final_regret_mean": float(stats.mean[-1]),
-                    "slope": fit.slope,
-                    "slope_stderr": fit.stderr,
+                    "slope": None if fit is None else fit.slope,
+                    "slope_stderr": None if fit is None else fit.stderr,
                     "slope_window": list(window),
                     "trace_csv": f"{name}.csv",
                 }
@@ -205,10 +207,10 @@ def main(argv=None) -> int:
             print(f"run aborted: {exc}", file=sys.stderr)
             return 1
         for pair in summary["pairs"]:
+            slope = "n/a" if pair["slope"] is None else f"{pair['slope']:.3f}+-{pair['slope_stderr']:.3f}"
             print(
                 f"{pair['policy']['kind']:>6s} x {pair['scenario']:<11s} "
-                f"T={pair['horizon']:<6d} Reg(T)={pair['final_regret_mean']:.3f} "
-                f"slope={pair['slope']:.3f}+-{pair['slope_stderr']:.3f}"
+                f"T={pair['horizon']:<6d} Reg(T)={pair['final_regret_mean']:.3f} slope={slope}"
             )
         return 0
 

@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .environments import AlternatingScenario, PricingProblem, Scenario, StochasticScenario
+from .harness import dyadic_checkpoints
 from .noise import GaussianNoise, LogisticNoise
 from .policies import EmlpPolicy, Exp4Policy, OnspPolicy, OraclePolicy, PricingPolicy
 from .regions import Ball, OrthantBall
@@ -75,8 +76,20 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
     def effective_horizon(self, policy_spec: dict) -> int:
-        cap = policy_spec.get("horizon_cap")
-        return min(self.horizon, cap) if cap else self.horizon
+        return _effective_horizon(self.horizon, policy_spec)
+
+    def fit_window(self, policy_spec: dict) -> tuple[int, int]:
+        """The slope window clipped to the policy's horizon."""
+        return _clip_window(self.slope_window, self.effective_horizon(policy_spec))
+
+
+def _effective_horizon(horizon: int, policy_spec: dict) -> int:
+    cap = policy_spec.get("horizon_cap")
+    return min(horizon, cap) if cap else horizon
+
+
+def _clip_window(window, horizon: int) -> tuple[int, int]:
+    return min(window[0], horizon // 4), min(window[1], horizon)
 
 
 def default_raw() -> dict:
@@ -229,6 +242,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(out_dir, str) or not out_dir:
         problems.append("output_dir must be a nonempty string")
         out_dir = "results"
+
+    if problem is not None and problem.dim != 2 and "adversarial" in scenarios:
+        problems.append(f"scenarios: 'adversarial' needs problem.dimension 2, got {problem.dim}")
+    if not problems:
+        for i, spec in enumerate(policies):
+            pair_horizon = _effective_horizon(horizon, spec)
+            lo, hi = _clip_window(window, pair_horizon)
+            cps = dyadic_checkpoints(pair_horizon)
+            held = int(np.count_nonzero((cps >= lo) & (cps <= hi)))
+            if held < 3:
+                problems.append(
+                    f"slope_window: policies[{i}] clips it to [{lo}, {hi}] at horizon {pair_horizon}, "
+                    f"which holds {held} dyadic checkpoints; the slope fit needs 3"
+                )
 
     if problems:
         raise ConfigError(problems)

@@ -82,8 +82,13 @@ class NoiseModel(abc.ABC):
         """(1-F)/f on the standardized scale."""
 
     @abc.abstractmethod
-    def _mills_slope(self, z: np.ndarray) -> np.ndarray:
-        """d/dz of the standardized Mills ratio; always > -1."""
+    def _mills_prime(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """d/dz of the standardized Mills ratio, given its value m = _mills(z).
+
+        Strictly negative for a log-concave law: it tends to 0 in the right
+        tail and is unbounded below in the left (for the Gaussian, m'(-1) =
+        -4.48 and m'(z) ~ z*m(z) as z -> -inf).
+        """
 
     @property
     @abc.abstractmethod
@@ -226,8 +231,8 @@ class GaussianNoise(NoiseModel):
     def _mills(self, z):
         return _SQRT_HALF_PI * special.erfcx(z / math.sqrt(2.0))
 
-    def _mills_slope(self, z):
-        return z * self._mills(z) - 1.0
+    def _mills_prime(self, z, m):
+        return z * m - 1.0
 
     def log_pdf_slope(self, omega):
         arr = _check_finite(omega)
@@ -282,8 +287,8 @@ class LogisticNoise(NoiseModel):
         # (1-F)/f = 1 + exp(-z) on the standardized scale
         return 1.0 + np.exp(-z)
 
-    def _mills_slope(self, z):
-        return -np.exp(-z)
+    def _mills_prime(self, z, m):
+        return 1.0 - m
 
     def log_pdf_slope(self, omega):
         arr = _check_finite(omega)

@@ -3,9 +3,22 @@
 For expected valuation u and posted price v the expected revenue is
 g(v, u) = v * (1 - F(v - u)).  Under strict log-concavity g(., u) has a
 unique maximizer J(u) = u + phi^{-1}(u) where phi(w) = (1-F(w))/f(w) - w is
-the virtual valuation; phi is strictly decreasing with slope < -1, so the
-inverse is found by a bracketed, Newton-accelerated bisection and J itself
-is a strict contraction (0 < J' < 1).
+the virtual valuation; phi is strictly decreasing with slope < -1, so J is a
+strict contraction (0 < J' < 1).
+
+J is computed on the standardized scale z = (J - u)/spread, where the
+first-order condition reads m(z) = z + c with c = u/spread and m the
+standardized Mills ratio.  Both solvers run one safeguarded Newton iteration
+on the log form q(z) = log m(z) - log(z + c).  On z > -c, q is convex and
+decreasing and grows only quadratically in the left tail, where m(z) - z - c
+grows like exp(z^2/2).  The iteration starts at z = 1 inside the bracket
+[-c/2, c + 10]: m(z) > -z puts the root right of -c/2, and m(z) < 2 for
+z > 0 puts it left of c + 10.  Each step evaluates m once, shrinks the
+bracket by the sign of q, and takes the Newton step if it lands in the
+bracket (ends included), else bisects.  It stops once a step moves z by
+less than tol/spread; 3-8 steps suffice for spreads from 1e-3 to 5, and
+reaching NEWTON_CAP steps raises InvariantViolation instead of returning a
+price.
 
 Also computed here: the curvature/steepness constants of the demand model on
 the working window [-B, B + J(0)] that size regret bounds, solver step sizes
@@ -33,6 +46,12 @@ __all__ = [
     "first_order_residual",
     "compute_constants",
 ]
+
+
+# Newton steps allowed per greedy price; 3-8 are taken for spreads from 1e-3 to 5
+NEWTON_CAP = 60
+# absolute price tolerance: iteration stops once a step moves the price less
+PRICE_TOL = 1e-13
 
 
 class InvariantViolation(RuntimeError):
@@ -65,65 +84,91 @@ def virtual_valuation_slope(model: NoiseModel, omega):
     return float(out) if np.ndim(omega) == 0 else out
 
 
-def greedy_price(model: NoiseModel, valuation: float, u_max: float | None = None, tol: float = 1e-13) -> float:
-    """Revenue-maximizing price J(u) = u + phi^{-1}(u) for u >= 0.
-
-    Works on the standardized scale: with m the standardized Mills ratio and
-    c = u/spread, solves m(z) - z = c by bisection with Newton steps accepted
-    whenever they stay inside the current sign-change bracket.  The initial
-    bracket +-(c + 10) is guaranteed: m > 0 kills the left end and
-    m(z) <= m(0) < 1.26 the right.  The returned price zeroes the
-    first-order condition 1 - F(J-u) - J*f(J-u) to ~C*tol absolute residual,
-    where C is the quadratic-regret constant of the model.
-    """
-    u = float(valuation)
-    if not np.isfinite(u) or u < 0:
-        raise ValueError("valuation must be finite and nonnegative")
-    if u_max is not None and u > u_max * (1.0 + 1e-12):
-        raise ValueError(f"valuation {u} exceeds the declared bound {u_max}")
-
-    spread = model.spread
-    target = u / spread
-    lo = -(target + 10.0)
-    hi = target + 10.0
-    for _ in range(200):
-        if model._mills(hi) - hi - target < 0.0:
-            break
-        hi = 2.0 * hi + 1.0
-    else:
-        raise InvariantViolation("failed to bracket the virtual valuation from above")
-    ztol = tol / spread
-    z = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
-    for _ in range(200):
-        val = model._mills(z) - z - target
-        if val > 0.0:
+def _newton_scalar(model: NoiseModel, c: float, ztol: float) -> float:
+    """Root of q(z) = log m(z) - log(z + c) by safeguarded Newton, on floats."""
+    lo, hi, z = -0.5 * c, c + 10.0, 1.0
+    for _ in range(NEWTON_CAP):
+        m = float(model._mills(z))
+        if not m > 0.0:
+            raise InvariantViolation(f"Mills ratio {m} at z={z} is not positive")
+        q = math.log(m) - math.log(z + c)
+        if q > 0.0:
             lo = z
         else:
             hi = z
-        if hi - lo < ztol:
-            break
-        step = z - val / (model._mills_slope(z) - 1.0)
-        z = step if lo < step < hi else 0.5 * (lo + hi)
-    return u + spread * 0.5 * (lo + hi)
+        slope = model._mills_prime(z, m) / m - 1.0 / (z + c)
+        step = z - q / slope if slope != 0.0 else math.nan  # as numpy's q/0: no step, bisect
+        nxt = step if lo <= step <= hi else 0.5 * (lo + hi)
+        if abs(nxt - z) < ztol:
+            return nxt
+        z = nxt
+    raise InvariantViolation(f"greedy price not converged in {NEWTON_CAP} Newton steps at u/spread={c}")
 
 
-def greedy_price_vec(model: NoiseModel, valuations, iterations: int = 90) -> np.ndarray:
-    """Vectorized J(u) by plain bisection; agrees with greedy_price to <1e-12."""
+def _newton_array(model: NoiseModel, c: np.ndarray, ztol: float) -> np.ndarray:
+    """_newton_scalar elementwise; an element stops moving once it has converged."""
+    out = np.empty_like(c)
+    idx = np.arange(c.size)
+    lo, hi, z = -0.5 * c, c + 10.0, np.ones_like(c)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_CAP):
+            m = model._mills(z)
+            if not np.all(m > 0.0):
+                bad = np.flatnonzero(~(m > 0.0))[0]
+                raise InvariantViolation(f"Mills ratio {m[bad]} at z={z[bad]} is not positive")
+            zc = z + c
+            q = np.log(m) - np.log(zc)
+            above = q > 0.0
+            lo = np.where(above, z, lo)
+            hi = np.where(above, hi, z)
+            step = z - q / (model._mills_prime(z, m) / m - 1.0 / zc)
+            nxt = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.abs(nxt - z) < ztol
+            if done.any():
+                out[idx[done]] = nxt[done]
+                if done.all():
+                    return out
+                keep = ~done
+                idx, c, lo, hi, nxt = idx[keep], c[keep], lo[keep], hi[keep], nxt[keep]
+            z = nxt
+    raise InvariantViolation(f"greedy price not converged in {NEWTON_CAP} Newton steps at u/spread={c[0]}")
+
+
+def greedy_price(model: NoiseModel, valuation: float, u_max: float | None = None, tol: float = PRICE_TOL) -> float:
+    """Revenue-maximizing price J(u) = u + phi^{-1}(u) for u >= 0.
+
+    On the standardized scale z = (J - u)/spread the first-order condition
+    is m(z) = z + c with c = u/spread and m the standardized Mills ratio;
+    the root is found by safeguarded Newton on q(z) = log m(z) - log(z + c)
+    as described in the module docstring, over Python floats (policies call
+    this once per round).  Stops when a step moves z by less than
+    tol/spread and raises InvariantViolation after NEWTON_CAP steps.
+    """
+    u = float(valuation)
+    if not math.isfinite(u) or u < 0:
+        raise ValueError("valuation must be finite and nonnegative")
+    if u_max is not None and u > u_max * (1.0 + 1e-12):
+        raise ValueError(f"valuation {u} exceeds the declared bound {u_max}")
+    spread = model.spread
+    return u + spread * _newton_scalar(model, u / spread, tol / spread)
+
+
+def greedy_price_vec(model: NoiseModel, valuations) -> np.ndarray:
+    """J(u) elementwise: greedy_price's iteration run over arrays.
+
+    Each element takes the Newton and bisection steps the scalar loop would
+    take, with the default tolerance, and stops when it has converged;
+    InvariantViolation after NEWTON_CAP steps as there.
+    """
     u = np.asarray(valuations, dtype=float)
     if u.size == 0:
-        return np.asarray(u, dtype=float).copy()
+        return u.copy()
     if np.any(~np.isfinite(u)) or np.any(u < 0):
         raise ValueError("valuations must be finite and nonnegative")
     spread = model.spread
-    target = u / spread
-    lo = -(target + 10.0)
-    hi = target + 10.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        above = model._mills(mid) - mid > target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return u + spread * 0.5 * (lo + hi)
+    c = u / spread
+    z = _newton_array(model, c.reshape(-1), PRICE_TOL / spread).reshape(c.shape)
+    return u + spread * z
 
 
 def price_cap(model: NoiseModel, b: float) -> float:

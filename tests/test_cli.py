@@ -59,6 +59,8 @@ class TestRun:
         s1 = json.loads((out1 / "summary.json").read_text())
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s1["pairs"] == s2["pairs"]
+        # repetition r plays SeedSequence([master_seed, r])
+        assert s1["seeds"] == [[small_raw["master_seed"], 0], [small_raw["master_seed"], 1]]
 
     def test_parallel_workers_match_sequential(self, tmp_path, small_raw):
         small_raw["policies"] = [{"kind": "onsp", "gamma": 1.0, "epsilon": 1.0}]
@@ -85,6 +87,36 @@ class TestRun:
         cfg = _write(tmp_path, small_raw)
         assert main(["run", str(cfg)]) == 2
         assert "theta_star" in capsys.readouterr().err
+
+    def test_adversarial_in_three_dimensions_exits_2(self, tmp_path, small_raw, capsys):
+        small_raw["problem"]["dimension"] = 3
+        small_raw["problem"]["theta_star"] = [0.5, 0.5, 0.1]
+        small_raw["scenarios"] = ["adversarial"]
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: scenarios" in err and "problem.dimension" in err
+
+    def test_window_with_too_few_checkpoints_exits_2(self, tmp_path, small_raw, capsys):
+        small_raw["horizon"] = 2
+        small_raw["slope_window"] = [1, 2]
+        small_raw["policies"] = [{"kind": "onsp", "gamma": 1.0, "epsilon": 1.0}]
+        small_raw["scenarios"] = ["stochastic"]
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: slope_window" in capsys.readouterr().err
+
+    def test_oracle_pair_has_no_slope(self, tmp_path, small_raw, capsys):
+        small_raw["horizon"] = 64
+        small_raw["slope_window"] = [16, 64]
+        small_raw["policies"] = [{"kind": "oracle"}]
+        cfg = _write(tmp_path, small_raw)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count("slope=n/a") == 2
+        pairs = json.loads((out / "summary.json").read_text())["pairs"]
+        assert [(p["slope"], p["slope_stderr"]) for p in pairs] == [(None, None), (None, None)]
+        assert all(abs(p["final_regret_mean"]) <= 1e-9 for p in pairs)
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

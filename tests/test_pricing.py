@@ -2,11 +2,14 @@
 
 The important frozen oracles: the unit-noise pricing fixed point at
 sqrt(pi/2); J(0) for unit Gaussian and unit logistic located by a
-high-precision root find; the scale identity J_s(u) = s*J_1(u/s).
+high-precision root find; the scale identity J_s(u) = s*J_1(u/s).  The
+Newton solver is also checked against an independent 90-step bisection and
+against 30-digit mpmath roots of the first-order condition.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from pricelab import (
     price_cap,
     virtual_valuation,
 )
+from pricelab import pricing
 from pricelab.pricing import InvariantViolation, first_order_residual, virtual_valuation_slope
 
 U_STAR = math.sqrt(math.pi / 2.0)
@@ -29,6 +33,61 @@ J1_AT_0 = 0.7517915246935645  # root of (1-Phi(w))/phi(w) = w, mpmath
 JLOG_AT_0 = 1.2784645427610738  # root of 1 + exp(-w) = w, mpmath
 J1_AT_2 = 1.668312064745777
 PHI_VIRT_3 = -2.6954097012898967
+
+# small noise scales: u/spread reaches 2000, where the root sits deep in the
+# left tail of the Mills ratio; valuations are drawn from [0, 2]
+SMALL_NOISE = (GaussianNoise(0.01), GaussianNoise(0.05), LogisticNoise(0.001))
+REFERENCE_MODELS = tuple(GaussianNoise(s) for s in (1e-3, 1e-2, 0.25, 1.0, 5.0)) + tuple(
+    LogisticNoise(s) for s in (1e-3, 0.3, 1.0)
+)
+
+
+def bisection_price(model, valuations, iterations=90):
+    """Reference J(u): plain bisection of m(z) - z = u/spread on +-(u/spread + 10)."""
+    u = np.asarray(valuations, dtype=float)
+    target = u / model.spread
+    lo, hi = -(target + 10.0), target + 10.0
+    with np.errstate(over="ignore"):
+        for _ in range(iterations):
+            mid = 0.5 * (lo + hi)
+            above = model._mills(mid) - mid > target
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+    return u + model.spread * 0.5 * (lo + hi)
+
+
+def price_ulps(model, price):
+    """Agreement unit for J = u + spread*z: one ulp of J plus spread ulps of 1.
+
+    The standardized root z is of order 1 and both solvers place it only to
+    within the Mills kernel's own rounding error (scipy's erfcx is off by up
+    to 7 ulp), which the price inherits multiplied by the spread.
+    """
+    return np.spacing(np.abs(price)) + model.spread * np.spacing(1.0)
+
+
+def mpmath_price(model, u):
+    """30-digit root in v of 1 - F(v - u) - v f(v - u), bracketed near the float root."""
+    with mpmath.workdps(30):
+        s, u_mp = mpmath.mpf(model.spread), mpmath.mpf(u)
+        if isinstance(model, GaussianNoise):
+            def foc(v):
+                w = (v - u_mp) / s
+                return mpmath.ncdf(-w) - v * mpmath.npdf(w) / s
+        else:
+            def foc(v):
+                e = mpmath.exp(-(v - u_mp) / s)
+                return e / (1 + e) - v * e / (s * (1 + e) ** 2)
+        guess = greedy_price(model, u)
+        width = 1e-6 * model.spread
+        return float(mpmath.findroot(foc, (guess - width, guess + width), solver="anderson"))
+
+
+class _NanMills(GaussianNoise):
+    """A broken kernel: the Mills ratio comes out NaN."""
+
+    def _mills(self, z):
+        return np.full(np.shape(z), np.nan)
 
 
 class TestExpectedReward:
@@ -123,10 +182,14 @@ class TestGreedyPrice:
             assert np.all(dj[keep] < du[keep])
 
     def test_first_order_condition(self, gauss025, gauss1, logistic1, rng):
-        for model in (gauss025, gauss1, logistic1):
-            for u in rng.uniform(0.0, 1.0, 50):
+        cases = [(model, 1.0) for model in (gauss025, gauss1, logistic1)]
+        cases += [(model, 2.0) for model in SMALL_NOISE]
+        for model, u_hi in cases:
+            for u in rng.uniform(0.0, u_hi, 50):
                 j = greedy_price(model, float(u))
-                assert first_order_residual(model, float(u), j) <= 1e-10
+                assert first_order_residual(model, float(u), j) <= 1e-10, (model, u)
+        # u/sigma = 38.4: Newton on m(z) - z - c crawls here; 200 such steps leave residual 6.5e-7
+        assert first_order_residual(GaussianNoise(0.01), 0.384, greedy_price(GaussianNoise(0.01), 0.384)) <= 1e-10
 
     def test_price_window(self, gauss025, rng):
         cap = price_cap(gauss025, 1.0)
@@ -144,11 +207,46 @@ class TestGreedyPrice:
             greedy_price_vec(gauss1, [0.2, -0.3])
 
     def test_vec_agrees_with_scalar(self, gauss025, logistic1, rng):
-        u = rng.uniform(0.0, 1.0, 300)
-        for model in (gauss025, logistic1):
+        cases = [(model, 1.0) for model in (gauss025, logistic1)]
+        cases += [(model, 2.0) for model in SMALL_NOISE]
+        for model, u_hi in cases:
+            u = rng.uniform(0.0, u_hi, 300)
             vec = greedy_price_vec(model, u)
             scalar = np.array([greedy_price(model, x) for x in u])
             np.testing.assert_allclose(vec, scalar, atol=5e-13)
+
+    def test_agrees_with_bisection_reference(self):
+        u = np.linspace(0.0, 2.0, 2001)
+        for model in REFERENCE_MODELS:
+            ref = bisection_price(model, u)
+            vec = greedy_price_vec(model, u)
+            scalar = np.array([greedy_price(model, x) for x in u[::10]])
+            assert np.max(np.abs(vec - ref) / price_ulps(model, ref)) <= 4.0, model
+            assert np.max(np.abs(scalar - ref[::10]) / price_ulps(model, ref[::10])) <= 4.0, model
+
+    def test_matches_mpmath_roots(self):
+        models = (GaussianNoise(1e-3), GaussianNoise(0.25), GaussianNoise(1.0), GaussianNoise(5.0))
+        models += (LogisticNoise(1e-3), LogisticNoise(1.0))
+        for model in models:
+            for u in (0.0, 0.37, 1.0, 1.9):
+                want = mpmath_price(model, u)
+                got = np.array([greedy_price(model, u), greedy_price_vec(model, [u])[0]])
+                assert np.all(np.abs(got - want) <= 4.0 * price_ulps(model, want)), (model, u, got, want)
+
+    def test_broken_kernel_raises(self):
+        model = _NanMills(1.0)
+        with pytest.raises(InvariantViolation):
+            greedy_price(model, 0.3)
+        with pytest.raises(InvariantViolation):
+            greedy_price_vec(model, [0.1, 0.3])
+
+    def test_iteration_cap_raises(self, gauss1, monkeypatch):
+        # 3 steps converge neither valuation here (6 are needed)
+        monkeypatch.setattr(pricing, "NEWTON_CAP", 3)
+        with pytest.raises(InvariantViolation):
+            greedy_price(gauss1, 0.3)
+        with pytest.raises(InvariantViolation):
+            greedy_price_vec(gauss1, [0.1, 0.3])
 
     @given(
         u1=st.floats(min_value=0.0, max_value=1.0),
