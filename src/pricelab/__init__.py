@@ -16,7 +16,6 @@ from .environments import (
     Scenario,
     StochasticScenario,
     lower_bound_pair,
-    resolve_sale,
 )
 from .harness import (
     AggregateStats,
@@ -29,7 +28,7 @@ from .harness import (
     run_episode,
     run_horizon_envelope,
 )
-from .loss import BatchObjective, LossPoint, MleResult, point_gradient, point_hessian, point_loss, solve_mle
+from .loss import BatchObjective, MleResult, solve_mle
 from .noise import GaussianNoise, LogisticNoise, NoiseModel
 from .policies import EmlpPolicy, Exp4Policy, OnspPolicy, OraclePolicy, PricingPolicy, onsp_default_hyperparams
 from .pricing import (
@@ -57,7 +56,6 @@ __all__ = [
     "FixedValuationScenario",
     "GaussianNoise",
     "LogisticNoise",
-    "LossPoint",
     "MleResult",
     "NoiseModel",
     "OnspPolicy",
@@ -79,11 +77,7 @@ __all__ = [
     "greedy_price_vec",
     "lower_bound_pair",
     "onsp_default_hyperparams",
-    "point_gradient",
-    "point_hessian",
-    "point_loss",
     "price_cap",
-    "resolve_sale",
     "run_episode",
     "run_horizon_envelope",
     "solve_mle",

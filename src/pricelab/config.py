@@ -132,16 +132,24 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _positive_int(raw, key, problems, default=None):
-    value = raw.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        problems.append(f"{key} must be a positive integer")
+# JSON true and false load as bool, a subclass of int: neither is a number here
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and bool(np.isfinite(value))
+
+
+def _positive_int(value, path, problems, default=None):
+    if not _is_int(value) or value < 1:
+        problems.append(f"{path} must be a positive integer")
         return default
     return value
 
 
 def _positive_real(value, path, problems):
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not np.isfinite(value) or value <= 0:
+    if not _is_real(value) or value <= 0:
         problems.append(f"{path} must be a positive real")
         return None
     return float(value)
@@ -172,10 +180,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(prob_raw, dict):
         problems.append("problem must be an object")
     else:
-        dim = prob_raw.get("dimension", 2)
-        if not isinstance(dim, int) or dim < 1:
-            problems.append("problem.dimension must be a positive integer")
-            dim = 2
+        dim = _positive_int(prob_raw.get("dimension", 2), "problem.dimension", problems, default=2)
         b1 = _positive_real(prob_raw.get("parameter_radius", 1.0), "problem.parameter_radius", problems)
         b2 = _positive_real(prob_raw.get("feature_bound", 1.0), "problem.feature_bound", problems)
         model = _parse_noise(prob_raw.get("noise", {"kind": "gaussian", "sigma": 0.25}), problems)
@@ -186,7 +191,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         theta = prob_raw.get("theta_star")
         if theta is None:
             problems.append("problem.theta_star is required")
-        elif not (isinstance(theta, list) and len(theta) == dim and all(isinstance(t, (int, float)) for t in theta)):
+        elif not (isinstance(theta, list) and len(theta) == dim and all(_is_real(t) for t in theta)):
             problems.append(f"problem.theta_star must be a list of {dim} reals")
             theta = None
         if not problems and theta is not None:
@@ -196,10 +201,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
             except ValueError as exc:
                 problems.append(f"problem: {exc}")
 
-    horizon = _positive_int(raw, "horizon", problems, default=2**16)
-    reps = _positive_int(raw, "repetitions", problems, default=5)
+    horizon = _positive_int(raw.get("horizon", 2**16), "horizon", problems, default=2**16)
+    reps = _positive_int(raw.get("repetitions", 5), "repetitions", problems, default=5)
     seed = raw.get("master_seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         problems.append("master_seed must be a nonnegative integer")
         seed = 0
 
@@ -224,15 +229,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 if has_g:
                     _positive_real(spec.get("gamma"), f"policies[{i}].gamma", problems)
                     _positive_real(spec.get("epsilon"), f"policies[{i}].epsilon", problems)
-            cap = spec.get("horizon_cap")
-            if cap is not None and (not isinstance(cap, int) or cap < 1):
-                problems.append(f"policies[{i}].horizon_cap must be a positive integer")
+            if spec.get("horizon_cap") is not None:
+                _positive_int(spec["horizon_cap"], f"policies[{i}].horizon_cap", problems)
 
     window = raw.get("slope_window", [2**10, horizon or 2**16])
     if not (
         isinstance(window, list)
         and len(window) == 2
-        and all(isinstance(w, int) and w >= 1 for w in window)
+        and all(_is_int(w) and w >= 1 for w in window)
         and window[0] < window[1]
     ):
         problems.append("slope_window must be [t_lo, t_hi] with 1 <= t_lo < t_hi")

@@ -1,4 +1,4 @@
-"""Simulated markets: feature sequences and customer purchase decisions.
+"""Simulated markets: the feature sequences customers arrive with.
 
 Three scenarios ship:
 
@@ -16,7 +16,9 @@ Three scenarios ship:
   unknown noise.
 
 Every scenario guarantees the bounded-feature contract: ||x|| <= B2,
-componentwise x >= 0, hence 0 <= x'theta <= B for all theta in H.
+componentwise x >= 0, hence 0 <= x'theta <= B for all theta in H.  The
+customer's purchase decision, a sale when the price is at most
+x'theta* + noise, is made in :func:`pricelab.harness.run_episode`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import abc
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,6 @@ __all__ = [
     "StochasticScenario",
     "AlternatingScenario",
     "FixedValuationScenario",
-    "RoundOutcome",
-    "resolve_sale",
     "lower_bound_pair",
     "FIXED_VALUATION",
 ]
@@ -169,23 +168,6 @@ class FixedValuationScenario(Scenario):
         x = np.zeros((horizon, self.problem.dim))
         x[:, 0] = 1.0
         return x
-
-
-class RoundOutcome(NamedTuple):
-    """Resolution of one posted price against one noise draw."""
-
-    accepted: bool
-    reward: float
-    valuation: float  # w = u* + noise, hidden from policies
-
-
-def resolve_sale(model: NoiseModel, u_star: float, price: float, rng: np.random.Generator) -> RoundOutcome:
-    """Draw the customer's valuation and settle the transaction."""
-    if price < 0:
-        raise ValueError("price must be nonnegative")
-    w = u_star + float(model.sample(rng))
-    accepted = price <= w
-    return RoundOutcome(accepted, price if accepted else 0.0, w)
 
 
 def lower_bound_pair(horizon: int) -> tuple[float, float]:

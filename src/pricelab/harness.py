@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .environments import Scenario
+from .loss import BatchObjective
 from .policies import EmlpPolicy, PricingPolicy
 from .pricing import expected_reward, greedy_price_vec
 
@@ -265,12 +266,21 @@ def fit_slope(source, window: tuple[float, float]) -> SlopeFit:
     return SlopeFit(slope, stderr, int(n))
 
 
-def emlp_epoch_gaps(policy: EmlpPolicy, theta_star) -> list[tuple[int, int, float]]:
-    """Per-epoch surrogate gaps (k, tau_k, L_k(theta_k) - L_k(theta*))."""
+def emlp_epoch_gaps(policy: EmlpPolicy, transcript: Transcript, theta_star) -> list[tuple[int, int, float]]:
+    """Per-epoch surrogate gaps (k, tau_k, L_k(theta_k) - L_k(theta*)).
+
+    L_k is the likelihood of epoch k's batch, rebuilt from the episode's
+    transcript: round 1 is the bootstrap and epoch k covers rounds
+    2^(k-1)+1 .. 2^k.
+    """
     theta_star = np.asarray(theta_star, dtype=float)
     out = []
     for record in policy.epoch_log:
-        gap = record.batch.value(record.theta_used) - record.batch.value(theta_star)
+        rows = slice(record.length, 2 * record.length)
+        batch = BatchObjective(
+            transcript.features[rows], transcript.prices[rows], transcript.accepted[rows], policy.model
+        )
+        gap = batch.value(record.theta_used) - batch.value(theta_star)
         out.append((record.index, record.length, float(gap)))
     return out
 

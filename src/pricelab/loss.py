@@ -1,17 +1,23 @@
-"""Per-round sale likelihood: loss, gradient, Hessian, and the batch MLE.
+"""Sale likelihood: per-row loss, slope and curvature, and the batch MLE.
 
 One observed round (x, v, accepted) contributes the negative log-likelihood
 
-    l(theta) = -log(1 - F(v - x'theta))   if the sale happened,
-               -log F(v - x'theta)        otherwise,
+    l(theta) = -log(1 - F(w))   if the sale happened,
+               -log F(w)        otherwise,
 
-a convex, exp-concave function of theta that depends on theta only through
-x'theta.  Gradients/Hessians are the hazard (resp. reverse hazard) and the
-log-concavity curvatures times x and xx'; all scalars come from the stable
-log-space forms in :mod:`pricelab.noise`.
+of its margin w = v - x'theta: a convex, exp-concave function of theta that
+depends on theta only through x'theta.  :func:`row_losses`,
+:func:`row_slopes` and :func:`row_curvatures` give l and its first and
+second derivatives in x'theta for arrays of margins and outcomes, so a
+row's gradient is slope * x and its Hessian curvature * xx'.  Each noise
+kernel runs only on the rows with its outcome (hazard, log_sf and
+log_sf_curvature on sales; reverse_hazard, log_cdf and log_cdf_curvature on
+misses) and is skipped when that outcome has no rows; all scalars come from
+the stable log-space forms in :mod:`pricelab.noise`.
 
-The batch objective averages the per-round losses; its constrained minimizer
-is found by projected gradient with a fixed 1/L step plus monotone Armijo
+:class:`BatchObjective` averages the rows of a batch and is the one place a
+batch's features and prices are validated.  Its constrained minimizer is
+found by projected gradient with a fixed 1/L step plus monotone Armijo
 backtracking.  When the batch does not span the parameter space the optimum
 is only unique along the data span and the returned point inherits the
 warm-start's component in the null space - deliberate, and exercised by the
@@ -30,53 +36,40 @@ from .pricing import compute_constants
 from .regions import Region
 
 __all__ = [
-    "LossPoint",
     "BatchObjective",
     "MleResult",
-    "point_loss",
-    "point_gradient",
-    "point_hessian",
+    "row_losses",
+    "row_slopes",
+    "row_curvatures",
     "solve_mle",
 ]
 
 ARMIJO = 1e-4
 
 
-@dataclass(frozen=True)
-class LossPoint:
-    """One recorded round: feature vector, posted price, sale indicator."""
-
-    x: np.ndarray
-    price: float
-    accepted: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.x.ndim != 1 or not np.all(np.isfinite(self.x)):
-            raise ValueError("feature must be a finite 1-d vector")
-        if not (np.isfinite(self.price) and self.price >= 0):
-            raise ValueError("price must be finite and nonnegative")
+def _by_outcome(w: np.ndarray, accepted: np.ndarray, on_sale, on_miss) -> np.ndarray:
+    out = np.empty_like(w)
+    if accepted.any():
+        out[accepted] = on_sale(w[accepted])
+    missed = ~accepted
+    if missed.any():
+        out[missed] = on_miss(w[missed])
+    return out
 
 
-def _margin(point: LossPoint, theta) -> float:
-    return float(point.price - point.x @ np.asarray(theta, dtype=float))
+def row_losses(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """-log(1 - F(w)) on sales, -log F(w) on misses."""
+    return -_by_outcome(w, accepted, model.log_sf, model.log_cdf)
 
 
-def point_loss(point: LossPoint, theta, model: NoiseModel) -> float:
-    w = _margin(point, theta)
-    return -model.log_sf(w) if point.accepted else -model.log_cdf(w)
+def row_slopes(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """Derivative of each row's loss in x'theta: -hazard(w) on sales, reverse_hazard(w) on misses."""
+    return _by_outcome(w, accepted, lambda s: -model.hazard(s), model.reverse_hazard)
 
 
-def point_gradient(point: LossPoint, theta, model: NoiseModel) -> np.ndarray:
-    w = _margin(point, theta)
-    scalar = -model.hazard(w) if point.accepted else model.reverse_hazard(w)
-    return scalar * point.x
-
-
-def point_hessian(point: LossPoint, theta, model: NoiseModel) -> np.ndarray:
-    w = _margin(point, theta)
-    curv = model.log_sf_curvature(w) if point.accepted else model.log_cdf_curvature(w)
-    return curv * np.outer(point.x, point.x)
+def row_curvatures(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """Second derivative of each row's loss in x'theta: the log-concavity curvatures."""
+    return _by_outcome(w, accepted, model.log_sf_curvature, model.log_cdf_curvature)
 
 
 class BatchObjective:
@@ -92,16 +85,10 @@ class BatchObjective:
             raise ValueError("features, prices and indicators must have equal length")
         if n == 0:
             raise ValueError("batch must be nonempty")
-
-    @classmethod
-    def from_points(cls, points, model: NoiseModel) -> "BatchObjective":
-        pts = list(points)
-        return cls(
-            np.stack([p.x for p in pts]),
-            np.array([p.price for p in pts]),
-            np.array([p.accepted for p in pts]),
-            model,
-        )
+        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.prices))):
+            raise ValueError("features and prices must be finite")
+        if np.any(self.prices < 0.0):
+            raise ValueError("prices must be nonnegative")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -118,18 +105,15 @@ class BatchObjective:
         return self.prices - self.features @ np.asarray(theta, dtype=float)
 
     def value(self, theta) -> float:
-        w = self.margins(theta)
-        terms = np.where(self.accepted, -self.model.log_sf(w), -self.model.log_cdf(w))
-        return float(np.mean(terms))
+        return float(np.mean(row_losses(self.model, self.margins(theta), self.accepted)))
 
     def gradient(self, theta) -> np.ndarray:
-        w = self.margins(theta)
-        scalars = np.where(
-            self.accepted,
-            -np.asarray(self.model.hazard(w)),
-            np.asarray(self.model.reverse_hazard(w)),
-        )
-        return (scalars @ self.features) / len(self)
+        slopes = row_slopes(self.model, self.margins(theta), self.accepted)
+        return (slopes @ self.features) / len(self)
+
+    def hessian(self, theta) -> np.ndarray:
+        curvatures = row_curvatures(self.model, self.margins(theta), self.accepted)
+        return (self.features.T * curvatures) @ self.features / len(self)
 
 
 @dataclass

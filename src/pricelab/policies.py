@@ -5,10 +5,12 @@ All policies speak the same two-phase, per-round protocol:
     price = policy.propose(x)      # post a price for feature vector x
     policy.feedback(accepted)      # observe the binary sale outcome
 
-plus ``reset(seed)`` for a fresh, reproducible run.  Every proposed price
-lies in [0, V_max] with V_max = B + J(0).  ``state_snapshot()`` returns the
-mutable state (epoch counter and estimate, Newton matrix, expert weights) as
-plain JSON-serializable types.
+plus ``reset(seed)`` for a fresh, reproducible run.  ``propose`` validates
+the feature and range-checks the price, so every proposed price lies in
+[0, V_max] with V_max = B + J(0); ``feedback`` passes (x, price, accepted)
+to the policy's update unchecked.  ``state_snapshot()`` returns the mutable
+state (epoch counter and estimate, Newton matrix, expert weights) as plain
+JSON-serializable types.
 
 EmlpPolicy   - epoch-doubling batch maximum-likelihood pricing: prices each
                epoch greedily under the previous epoch's MLE, refits at
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loss import BatchObjective, LossPoint, point_gradient, solve_mle
+from .loss import BatchObjective, row_slopes, solve_mle
 from .noise import NoiseModel
 from .pricing import AnalysisConstants, compute_constants, greedy_price, greedy_price_vec, price_cap
 from .regions import OrthantBall, Region
@@ -103,7 +105,7 @@ class PricingPolicy(abc.ABC):
             raise RuntimeError("feedback without a pending propose")
         x, price = self._pending
         self._pending = None
-        self._feedback(LossPoint(x, price, bool(accepted)))
+        self._feedback(x, price, bool(accepted))
 
     def clipped_valuation(self, x, theta) -> float:
         # x'theta lies in [0, B] for theta in H by assumption; clamp is a
@@ -119,19 +121,18 @@ class PricingPolicy(abc.ABC):
     def _propose(self, x: np.ndarray) -> float: ...
 
     @abc.abstractmethod
-    def _feedback(self, point: LossPoint) -> None: ...
+    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None: ...
 
     @abc.abstractmethod
     def state_snapshot(self) -> dict: ...
 
 
 class EpochRecord(NamedTuple):
-    """One completed pricing epoch: which estimate priced it, on what data."""
+    """One completed pricing epoch: its index, its length and the estimate that priced it."""
 
     index: int
     length: int
     theta_used: np.ndarray
-    batch: BatchObjective
 
 
 class EmlpPolicy(PricingPolicy):
@@ -140,7 +141,9 @@ class EmlpPolicy(PricingPolicy):
     Round 1 posts a uniform random price in [0, V_max] and fits the first
     estimate on that single observation.  Epoch k then lasts 2^(k-1) rounds,
     prices J(x'theta_k) throughout, and refits on exactly that epoch's batch
-    at the boundary (warm-started at the current estimate).
+    at the boundary (warm-started at the current estimate).  Only the current
+    epoch's features, prices and outcomes are held, in arrays of its length;
+    ``epoch_log`` keeps each completed epoch's index, length and estimate.
     """
 
     name = "emlp"
@@ -157,7 +160,12 @@ class EmlpPolicy(PricingPolicy):
         self.theta = self.region.interior_point()
         self.mle_warnings = 0
         self.epoch_log: list[EpochRecord] = []
-        self._points: list[LossPoint] = []
+        self._new_batch()
+
+    def _new_batch(self) -> None:
+        self._features = np.empty((self.epoch_length, self.region.dim))
+        self._prices = np.empty(self.epoch_length)
+        self._accepted = np.empty(self.epoch_length, dtype=bool)
 
     def _step_bound(self, batch: BatchObjective) -> float:
         if self._constants is None:
@@ -178,27 +186,24 @@ class EmlpPolicy(PricingPolicy):
             return self._rng.uniform(0.0, self.price_cap)
         return greedy_price(self.model, self.clipped_valuation(x, self.theta))
 
-    def _feedback(self, point: LossPoint) -> None:
-        if self.epoch == 0:
-            batch = BatchObjective.from_points([point], self.model)
-            self.theta = self._solve(batch, self.region.interior_point())
-            self.epoch = 1
-            self.epoch_length = 1
-            self.position = 0
-            self._points = []
-            return
-        self._points.append(point)
+    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
+        self._features[self.position] = x
+        self._prices[self.position] = price
+        self._accepted[self.position] = accepted
         self.position += 1
-        if self.position == self.epoch_length:
-            batch = BatchObjective.from_points(self._points, self.model)
-            self.epoch_log.append(
-                EpochRecord(self.epoch, self.epoch_length, self.theta.copy(), batch)
-            )
+        if self.position < self.epoch_length:
+            return
+        batch = BatchObjective(self._features, self._prices, self._accepted, self.model)
+        if self.epoch == 0:
+            # the bootstrap round: epoch 1 then lasts one round as well
+            self.theta = self._solve(batch, self.region.interior_point())
+        else:
+            self.epoch_log.append(EpochRecord(self.epoch, self.epoch_length, self.theta.copy()))
             self.theta = self._solve(batch, self.theta)
-            self.epoch += 1
             self.epoch_length *= 2
-            self.position = 0
-            self._points = []
+        self.epoch += 1
+        self.position = 0
+        self._new_batch()
 
     @property
     def switch_count(self) -> int:
@@ -219,7 +224,8 @@ class EmlpPolicy(PricingPolicy):
 class OnspPolicy(PricingPolicy):
     """Online Newton-step pricing on the sale likelihood.
 
-    Per round: price J(x'theta_t); after the outcome, rank-one update
+    Per round: price J(x'theta_t); after the outcome, take the gradient g
+    of the round's sale likelihood (its row slope times x), rank-one update
     A += g g', Newton step theta - (1/gamma) A^{-1} g, and A-weighted
     projection back onto the feasible set.  A^{-1} is maintained by the
     rank-one inverse identity and re-synced by direct inversion every
@@ -262,8 +268,9 @@ class OnspPolicy(PricingPolicy):
     def _propose(self, x: np.ndarray) -> float:
         return greedy_price(self.model, self.clipped_valuation(x, self.theta))
 
-    def _feedback(self, point: LossPoint) -> None:
-        grad = point_gradient(point, self.theta, self.model)
+    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
+        slope = row_slopes(self.model, np.array([price - x @ self.theta]), np.array([accepted]))
+        grad = slope[0] * x
         self.matrix = self.matrix + np.outer(grad, grad)
         # rank-one inverse update: (A + gg')^{-1} = A^{-1} - (A^{-1}g)(A^{-1}g)'/(1+g'A^{-1}g)
         ag = self.matrix_inv @ grad
@@ -372,10 +379,10 @@ class Exp4Policy(PricingPolicy):
         self._last = (rec, probs, arm)
         return float(self.arms[arm])
 
-    def _feedback(self, point: LossPoint) -> None:
+    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
         rec, probs, arm = self._last
         self._last = None
-        reward = point.price if point.accepted else 0.0
+        reward = price if accepted else 0.0
         prob = float(probs[arm])
         if prob < 1e-12:
             prob = 1e-12
@@ -414,7 +421,7 @@ class OraclePolicy(PricingPolicy):
     def _propose(self, x: np.ndarray) -> float:
         return greedy_price(self.model, self.clipped_valuation(x, self.theta_star))
 
-    def _feedback(self, point: LossPoint) -> None:
+    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
         pass
 
     def state_snapshot(self) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .environments import FIXED_VALUATION, AlternatingScenario, PricingProblem, StochasticScenario
 from .harness import fit_slope
-from .loss import BatchObjective, LossPoint, point_gradient, point_hessian, point_loss
+from .loss import BatchObjective
 from .noise import GaussianNoise, LogisticNoise
 from .policies import OnspPolicy
 from .pricing import (
@@ -59,12 +59,13 @@ def _default_problem() -> PricingProblem:
     )
 
 
-def _random_loss_points(rng, problem, count):
+def _random_rounds(rng, problem, count) -> list[BatchObjective]:
+    """Batches of one round each: stochastic feature, uniform price, fair-coin sale."""
     scenario = StochasticScenario(problem)
     x = scenario.features(count, rng)
     v = rng.uniform(0.0, problem.price_window, count)
     acc = rng.random(count) < 0.5
-    return [LossPoint(x[i], v[i], bool(acc[i])) for i in range(count)]
+    return [BatchObjective(x[i], v[i], acc[i], problem.model) for i in range(count)]
 
 
 # -- noise ----------------------------------------------------------------
@@ -295,13 +296,13 @@ def check_gradient_hessian_fd(fast: bool) -> CheckResult:
     n = 100 if fast else 400
     h = 1e-6
     worst = 0.0
-    for point in _random_loss_points(rng, problem, n):
+    for row in _random_rounds(rng, problem, n):
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
-        grad = point_gradient(point, theta, problem.model)
+        grad = row.gradient(theta)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (point_loss(point, theta + e, problem.model) - point_loss(point, theta - e, problem.model)) / (2 * h)
+            fd = (row.value(theta + e) - row.value(theta - e)) / (2 * h)
             scale = max(abs(grad[i]), 1e-4)
             worst = max(worst, abs(fd - grad[i]) / scale)
     return CheckResult("loss.gradient-finite-difference", worst <= 1e-6, f"max relative error {worst:.3e}")
@@ -315,11 +316,11 @@ def check_psd_sandwich(fast: bool) -> CheckResult:
     consts = compute_constants(problem.model, problem.valuation_bound)
     n = 300 if fast else 1000
     worst = 0.0
-    for point in _random_loss_points(rng, problem, n):
+    for row in _random_rounds(rng, problem, n):
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
-        xx = np.outer(point.x, point.x)
-        hess = point_hessian(point, theta, problem.model)
-        grad = point_gradient(point, theta, problem.model)
+        xx = np.outer(row.features[0], row.features[0])
+        hess = row.hessian(theta)
+        grad = row.gradient(theta)
         gg = np.outer(grad, grad)
         links = (
             hess - consts.c_down * xx,
@@ -339,10 +340,10 @@ def check_exp_concavity(fast: bool) -> CheckResult:
     consts = compute_constants(problem.model, problem.valuation_bound)
     n = 300 if fast else 1000
     worst = 0.0
-    for point in _random_loss_points(rng, problem, n):
+    for row in _random_rounds(rng, problem, n):
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
-        hess = point_hessian(point, theta, problem.model)
-        grad = point_gradient(point, theta, problem.model)
+        hess = row.hessian(theta)
+        grad = row.gradient(theta)
         ev = np.min(np.linalg.eigvalsh(hess - consts.alpha * np.outer(grad, grad)))
         worst = max(worst, -float(ev))
     return CheckResult("loss.exp-concavity", worst <= 1e-10, f"max eigenvalue violation {worst:.3e}")
@@ -363,16 +364,14 @@ def check_truth_is_stationary(fast: bool) -> CheckResult:
         v = rng.uniform(0.0, problem.price_window)
         u = float(x @ problem.theta_star)
         p_sale = model.sf(v - u)
-        yes = LossPoint(x, v, True)
-        no = LossPoint(x, v, False)
-        grad = p_sale * point_gradient(yes, problem.theta_star, model) + (1 - p_sale) * point_gradient(
-            no, problem.theta_star, model
-        )
+        yes = BatchObjective(x, v, True, model)
+        no = BatchObjective(x, v, False, model)
+        grad = p_sale * yes.gradient(problem.theta_star) + (1 - p_sale) * no.gradient(problem.theta_star)
         worst_grad = max(worst_grad, float(np.linalg.norm(grad)))
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
-        gap = p_sale * (point_loss(yes, theta, model) - point_loss(yes, problem.theta_star, model)) + (
-            1 - p_sale
-        ) * (point_loss(no, theta, model) - point_loss(no, problem.theta_star, model))
+        gap = p_sale * (yes.value(theta) - yes.value(problem.theta_star)) + (1 - p_sale) * (
+            no.value(theta) - no.value(problem.theta_star)
+        )
         quad = 0.5 * consts.c_down * float(x @ (theta - problem.theta_star)) ** 2
         worst_gap = max(worst_gap, quad - gap)
     ok = worst_grad <= 1e-6 and worst_gap <= 1e-10

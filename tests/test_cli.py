@@ -106,6 +106,26 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config error: slope_window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, line",
+        [
+            (("problem", "dimension"), "config error: problem.dimension must be a positive integer"),
+            (("policies", 2, "horizon_cap"), "config error: policies[2].horizon_cap must be a positive integer"),
+            (("slope_window", 0), "config error: slope_window must be [t_lo, t_hi]"),
+            (("problem", "theta_star", 0), "config error: problem.theta_star must be a list of 2 reals"),
+        ],
+        ids=["dimension", "horizon_cap", "slope_window", "theta_star"],
+    )
+    def test_json_true_is_not_a_number_exits_2(self, tmp_path, small_raw, capsys, path, line):
+        # JSON true loads as Python True, which isinstance(..., int) accepts
+        target = small_raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = True
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert line in capsys.readouterr().err
+
     def test_oracle_pair_has_no_slope(self, tmp_path, small_raw, capsys):
         small_raw["horizon"] = 64
         small_raw["slope_window"] = [16, 64]

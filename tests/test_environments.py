@@ -10,13 +10,14 @@ from pricelab import (
     FIXED_VALUATION,
     FixedValuationScenario,
     GaussianNoise,
+    OraclePolicy,
     OrthantBall,
     PricingProblem,
     StochasticScenario,
     expected_reward,
     greedy_price,
     lower_bound_pair,
-    resolve_sale,
+    run_episode,
 )
 
 
@@ -83,41 +84,38 @@ class TestFixedValuation:
         assert scen.problem.valuation_bound == pytest.approx(FIXED_VALUATION)
 
 
+def _oracle_transcript(scenario, horizon, seed):
+    problem = scenario.problem
+    policy = OraclePolicy(problem.model, problem.region, problem.feature_bound, problem.theta_star)
+    transcript, _ = run_episode(policy, scenario, horizon, seed)
+    return transcript
+
+
 class TestResolveSale:
-    def test_zero_price_always_pays_nothing(self, gauss1, rng):
-        outcomes = [resolve_sale(gauss1, 0.7, 0.0, rng) for _ in range(200)]
-        assert all(o.reward == 0.0 for o in outcomes)
-        accept_rate = np.mean([o.accepted for o in outcomes])
-        assert accept_rate > 0.5  # 1 - F(-0.7) ~ 0.76
+    """The harness sells when the price is at most x'theta* + noise."""
 
-    def test_acceptance_frequency(self, gauss1):
-        rng = np.random.default_rng(3)
-        u, v, n = 0.6, 0.6, 100_000
-        hits = sum(resolve_sale(gauss1, u, v, rng).accepted for _ in range(n))
-        p = 1.0 - gauss1.cdf(v - u)  # = 1/2 at the valuation
-        assert p == pytest.approx(0.5, abs=1e-12)
-        assert abs(hits / n - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
-
-    def test_reward_consistency(self, gauss1, rng):
-        out = resolve_sale(gauss1, 0.5, 0.4, rng)
-        assert out.reward == (0.4 if out.accepted else 0.0)
-        assert out.accepted == (0.4 <= out.valuation)
+    def test_acceptance_frequency(self):
+        scen = FixedValuationScenario.build(u_star=0.6, sigma=1.0)
+        n = 100_000
+        transcript = _oracle_transcript(scen, n, seed=3)
+        v = greedy_price(scen.problem.model, 0.6)
+        np.testing.assert_array_equal(transcript.prices, v)
+        p = scen.problem.model.sf(v - 0.6)  # 1 - F(v - u*)
+        assert p < 0.4  # J(u*) > u* below the fixed point: fewer than half buy
+        assert abs(np.mean(transcript.accepted) - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
 
     def test_fixed_point_market_half_acceptance(self):
         # at the unit-noise fixed point the optimal price is the valuation
         # itself, accepted half the time for an expected reward of u*/2
-        rng = np.random.default_rng(11)
+        scen = FixedValuationScenario.build(sigma=1.0)
         v = greedy_price(GaussianNoise(1.0), FIXED_VALUATION)
         assert v == pytest.approx(FIXED_VALUATION, abs=1e-9)
-        hits = sum(resolve_sale(GaussianNoise(1.0), FIXED_VALUATION, v, rng).accepted for _ in range(50_000))
-        assert abs(hits / 50_000 - 0.5) < 4.0 * math.sqrt(0.25 / 50_000)
+        transcript = _oracle_transcript(scen, 50_000, seed=11)
+        np.testing.assert_array_equal(transcript.prices, v)
+        assert abs(np.mean(transcript.accepted) - 0.5) < 4.0 * math.sqrt(0.25 / 50_000)
         assert expected_reward(GaussianNoise(1.0), v, FIXED_VALUATION) == pytest.approx(
             FIXED_VALUATION / 2.0, rel=1e-12
         )
-
-    def test_negative_price_rejected(self, gauss1, rng):
-        with pytest.raises(ValueError):
-            resolve_sale(gauss1, 0.5, -0.1, rng)
 
 
 class TestLowerBoundPair:

@@ -41,7 +41,7 @@ class ConstantPricePolicy(PricingPolicy):
     def _propose(self, x):
         return self._price
 
-    def _feedback(self, point):
+    def _feedback(self, x, price, accepted):
         pass
 
     def state_snapshot(self):
@@ -217,8 +217,8 @@ class TestEnvelope:
 class TestEpochGaps:
     def test_gaps_follow_epoch_schedule(self, problem):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
-        run_episode(policy, StochasticScenario(problem), 2**6, 5)
-        gaps = emlp_epoch_gaps(policy, problem.theta_star)
+        transcript, _ = run_episode(policy, StochasticScenario(problem), 2**6, 5)
+        gaps = emlp_epoch_gaps(policy, transcript, problem.theta_star)
         assert [g[0] for g in gaps] == list(range(1, len(gaps) + 1))
         assert [g[1] for g in gaps] == [2**k for k in range(len(gaps))]
         assert all(np.isfinite(g[2]) for g in gaps)

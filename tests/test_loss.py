@@ -10,13 +10,10 @@ from scipy.stats import norm
 from pricelab import (
     BatchObjective,
     GaussianNoise,
-    LossPoint,
+    LogisticNoise,
     OrthantBall,
     StochasticScenario,
     compute_constants,
-    point_gradient,
-    point_hessian,
-    point_loss,
     solve_mle,
 )
 
@@ -32,101 +29,127 @@ def _synthetic_batch(problem, n, seed):
     return BatchObjective(x, v, accepted, problem.model)
 
 
+def _random_round(problem, rng, normalize=True):
+    """A batch of one round: feature in the unit box (scaled into the unit ball if
+    ``normalize``), uniform price, fair-coin sale."""
+    x = rng.uniform(0, 1, 2)
+    if normalize:
+        x /= max(np.linalg.norm(x), 1.0)
+    return BatchObjective(x, rng.uniform(0, problem.price_window), rng.random() < 0.5, problem.model)
+
+
+def _two_branch_reference(batch, theta):
+    """Value and gradient with both kernels evaluated on every row, then selected per outcome."""
+    w = batch.margins(theta)
+    model = batch.model
+    value = float(np.mean(np.where(batch.accepted, -model.log_sf(w), -model.log_cdf(w))))
+    slopes = np.where(batch.accepted, -np.asarray(model.hazard(w)), np.asarray(model.reverse_hazard(w)))
+    return value, (slopes @ batch.features) / len(batch)
+
+
 class TestPointLoss:
     def test_margin_zero_gives_log_two(self, gauss1):
         x = np.array([1.0, 0.0])
-        sale = LossPoint(x, 0.5, True)
-        miss = LossPoint(x, 0.5, False)
+        sale = BatchObjective(x, 0.5, True, gauss1)
+        miss = BatchObjective(x, 0.5, False, gauss1)
         theta = np.array([0.5, 0.3])
-        assert point_loss(sale, theta, gauss1) == pytest.approx(math.log(2.0), abs=1e-14)
-        assert point_loss(miss, theta, gauss1) == pytest.approx(math.log(2.0), abs=1e-14)
+        assert sale.value(theta) == pytest.approx(math.log(2.0), abs=1e-14)
+        assert miss.value(theta) == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_two_sigma_sale(self, gauss025):
         # price 1.0, valuation estimate 0.5: margin is two standard units
-        point = LossPoint(np.array([1.0, 0.0]), 1.0, True)
-        value = point_loss(point, np.array([0.5, 0.0]), gauss025)
-        assert value == pytest.approx(NEG_LOG_SF_2, rel=1e-12)
+        row = BatchObjective(np.array([1.0, 0.0]), 1.0, True, gauss025)
+        assert row.value(np.array([0.5, 0.0])) == pytest.approx(NEG_LOG_SF_2, rel=1e-12)
 
     def test_finite_across_region(self, problem, rng):
         for _ in range(50):
             theta = problem.region.project(rng.uniform(0, 1, 2))
-            point = LossPoint(rng.uniform(0, 1, 2), rng.uniform(0, problem.price_window), rng.random() < 0.5)
-            assert np.isfinite(point_loss(point, theta, problem.model))
+            row = _random_round(problem, rng, normalize=False)
+            assert np.isfinite(row.value(theta))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LossPoint(np.array([1.0, np.nan]), 0.5, True)
-        with pytest.raises(ValueError):
-            LossPoint(np.array([1.0, 0.0]), -0.5, True)
+    def test_validation(self, gauss1):
+        cases = [
+            ([[1.0, np.nan]], [0.5]),
+            ([[1.0, np.inf]], [0.5]),
+            ([[1.0, 0.0]], [np.nan]),
+            ([[1.0, 0.0]], [-0.5]),
+            ([[1.0, 0.0], [0.0, 1.0]], [0.5, -1e-300]),
+        ]
+        for features, prices in cases:
+            with pytest.raises(ValueError):
+                BatchObjective(features, prices, [True] * len(prices), gauss1)
 
 
 class TestGradient:
     def test_zero_feature_zero_gradient(self, gauss1):
-        point = LossPoint(np.zeros(2), 0.7, True)
-        np.testing.assert_array_equal(point_gradient(point, np.zeros(2), gauss1), np.zeros(2))
+        row = BatchObjective(np.zeros(2), 0.7, True, gauss1)
+        np.testing.assert_array_equal(row.gradient(np.zeros(2)), np.zeros(2))
 
     def test_margin_zero_scalar_is_hazard(self, gauss1):
         x = np.array([0.6, 0.8])
-        point = LossPoint(x, 0.5, True)
+        row = BatchObjective(x, 0.5, True, gauss1)
         theta = np.array([0.3, 0.4])  # x @ theta = 0.5, margin 0
         want = -2.0 / math.sqrt(2 * math.pi)
-        np.testing.assert_allclose(point_gradient(point, theta, gauss1), want * x, rtol=1e-13)
+        np.testing.assert_allclose(row.gradient(theta), want * x, rtol=1e-13)
 
     def test_finite_differences(self, problem, rng):
         h = 1e-6
         for _ in range(100):
-            x = rng.uniform(0, 1, 2)
-            x /= max(np.linalg.norm(x), 1.0)
-            point = LossPoint(x, rng.uniform(0, problem.price_window), rng.random() < 0.5)
+            row = _random_round(problem, rng)
             theta = problem.region.project(rng.uniform(0, 1, 2))
-            grad = point_gradient(point, theta, problem.model)
+            grad = row.gradient(theta)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (point_loss(point, theta + e, problem.model) - point_loss(point, theta - e, problem.model)) / (2 * h)
+                fd = (row.value(theta + e) - row.value(theta - e)) / (2 * h)
                 assert fd == pytest.approx(grad[i], rel=1e-6, abs=1e-7)
 
 
 class TestHessian:
     def test_zero_feature_zero_matrix(self, gauss1):
-        point = LossPoint(np.zeros(2), 0.7, False)
-        np.testing.assert_array_equal(point_hessian(point, np.zeros(2), gauss1), np.zeros((2, 2)))
+        row = BatchObjective(np.zeros(2), 0.7, False, gauss1)
+        np.testing.assert_array_equal(row.hessian(np.zeros(2)), np.zeros((2, 2)))
 
     def test_curvature_sandwich(self, problem, rng):
         consts = compute_constants(problem.model, problem.valuation_bound)
         for _ in range(1000):
-            x = rng.uniform(0, 1, 2)
-            x /= max(np.linalg.norm(x), 1.0)
-            point = LossPoint(x, rng.uniform(0, problem.price_window), rng.random() < 0.5)
+            row = _random_round(problem, rng)
             theta = problem.region.project(rng.uniform(0, 1, 2))
-            xx = np.outer(x, x)
-            hess = point_hessian(point, theta, problem.model)
-            grad = point_gradient(point, theta, problem.model)
+            xx = np.outer(row.features[0], row.features[0])
+            hess = row.hessian(theta)
+            grad = row.gradient(theta)
             assert np.min(np.linalg.eigvalsh(hess - consts.c_down * xx)) >= -1e-10
             assert np.min(np.linalg.eigvalsh(consts.c_exp * xx - np.outer(grad, grad))) >= -1e-10
 
     def test_exp_concavity(self, problem, rng):
         consts = compute_constants(problem.model, problem.valuation_bound)
         for _ in range(1000):
-            x = rng.uniform(0, 1, 2)
-            x /= max(np.linalg.norm(x), 1.0)
-            point = LossPoint(x, rng.uniform(0, problem.price_window), rng.random() < 0.5)
+            row = _random_round(problem, rng)
             theta = problem.region.project(rng.uniform(0, 1, 2))
-            hess = point_hessian(point, theta, problem.model)
-            grad = point_gradient(point, theta, problem.model)
+            hess = row.hessian(theta)
+            grad = row.gradient(theta)
             assert np.min(np.linalg.eigvalsh(hess - consts.alpha * np.outer(grad, grad))) >= -1e-10
 
     def test_convexity_inequality(self, problem, rng):
         for _ in range(100):
-            x = rng.uniform(0, 1, 2)
-            point = LossPoint(x, rng.uniform(0, problem.price_window), rng.random() < 0.5)
+            row = _random_round(problem, rng, normalize=False)
             t1 = problem.region.project(rng.uniform(0, 1, 2))
             t2 = problem.region.project(rng.uniform(0, 1, 2))
             lam = rng.random()
-            mix = point_loss(point, lam * t1 + (1 - lam) * t2, problem.model)
-            assert mix <= lam * point_loss(point, t1, problem.model) + (1 - lam) * point_loss(
-                point, t2, problem.model
-            ) + 1e-10
+            mix = row.value(lam * t1 + (1 - lam) * t2)
+            assert mix <= lam * row.value(t1) + (1 - lam) * row.value(t2) + 1e-10
+
+    def test_gradient_finite_differences(self, problem, rng):
+        h = 1e-6
+        batch = _synthetic_batch(problem, 64, seed=9)
+        for _ in range(20):
+            theta = problem.region.project(rng.uniform(0, 1, 2))
+            hess = batch.hessian(theta)
+            for i in range(2):
+                e = np.zeros(2)
+                e[i] = h
+                fd = (batch.gradient(theta + e) - batch.gradient(theta - e)) / (2 * h)
+                np.testing.assert_allclose(fd, hess[:, i], rtol=1e-6, atol=1e-7)
 
 
 class TestExpectedLoss:
@@ -134,20 +157,17 @@ class TestExpectedLoss:
     is Bernoulli(1 - F(v - u*)), so averaging the two branches is exact
     quadrature over the noise."""
 
-    def _expect(self, fn, point_yes, point_no, problem):
-        u = float(point_yes.x @ problem.theta_star)
-        p = problem.model.sf(point_yes.price - u)
-        return p * fn(point_yes) + (1 - p) * fn(point_no)
+    def _expect(self, fn, x, v, problem):
+        p = problem.model.sf(v - float(x @ problem.theta_star))
+        yes, no = BatchObjective(x, v, True, problem.model), BatchObjective(x, v, False, problem.model)
+        return p * fn(yes) + (1 - p) * fn(no)
 
     def test_truth_is_stationary(self, problem, rng):
         for _ in range(200):
             x = rng.uniform(0, 1, 2)
             x /= max(np.linalg.norm(x), 1.0)
             v = rng.uniform(0, problem.price_window)
-            yes, no = LossPoint(x, v, True), LossPoint(x, v, False)
-            grad = self._expect(
-                lambda pt: point_gradient(pt, problem.theta_star, problem.model), yes, no, problem
-            )
+            grad = self._expect(lambda row: row.gradient(problem.theta_star), x, v, problem)
             assert np.linalg.norm(grad) <= 1e-6
 
     def test_quadratic_gap_bound(self, problem, rng):
@@ -157,12 +177,49 @@ class TestExpectedLoss:
             x /= max(np.linalg.norm(x), 1.0)
             v = rng.uniform(0, problem.price_window)
             theta = problem.region.project(rng.uniform(0, 1, 2))
-            yes, no = LossPoint(x, v, True), LossPoint(x, v, False)
-            gap = self._expect(lambda pt: point_loss(pt, theta, problem.model), yes, no, problem) - self._expect(
-                lambda pt: point_loss(pt, problem.theta_star, problem.model), yes, no, problem
+            gap = self._expect(lambda row: row.value(theta), x, v, problem) - self._expect(
+                lambda row: row.value(problem.theta_star), x, v, problem
             )
             floor = 0.5 * consts.c_down * float(x @ (theta - problem.theta_star)) ** 2
             assert gap >= floor - 1e-10
+
+
+class TestOneImplementation:
+    """The batch evaluates each kernel only on the rows with its outcome;
+    that gives exactly the two-branch form that evaluates both on every row."""
+
+    @pytest.mark.parametrize("model", [GaussianNoise(0.25), LogisticNoise(0.3)], ids=["gaussian", "logistic"])
+    @pytest.mark.parametrize("outcomes", ["mixed", "all-sale", "all-miss"])
+    def test_matches_two_branch_reference(self, problem, model, outcomes):
+        rng = np.random.default_rng(17)
+        for n in (1, 4, 64, 8192):
+            x = StochasticScenario(problem).features(n, rng)
+            v = rng.uniform(0.0, problem.price_window, n)
+            accepted = {
+                "mixed": v <= x @ problem.theta_star + model.sample(rng, n),
+                "all-sale": np.ones(n, dtype=bool),
+                "all-miss": np.zeros(n, dtype=bool),
+            }[outcomes]
+            batch = BatchObjective(x, v, accepted, model)
+            theta = problem.region.project(rng.uniform(0, 1, 2))
+            value, gradient = _two_branch_reference(batch, theta)
+            assert batch.value(theta) == value
+            np.testing.assert_array_equal(batch.gradient(theta), gradient)
+
+    def test_batch_is_mean_of_batches_of_one(self, problem, rng):
+        rows = [_random_round(problem, rng, normalize=False) for _ in range(16)]
+        batch = BatchObjective(
+            np.concatenate([r.features for r in rows]),
+            np.concatenate([r.prices for r in rows]),
+            np.concatenate([r.accepted for r in rows]),
+            problem.model,
+        )
+        theta = np.array([0.3, 0.2])
+        assert batch.value(theta) == pytest.approx(np.mean([r.value(theta) for r in rows]), rel=1e-12)
+        want_grad = np.mean([r.gradient(theta) for r in rows], axis=0)
+        np.testing.assert_allclose(batch.gradient(theta), want_grad, rtol=1e-12)
+        want_hess = np.mean([r.hessian(theta) for r in rows], axis=0)
+        np.testing.assert_allclose(batch.hessian(theta), want_hess, rtol=1e-12)
 
 
 class TestSolveMle:
@@ -248,15 +305,3 @@ class TestSolveMle:
     def test_batch_requires_points(self, problem):
         with pytest.raises(ValueError):
             BatchObjective(np.zeros((0, 2)), [], [], problem.model)
-
-    def test_batch_from_points_matches_arrays(self, problem, rng):
-        pts = [
-            LossPoint(rng.uniform(0, 1, 2), rng.uniform(0, 1), bool(rng.random() < 0.5))
-            for _ in range(16)
-        ]
-        batch = BatchObjective.from_points(pts, problem.model)
-        theta = np.array([0.3, 0.2])
-        want = np.mean([point_loss(p, theta, problem.model) for p in pts])
-        assert batch.value(theta) == pytest.approx(want, rel=1e-12)
-        want_grad = np.mean([point_gradient(p, theta, problem.model) for p in pts], axis=0)
-        np.testing.assert_allclose(batch.gradient(theta), want_grad, rtol=1e-12)

@@ -8,6 +8,7 @@ import pytest
 from pricelab import (
     AlternatingScenario,
     Ball,
+    BatchObjective,
     EmlpPolicy,
     Exp4Policy,
     GaussianNoise,
@@ -84,7 +85,6 @@ class TestEmlp:
         lengths = [rec.length for rec in policy.epoch_log]
         assert lengths == [2**k for k in range(len(lengths))]
         assert policy.switch_count <= math.floor(math.log2(rounds)) + 2
-        assert len(policy.epoch_log[0].batch) == 1  # the length-1 epoch
 
     def test_estimate_frozen_inside_epoch(self, problem):
         scen = StochasticScenario(problem)
@@ -165,6 +165,17 @@ class TestOnsp:
         g = -model.hazard(v - 0.0)
         assert policy.matrix[0, 0] == pytest.approx(1.0 + g * g, rel=1e-12)
         assert policy.theta[0] == pytest.approx(-g / (1.0 + g * g), rel=1e-10)
+
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_gradient_is_the_rounds_batch_gradient(self, problem, accepted):
+        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
+        policy.reset(0)
+        theta0 = policy.theta.copy()
+        x = np.array([0.6, 0.7])
+        v = policy.propose(x)
+        policy.feedback(accepted)
+        g = BatchObjective(x, v, accepted, problem.model).gradient(theta0)
+        np.testing.assert_array_equal(policy.matrix, np.eye(2) + np.outer(g, g))
 
     def test_woodbury_tracks_direct_inverse(self, problem):
         scen = StochasticScenario(problem)
