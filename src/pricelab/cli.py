@@ -4,8 +4,10 @@ Subcommands:
 
 * ``run [config.json]`` - execute every (policy, scenario) pair in the
   config (built-in defaults when no path is given), write one CSV trace per
-  pair plus a run-level ``summary.json``.  Exit 0 on success, 1 on an
-  aborted run, 2 on an invalid config (with per-key diagnostics).
+  pair plus a run-level ``summary.json``.  EMLP pairs record how many MLE
+  fits did not converge, and a nonzero count prints a warning line.  Exit 0
+  on success, 1 on an aborted run, 2 on an invalid config (with per-key
+  diagnostics).
 * ``verify [--fast]`` - run the invariant suite, one PASS/FAIL line per
   check; exit 1 if anything fails.
 * ``lower-bound-demo --t T --reps R --seed S [--policy ...]`` - run one
@@ -51,7 +53,11 @@ DEMO_POLICIES = ("onsp", "emlp", "oracle-sigma1")
 
 
 def _pair_worker(args: tuple) -> dict:
-    """Run one repetition of one (policy, scenario) pair; process-pool safe."""
+    """Run one repetition of one (policy, scenario) pair; process-pool safe.
+
+    Returns the regret trace, the repetition index and, for EMLP, the number
+    of MLE fits that did not report convergence.
+    """
     raw, policy_index, scenario_name, rep = args
     from .config import parse_config  # local import keeps the worker picklable
 
@@ -72,6 +78,8 @@ def _pair_worker(args: tuple) -> dict:
     else:
         policy = build_policy(spec, config.problem, horizon)
         _, trace = run_episode(policy, scenario, horizon, seed)
+        if spec["kind"] == "emlp":
+            return {"trace": trace, "rep": rep, "mle_warnings": policy.mle_warnings}
     return {"trace": trace, "rep": rep}
 
 
@@ -111,6 +119,9 @@ def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) ->
                     "trace_csv": f"{name}.csv",
                 }
             )
+            if spec["kind"] == "emlp":
+                # MLE fits that did not report convergence, summed over repetitions
+                summary["pairs"][-1]["mle_warnings"] = sum(r["mle_warnings"] for r in results)
     write_summary_json(out / "summary.json", summary)
     return summary
 
@@ -212,6 +223,12 @@ def main(argv=None) -> int:
                 f"{pair['policy']['kind']:>6s} x {pair['scenario']:<11s} "
                 f"T={pair['horizon']:<6d} Reg(T)={pair['final_regret_mean']:.3f} slope={slope}"
             )
+            if pair.get("mle_warnings"):
+                print(
+                    f"warning: {pair['policy']['kind']} x {pair['scenario']}: "
+                    f"{pair['mle_warnings']} MLE fits did not converge",
+                    file=sys.stderr,
+                )
         return 0
 
     if args.command == "verify":

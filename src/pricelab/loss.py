@@ -17,16 +17,17 @@ the stable log-space forms in :mod:`pricelab.noise`.
 
 :class:`BatchObjective` averages the rows of a batch and is the one place a
 batch's features and prices are validated.  Its constrained minimizer is
-found by projected gradient with a fixed 1/L step plus monotone Armijo
-backtracking.  When the batch does not span the parameter space the optimum
-is only unique along the data span and the returned point inherits the
-warm-start's component in the null space - deliberate, and exercised by the
-adversarial experiments.
+found by projected Newton (Bertsekas 1982): each step minimizes the local
+quadratic model exactly over the feasible set with the region's weighted
+projection, and Armijo backtracking runs along the segment to that point.
+When the batch does not span the parameter space the optimum is only unique
+along the data span and the returned point inherits the warm-start's
+component in the null space - deliberate, and exercised by the adversarial
+experiments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 ARMIJO = 1e-4
+# ridge added to the Hessian, relative to the curvature bound L: it makes the
+# Newton metric positive definite on batches that do not span the space
+RIDGE = 1e-12
 
 
 def _by_outcome(w: np.ndarray, accepted: np.ndarray, on_sale, on_miss) -> np.ndarray:
@@ -108,11 +112,21 @@ class BatchObjective:
         return float(np.mean(row_losses(self.model, self.margins(theta), self.accepted)))
 
     def gradient(self, theta) -> np.ndarray:
-        slopes = row_slopes(self.model, self.margins(theta), self.accepted)
-        return (slopes @ self.features) / len(self)
+        return self._gradient(self.margins(theta))
 
     def hessian(self, theta) -> np.ndarray:
-        curvatures = row_curvatures(self.model, self.margins(theta), self.accepted)
+        return self._hessian(self.margins(theta))
+
+    def gradient_hessian(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian from one margin computation."""
+        w = self.margins(theta)
+        return self._gradient(w), self._hessian(w)
+
+    def _gradient(self, w: np.ndarray) -> np.ndarray:
+        return (row_slopes(self.model, w, self.accepted) @ self.features) / len(self)
+
+    def _hessian(self, w: np.ndarray) -> np.ndarray:
+        curvatures = row_curvatures(self.model, w, self.accepted)
         return (self.features.T * curvatures) @ self.features / len(self)
 
 
@@ -138,19 +152,24 @@ def solve_mle(
     region: Region,
     theta_init,
     tol: float = 1e-9,
-    max_iter: int = 100_000,
+    max_iter: int = 100,
     step_bound: float | None = None,
 ) -> MleResult:
-    """Constrained batch MLE by projected gradient with momentum.
+    """Constrained batch MLE by projected Newton.
 
-    Fixed step 1/L (L = curvature bound over the batch) with Nesterov
-    momentum; the momentum is restarted and the step halved (Armijo test,
-    constant 1e-4) whenever a step would increase the objective beyond float
-    noise, so the objective is monotone up to machine precision.  Converged
-    means the gradient-mapping norm ||theta - P(theta - s g)||/s at the base
-    step s = 1/L drops below ``tol``.  Hitting the iteration cap returns the
-    best iterate with ``converged=False``; callers surface that as a
-    warning, not a failure.
+    At theta, with the batch's gradient g and Hessian H, the trial point is
+    ``region.project_weighted(theta - H^{-1} g, H)``: the exact minimizer of
+    the quadratic model over the region.  Armijo backtracking (constant
+    1e-4) runs along the segment from theta to it.  H carries a ridge of
+    1e-12 L, so batches that do not span the space (one row, or features
+    along one axis) still give a positive definite metric; g lies in H's
+    range there, so the step keeps the warm start's null-space component.
+    Each iteration first tests convergence: the gradient-mapping norm
+    ||theta - P(theta - g/L)|| L at the base step 1/L (L = curvature bound
+    over the batch) is at most ``tol``.  ``converged`` is True exactly when
+    such a test passed; hitting the iteration cap, or a line search that
+    finds no representable decrease, returns the current iterate with
+    ``converged=False``, which callers surface as a warning, not a failure.
     """
     theta = region.project(np.asarray(theta_init, dtype=float))
     ell = curvature_step_bound(batch, region) if step_bound is None else step_bound
@@ -158,53 +177,28 @@ def solve_mle(
         # all-zero features: objective is constant in theta
         return MleResult(theta, True, 0, batch.value(theta))
 
-    base = 1.0 / ell
+    ridge = RIDGE * ell * np.eye(batch.dim)
     value = batch.value(theta)
     noise_floor = 1e-14 * max(1.0, abs(value))
 
-    def mapping_gap(point: np.ndarray) -> float:
-        image = region.project(point - base * batch.gradient(point))
-        return float(np.linalg.norm(point - image)) / base
-
-    momentum_from = theta
-    tk = 1.0
-    iterations = 0
-    converged = False
-    stationary = False
-    for iterations in range(1, max_iter + 1):
-        lookahead = theta + ((tk - 1.0) / (0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk)))) * (
-            theta - momentum_from
-        )
-        candidate = region.project(lookahead - base * batch.gradient(lookahead))
-        cand_value = batch.value(candidate)
-        if cand_value <= value + noise_floor:
-            momentum_from = theta
-            tk = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            theta, value = candidate, min(value, cand_value)
-        else:
-            # momentum overshoot or too-optimistic step: restart and backtrack
-            tk = 1.0
-            momentum_from = theta
-            grad = batch.gradient(theta)
-            step = base
-            trial = region.project(theta - step * grad)
+    iterations, converged = 0, False
+    while iterations < max_iter:
+        iterations += 1
+        grad, hess = batch.gradient_hessian(theta)
+        converged = float(np.linalg.norm(theta - region.project(theta - grad / ell))) * ell <= tol
+        if converged:
+            break
+        metric = hess + ridge
+        move = region.project_weighted(theta - np.linalg.solve(metric, grad), metric) - theta
+        descent = ARMIJO * float(grad @ move)
+        step = 1.0
+        for _ in range(60):
+            trial = theta + step * move
             trial_value = batch.value(trial)
-            for _ in range(60):
-                move = trial - theta
-                if trial_value <= value - (ARMIJO / step) * float(move @ move) + noise_floor:
-                    break
-                step *= 0.5
-                trial = region.project(theta - step * grad)
-                trial_value = batch.value(trial)
-            if trial_value > value + noise_floor:
-                stationary = True  # no representable descent direction left
-            else:
-                theta, value = trial, min(value, trial_value)
-        if stationary or iterations % 16 == 0:
-            gap = mapping_gap(theta)
-            if gap <= tol or stationary:
-                converged = gap <= max(tol, 1e-6)
+            if trial_value <= value + step * descent + noise_floor:
                 break
-    else:
-        converged = mapping_gap(theta) <= tol
+            step *= 0.5
+        else:
+            break  # no representable decrease left along the segment
+        theta, value = trial, trial_value
     return MleResult(theta, converged, iterations, value)

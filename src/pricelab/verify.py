@@ -386,15 +386,15 @@ def check_truth_is_stationary(fast: bool) -> CheckResult:
 
 
 def check_weighted_projection(fast: bool) -> CheckResult:
-    """Variational inequality (theta-y)'A(z-theta) >= -1e-8 for z in H."""
+    """Variational inequality (theta-y)'A(z-theta) >= -1e-8 for z in H, cond(A) from 1 to 1e8."""
     rng = np.random.default_rng(43)
     n = 30 if fast else 100
     samples = 60 if fast else 200
     worst = -np.inf
     for region in (Ball(np.zeros(2), 1.0), OrthantBall(1.0, 2)):
-        for _ in range(n):
-            m = rng.standard_normal((2, 2))
-            a = m @ m.T + 0.1 * np.eye(2)
+        for cond in np.logspace(0.0, 8.0, n):
+            rotation, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            a = (rotation * [1.0, 1.0 / cond]) @ rotation.T
             y = rng.uniform(-2.0, 2.0, 2)
             theta = region.project_weighted(y, a)
             if not region.contains(theta, tol=1e-10):

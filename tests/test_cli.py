@@ -1,10 +1,12 @@
 """CLI surface: run/verify/demo/constants, config validation, outputs."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+import pricelab.policies as policies_module
 import pricelab.verify as verify_mod
 from pricelab.cli import lower_bound_demo, main
 from pricelab.config import ConfigError, default_raw, load_config, parse_config
@@ -137,6 +139,22 @@ class TestRun:
         pairs = json.loads((out / "summary.json").read_text())["pairs"]
         assert [(p["slope"], p["slope_stderr"]) for p in pairs] == [(None, None), (None, None)]
         assert all(abs(p["final_regret_mean"]) <= 1e-9 for p in pairs)
+
+    def test_nonconverged_mle_fits_are_counted_and_warned(self, tmp_path, small_raw, monkeypatch, capsys):
+        small_raw["policies"] = [{"kind": "emlp"}, {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0}]
+        small_raw["scenarios"] = ["stochastic"]
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        pairs = json.loads((tmp_path / "ok" / "summary.json").read_text())["pairs"]
+        assert pairs[0]["mle_warnings"] == 0 and "mle_warnings" not in pairs[1]
+        # one iteration only tests convergence at the warm start
+        capped = functools.partial(policies_module.solve_mle, max_iter=1)
+        monkeypatch.setattr(policies_module, "solve_mle", capped)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "capped")]) == 0
+        count = json.loads((tmp_path / "capped" / "summary.json").read_text())["pairs"][0]["mle_warnings"]
+        assert count > 0
+        assert f"warning: emlp x stochastic: {count} MLE fits did not converge" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

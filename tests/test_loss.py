@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.stats import logistic, norm
 
 from pricelab import (
+    Ball,
     BatchObjective,
     GaussianNoise,
     LogisticNoise,
@@ -305,3 +306,113 @@ class TestSolveMle:
     def test_batch_requires_points(self, problem):
         with pytest.raises(ValueError):
             BatchObjective(np.zeros((0, 2)), [], [], problem.model)
+
+
+def _reference_nll(model, region, features, prices, accepted):
+    """The sale likelihood coded independently with scipy.stats, its gradient,
+    and a constrained fit by SLSQP."""
+    if isinstance(model, GaussianNoise):
+        dist = norm(scale=model.sigma)
+    else:
+        dist = logistic(scale=model.scale)
+
+    def nll(theta):
+        w = prices - features @ theta
+        return -float(np.mean(np.where(accepted, dist.logsf(w), dist.logcdf(w))))
+
+    def grad(theta):
+        w = prices - features @ theta
+        # d/dtheta of -log sf(w) is -(pdf/sf)(w) x; of -log cdf(w) it is (pdf/cdf)(w) x
+        hazard = np.exp(dist.logpdf(w) - dist.logsf(w))
+        reverse_hazard = np.exp(dist.logpdf(w) - dist.logcdf(w))
+        return np.where(accepted, -hazard, reverse_hazard) @ features / len(prices)
+
+    def fit(start):
+        center = region.center
+        result = minimize(
+            nll,
+            start,
+            jac=grad,
+            method="SLSQP",
+            bounds=[(0.0, None)] * region.dim if isinstance(region, OrthantBall) else None,
+            constraints=[
+                {
+                    "type": "ineq",
+                    "fun": lambda t: region.radius**2 - (t - center) @ (t - center),
+                    "jac": lambda t: -2.0 * (t - center),
+                }
+            ],
+            options={"ftol": 1e-15, "maxiter": 1000},
+        )
+        return region.project(result.x)
+
+    return nll, fit
+
+
+def _newton_case(name):
+    """(model, region, features, prices, accepted, warm start) of one named case."""
+    rng = np.random.default_rng(list(name.encode()))
+    model, region, theta_star, n = GaussianNoise(0.25), OrthantBall(1.0, 2), np.array([0.5, 0.5]), 512
+    outcomes = "drawn"
+    if name.startswith("rows-"):
+        n = int(name.split("-")[1])
+    elif name in ("all-sale", "all-miss"):
+        n, outcomes = 16, name
+    elif name == "n-8192":
+        n = 8192
+    elif name == "logistic":
+        model = LogisticNoise(0.2)
+    elif name == "ball":
+        region = Ball(np.array([0.45, 0.4]), 0.3)
+    elif name == "ball-rows-2":
+        region, n = Ball(np.array([0.45, 0.4]), 0.3), 2
+    elif name == "d3":
+        region, theta_star = OrthantBall(1.0, 3), np.array([0.5, 0.3, 0.4])
+    elif name == "d3-ball":
+        region, theta_star = Ball(np.array([0.4, 0.3, 0.4]), 0.4), np.array([0.5, 0.3, 0.4])
+    features = rng.uniform(0.0, 1.0, (n, region.dim))
+    features /= np.maximum(np.linalg.norm(features, axis=1), 1.0)[:, None]
+    if name == "rank-deficient":
+        features[:, 1:] = 0.0
+    prices = rng.uniform(0.0, 1.5, n)
+    accepted = {
+        "drawn": prices <= features @ theta_star + model.sample(rng, n),
+        "all-sale": np.ones(n, dtype=bool),
+        "all-miss": np.zeros(n, dtype=bool),
+    }[outcomes]
+    start = region.project(rng.uniform(0.0, 1.0, region.dim))
+    return model, region, features, prices, accepted, start
+
+
+class TestNewtonMle:
+    """solve_mle against an independently coded likelihood fitted by SLSQP,
+    on small, one-sided, rank-deficient and large batches."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "rows-1",
+            "rows-2",
+            "rows-4",
+            "all-sale",
+            "all-miss",
+            "rank-deficient",
+            "n-8192",
+            "logistic",
+            "ball",
+            "ball-rows-2",
+            "d3",
+            "d3-ball",
+        ],
+    )
+    def test_matches_slsqp_fit(self, case):
+        model, region, features, prices, accepted, start = _newton_case(case)
+        batch = BatchObjective(features, prices, accepted, model)
+        ours = solve_mle(batch, region, start)
+        assert ours.converged
+        assert ours.iterations <= 50, f"{ours.iterations} iterations: a first-order crawl, not Newton"
+        assert region.contains(ours.theta, tol=1e-12)
+        nll, fit = _reference_nll(model, region, features, prices, accepted)
+        assert ours.objective == pytest.approx(nll(ours.theta), abs=1e-12)
+        reference = min(nll(fit(start)), nll(fit(region.interior_point())))
+        assert ours.objective == pytest.approx(reference, abs=1e-9)

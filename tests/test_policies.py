@@ -22,8 +22,30 @@ from pricelab import (
     onsp_default_hyperparams,
     run_episode,
 )
+import pricelab.policies as policies_module
 from pricelab.environments import FIXED_VALUATION
-from pricelab.harness import replay_prices
+from pricelab.harness import episode_seed, replay_prices
+
+# Reg(t) at t = 1, 2, 4, ..., 16384 of the EMLP episode SeedSequence([3717387332, 0])
+# on the reference problem, as played with the earlier first-order MLE (Nesterov
+# momentum, stopped at the same 1e-9 gradient-mapping norm)
+FIRST_ORDER_REGRET = [
+    0.05129622796724187, 0.14176744948851872, 0.25931612188547204, 0.28560310352409957,
+    0.5252476992530953, 0.6789602316334651, 1.9525134031480902, 2.2599669074720103,
+    2.3606333791986653, 2.631434700424168, 2.6729451129967603, 3.4174435805248984,
+    3.442974513210641, 3.6976013434860224, 4.587115611774312,
+]  # fmt: skip
+
+# Reg(t) at t = 1, 2, 4, ..., 8192 of the ONSP (gamma = epsilon = 1) episode
+# SeedSequence([4252541989, 0]) on alternating features, as played with the
+# earlier weighted projection (projected gradient, 500-step cap); one of its
+# projections is active
+PROJECTED_GRADIENT_REGRET = [
+    0.013368328714300909, 0.026736657428601818, 0.05800853099640502, 0.13760613418867693,
+    0.6355921280429879, 0.6966396377741246, 0.9920225433855372, 1.016749294570238,
+    1.2355303388402779, 1.3324119249117843, 1.7020366642420364, 1.7878794385713621,
+    1.9514630247230518, 1.964797480920094,
+]  # fmt: skip
 
 
 def _drive(policy, scenario, rounds, seed):
@@ -141,6 +163,24 @@ class TestEmlp:
         policy.reset(0)
         json.dumps(policy.state_snapshot())
 
+    def test_former_stall_seed_fits_in_newton_steps(self, problem, monkeypatch):
+        # this seed's 4-round refit once ran a first-order solver to its
+        # 100,000-iteration cap; both solvers stop at the same 1e-9
+        # gradient-mapping norm, so the regret traces agree to 1e-6 relative
+        solve, fits = policies_module.solve_mle, []
+
+        def recording_solve_mle(*args, **kwargs):
+            fits.append(solve(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(policies_module, "solve_mle", recording_solve_mle)
+        policy = EmlpPolicy(problem.model, problem.region, 1.0)
+        _, trace = run_episode(policy, StochasticScenario(problem), 16384, episode_seed(3717387332, 0))
+        assert policy.mle_warnings == 0
+        assert len(fits) == 15 and all(fit.converged for fit in fits)
+        assert max(fit.iterations for fit in fits) <= 50
+        np.testing.assert_allclose(trace.cumulative, FIRST_ORDER_REGRET, rtol=1e-6, atol=0.0)
+
 
 class TestOnsp:
     def test_zero_feature_is_null_update(self, problem):
@@ -197,6 +237,12 @@ class TestOnsp:
         policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=0.7)
         _drive(policy, scen, 200, seed=11)
         assert np.min(np.linalg.eigvalsh(policy.matrix)) >= 0.7 - 1e-9
+
+    def test_exact_projection_keeps_the_adversarial_trace(self, problem):
+        # the active projection moves by about 1e-13, so Reg(t) agrees to 1e-11 relative
+        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
+        _, trace = run_episode(policy, AlternatingScenario(problem), 8192, episode_seed(4252541989, 0))
+        np.testing.assert_allclose(trace.cumulative, PROJECTED_GRADIENT_REGRET, rtol=1e-11, atol=0.0)
 
     def test_deterministic(self, problem):
         scen = StochasticScenario(problem)

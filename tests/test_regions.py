@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from pricelab import Ball, OrthantBall
 
@@ -140,6 +141,79 @@ class TestWeightedProjection:
             ball.project_weighted(np.array([2.0, 0.0]), np.diag([1.0, -0.5]))
         with pytest.raises(ValueError):
             ball.project_weighted(np.array([2.0, 0.0]), np.eye(3))
+
+
+def _slsqp_projection(region, target, a):
+    """Independent reference: SLSQP on the same QP, pulled back into the region.
+
+    SLSQP may end a hair outside an active constraint, which would lower its
+    objective below the true minimum; the Euclidean projection removes that.
+    """
+    center = region.center
+    constraints = [
+        {
+            "type": "ineq",
+            "fun": lambda z: region.radius**2 - (z - center) @ (z - center),
+            "jac": lambda z: -2.0 * (z - center),
+        }
+    ]
+    bounds = [(0.0, None)] * region.dim if isinstance(region, OrthantBall) else None
+    best = None
+    for start in (region.project(target), region.interior_point()):
+        fit = minimize(
+            lambda z: float((z - target) @ a @ (z - target)),
+            start,
+            jac=lambda z: 2.0 * a @ (z - target),
+            method="SLSQP",
+            bounds=bounds,
+            constraints=constraints,
+            options={"ftol": 1e-16, "maxiter": 1000},
+        )
+        if best is None or fit.fun < best.fun:
+            best = fit
+    return region.project(best.x)
+
+
+class TestExactWeightedProjection:
+    """Both regions' weighted projections against an SLSQP solve of the same QP,
+    for weights of condition number 1 to 1e8 and targets inside the region,
+    just outside it (near or on a face) and far past the ball."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["ball", "orthant-ball"])
+    def test_matches_slsqp_and_variational_inequality(self, kind, dim, cond):
+        rng = np.random.default_rng([dim, int(np.log10(cond))])
+        region = Ball(rng.uniform(-0.3, 0.3, dim), 1.0) if kind == "ball" else OrthantBall(1.0, dim)
+        for placement in ("inside", "face", "past"):
+            for _ in range(4):
+                rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+                spectrum = np.logspace(0.0, -np.log10(cond), dim)
+                a = (rotation * spectrum) @ rotation.T
+                direction = rng.standard_normal(dim)
+                direction /= np.linalg.norm(direction)
+                if placement == "inside":
+                    target = 0.9 * region.project(region.center + direction) + 0.1 * region.interior_point()
+                elif placement == "face":
+                    target = region.center + rng.uniform(0.95, 1.1) * direction
+                else:
+                    target = region.center + 3.0 * direction
+                ours = region.project_weighted(target, a)
+                assert region.contains(ours, tol=1e-12)
+                if placement == "inside":
+                    np.testing.assert_array_equal(ours, target)
+                    continue
+
+                def objective(z):
+                    # eigen form: a sum of nonnegative terms, free of cancellation
+                    return float(spectrum @ (rotation.T @ (z - target)) ** 2)
+
+                reference = objective(_slsqp_projection(region, target, a))
+                assert objective(ours) <= reference * (1.0 + 1e-9), (placement, objective(ours), reference)
+                # feasible points spread through the region and over its boundary
+                scales = [1.0, 5.0] * 100
+                others = np.array([region.project(rng.uniform(-1.5, 1.5, dim) * scale) for scale in scales])
+                assert float(np.min((others - ours) @ (a @ (ours - target)))) >= -1e-8
 
 
 class TestValidation:
