@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import NoiseModel
-from .pricing import compute_constants
+from .pricing import squared_hazard_ceiling
 from .regions import Region
 
 __all__ = [
@@ -143,8 +143,7 @@ def curvature_step_bound(batch: BatchObjective, region: Region) -> float:
     r = batch.max_feature_norm
     if r == 0.0:
         return 0.0
-    constants = compute_constants(batch.model, region.radius * r)
-    return constants.c_exp * r * r
+    return squared_hazard_ceiling(batch.model, region.radius * r) * r * r
 
 
 def solve_mle(

@@ -20,6 +20,7 @@ OnspPolicy   - per-round online Newton step on the sale likelihood with a
                matrix-weighted projection back onto the feasible set.
 Exp4Policy   - discretized experts-and-arms baseline: a parameter grid of
                experts each recommending the arm nearest its greedy price,
+               found by a sorted search of precomputed valuation thresholds,
                exponential weights over importance-weighted rewards.
 OraclePolicy - prices greedily under the true parameter (the regret
                comparator).
@@ -35,7 +36,14 @@ import numpy as np
 
 from .loss import BatchObjective, row_slopes, solve_mle
 from .noise import NoiseModel
-from .pricing import AnalysisConstants, compute_constants, greedy_price, greedy_price_vec, price_cap
+from .pricing import (
+    AnalysisConstants,
+    compute_constants,
+    greedy_price,
+    greedy_price_inverse,
+    price_cap,
+    squared_hazard_ceiling,
+)
 from .regions import OrthantBall, Region
 
 __all__ = [
@@ -150,7 +158,7 @@ class EmlpPolicy(PricingPolicy):
 
     def __init__(self, model, region, feature_bound, mle_tol: float = 1e-9):
         self.mle_tol = mle_tol
-        self._constants: AnalysisConstants | None = None
+        self._c_exp: float | None = None
         super().__init__(model, region, feature_bound)
 
     def _reset_state(self) -> None:
@@ -168,10 +176,10 @@ class EmlpPolicy(PricingPolicy):
         self._accepted = np.empty(self.epoch_length, dtype=bool)
 
     def _step_bound(self, batch: BatchObjective) -> float:
-        if self._constants is None:
-            self._constants = compute_constants(self.model, self.valuation_bound)
+        if self._c_exp is None:
+            self._c_exp = squared_hazard_ceiling(self.model, self.valuation_bound)
         # c_exp over the full window majorizes any sub-batch's curvature
-        return self._constants.c_exp * batch.max_feature_norm**2
+        return self._c_exp * batch.max_feature_norm**2
 
     def _solve(self, batch: BatchObjective, init: np.ndarray) -> np.ndarray:
         result = solve_mle(
@@ -298,7 +306,11 @@ class Exp4Policy(PricingPolicy):
 
     The horizon must be known in advance: both grids use spacing
     (scale) * T^{-1/3}.  Experts are the grid points of the feasible set;
-    each deterministically recommends the arm nearest its greedy price.  The
+    each deterministically recommends the arm nearest its greedy price
+    J(x'theta_e).  J is strictly increasing, so that arm is the number of
+    thresholds J^{-1}((k + 1/2) * spacing), k = 0 .. K-2, lying below
+    x'theta_e; the thresholds are computed once, with the grids, and each
+    round takes one sorted search in place of a greedy-price solve.  The
     played arm is drawn from the weight mixture of recommendations blended
     with uniform exploration; the chosen arm's importance-weighted reward
     (r/V_max)/p(arm) updates every expert that recommended it.
@@ -325,6 +337,8 @@ class Exp4Policy(PricingPolicy):
         self.experts = self._parameter_grid(per_axis)
         self.arms = np.linspace(0.0, self.price_cap, per_axis)
         self.arm_spacing = self.arms[1] - self.arms[0] if per_axis > 1 else self.price_cap
+        # J(u) is nearest arm k + 1 rather than arm k once u passes J^{-1}((k + 1/2) spacing)
+        self.thresholds = greedy_price_inverse(model, (np.arange(per_axis - 1) + 0.5) * self.arm_spacing)
         n, k = len(self.experts), len(self.arms)
         self.learning_rate = (
             math.sqrt(2.0 * math.log(max(n, 2)) / (self.horizon * k))
@@ -358,13 +372,10 @@ class Exp4Policy(PricingPolicy):
         self._last: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def recommendations(self, x: np.ndarray) -> np.ndarray:
-        """Arm index each expert recommends for feature x."""
-        u = np.clip(self.experts @ x, 0.0, self.valuation_bound)
-        prices = greedy_price_vec(self.model, u)
+        """Arm index each expert recommends for feature x: the number of thresholds below x'theta_e."""
         if len(self.arms) == 1:
-            return np.zeros(len(prices), dtype=int)
-        idx = np.rint(prices / self.arm_spacing).astype(int)
-        return np.clip(idx, 0, len(self.arms) - 1)
+            return np.zeros(len(self.experts), dtype=int)
+        return np.searchsorted(self.thresholds, np.clip(self.experts @ x, 0.0, self.valuation_bound))
 
     def arm_distribution(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rec = self.recommendations(x)

@@ -20,6 +20,16 @@ less than tol/spread; 3-8 steps suffice for spreads from 1e-3 to 5, and
 reaching NEWTON_CAP steps raises InvariantViolation instead of returning a
 price.
 
+The inverse J^{-1}(p) reads the same condition backwards: at price p,
+m(z) = r with r = p/spread, and u = p - spread*z.  The same loop solves
+q(z) = log m(z) - log r, which is decreasing and, as m is log-convex for
+both shipped laws, convex, so a Newton step from left of the root never
+overshoots it.  It starts at z = 0 inside the bracket [-r, 1/(r - m(inf))]:
+m(z) > -z puts the root right of -r, and m(z) < m(inf) + 1/z for z > 0 puts
+it left of the upper end.  J is strictly increasing, so the arm nearest
+J(u) on a grid of spacing D changes only where u crosses one of the
+thresholds J^{-1}((k + 1/2) D).
+
 Also computed here: the curvature/steepness constants of the demand model on
 the working window [-B, B + J(0)] that size regret bounds, solver step sizes
 and Newton-step hyperparameters.
@@ -42,9 +52,11 @@ __all__ = [
     "virtual_valuation_slope",
     "greedy_price",
     "greedy_price_vec",
+    "greedy_price_inverse",
     "price_cap",
     "first_order_residual",
     "compute_constants",
+    "squared_hazard_ceiling",
 ]
 
 
@@ -52,6 +64,8 @@ __all__ = [
 NEWTON_CAP = 60
 # absolute price tolerance: iteration stops once a step moves the price less
 PRICE_TOL = 1e-13
+# even points of the window grid the analysis constants are taken over
+GRID_POINTS = 20001
 
 
 class InvariantViolation(RuntimeError):
@@ -105,25 +119,34 @@ def _newton_scalar(model: NoiseModel, c: float, ztol: float) -> float:
     raise InvariantViolation(f"greedy price not converged in {NEWTON_CAP} Newton steps at u/spread={c}")
 
 
-def _newton_array(model: NoiseModel, c: np.ndarray, ztol: float) -> np.ndarray:
-    """_newton_scalar elementwise; an element stops moving once it has converged."""
+def _newton_array(model: NoiseModel, a: float, c, lo, hi, z, ztol: float) -> np.ndarray:
+    """Root of q(z) = log m(z) - log(a*z + c) elementwise, for a = 1 or 0.
+
+    a = 1 is the greedy-price condition, and with the greedy-price bracket
+    and start each element takes the steps _newton_scalar would take; a = 0
+    is the inverse's condition m(z) = c.  An element stops once a step
+    moves it less than ztol, or lands on an end of its bracket: the step has
+    then run into the Mills kernel's rounding error (the inverse's roots
+    reach z = 500 at spread 5, where ztol is finer than one ulp of z).
+    """
     out = np.empty_like(c)
+    if c.size == 0:
+        return out
     idx = np.arange(c.size)
-    lo, hi, z = -0.5 * c, c + 10.0, np.ones_like(c)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_CAP):
             m = model._mills(z)
             if not np.all(m > 0.0):
                 bad = np.flatnonzero(~(m > 0.0))[0]
                 raise InvariantViolation(f"Mills ratio {m[bad]} at z={z[bad]} is not positive")
-            zc = z + c
+            zc = a * z + c
             q = np.log(m) - np.log(zc)
             above = q > 0.0
             lo = np.where(above, z, lo)
             hi = np.where(above, hi, z)
-            step = z - q / (model._mills_prime(z, m) / m - 1.0 / zc)
+            step = z - q / (model._mills_prime(z, m) / m - a / zc)
             nxt = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-            done = np.abs(nxt - z) < ztol
+            done = (np.abs(nxt - z) < ztol) | (nxt == lo) | (nxt == hi)
             if done.any():
                 out[idx[done]] = nxt[done]
                 if done.all():
@@ -131,7 +154,9 @@ def _newton_array(model: NoiseModel, c: np.ndarray, ztol: float) -> np.ndarray:
                 keep = ~done
                 idx, c, lo, hi, nxt = idx[keep], c[keep], lo[keep], hi[keep], nxt[keep]
             z = nxt
-    raise InvariantViolation(f"greedy price not converged in {NEWTON_CAP} Newton steps at u/spread={c[0]}")
+    raise InvariantViolation(
+        f"root of log m(z) = log({a:g}*z + c) not converged in {NEWTON_CAP} Newton steps at c={c[0]}"
+    )
 
 
 def greedy_price(model: NoiseModel, valuation: float, u_max: float | None = None, tol: float = PRICE_TOL) -> float:
@@ -161,14 +186,37 @@ def greedy_price_vec(model: NoiseModel, valuations) -> np.ndarray:
     InvariantViolation after NEWTON_CAP steps as there.
     """
     u = np.asarray(valuations, dtype=float)
-    if u.size == 0:
-        return u.copy()
     if np.any(~np.isfinite(u)) or np.any(u < 0):
         raise ValueError("valuations must be finite and nonnegative")
     spread = model.spread
-    c = u / spread
-    z = _newton_array(model, c.reshape(-1), PRICE_TOL / spread).reshape(c.shape)
-    return u + spread * z
+    c = (u / spread).reshape(-1)
+    z = _newton_array(model, 1.0, c, -0.5 * c, c + 10.0, np.ones_like(c), PRICE_TOL / spread)
+    return u + spread * z.reshape(u.shape)
+
+
+def greedy_price_inverse(model: NoiseModel, prices) -> np.ndarray:
+    """J^{-1}(p) elementwise for prices p > 0: the valuation u with J(u) = p.
+
+    The first-order condition read backwards, as in the module docstring:
+    m(z) = p/spread gives z, and u = p - spread*z.  Where p/spread is at
+    most m(+inf), every J(u) exceeds p and -inf is returned (the logistic
+    law, whose J stays above its scale s).  InvariantViolation after
+    NEWTON_CAP steps, as for greedy_price.
+    """
+    p = np.asarray(prices, dtype=float)
+    if np.any(~np.isfinite(p)) or np.any(p <= 0):
+        raise ValueError("prices must be finite and positive")
+    spread = model.spread
+    r = (p / spread).reshape(-1)
+    floor = float(model._mills(np.array(np.inf)))
+    if not floor >= 0.0:
+        raise InvariantViolation(f"Mills ratio {floor} at z=inf is not nonnegative")
+    found = r > floor
+    r = r[found]
+    z = _newton_array(model, 0.0, r, -r, 1.0 / (r - floor), np.zeros_like(r), PRICE_TOL / spread)
+    u = np.full(p.size, -np.inf)
+    u[found] = p.reshape(-1)[found] - spread * z
+    return u.reshape(p.shape)
 
 
 def price_cap(model: NoiseModel, b: float) -> float:
@@ -204,14 +252,8 @@ class AnalysisConstants:
     alpha: float
 
 
-def compute_constants(model: NoiseModel, b: float, grid_points: int = 20001) -> AnalysisConstants:
-    """Evaluate the analysis constants numerically on a dense grid.
-
-    c_quad has the closed form 2*B_f + (B + J(0))*B_f'; the inf/sup pair has
-    none, so both are taken over a >=10^4-point grid of the window with
-    geometric refinement clusters at both endpoints (where the extrema of
-    our models actually live).
-    """
+def _window_grid(model: NoiseModel, b: float, grid_points: int) -> tuple[float, np.ndarray]:
+    """J(0) and the grid of the window [-B, B + J(0)] the constants are taken over."""
     if b <= 0:
         raise ValueError("valuation bound must be positive")
     if grid_points < 10_000:
@@ -221,8 +263,32 @@ def compute_constants(model: NoiseModel, b: float, grid_points: int = 20001) -> 
     width = hi - lo
     base = np.linspace(lo, hi, grid_points)
     edge = width * np.geomspace(1e-9, 1e-2, 40)
-    grid = np.unique(np.concatenate([base, lo + edge, hi - edge]))
+    return j0, np.unique(np.concatenate([base, lo + edge, hi - edge]))
 
+
+def _squared_hazard_max(model: NoiseModel, grid: np.ndarray) -> float:
+    steep = np.maximum(np.asarray(model.hazard(grid)), np.asarray(model.reverse_hazard(grid)))
+    return float(np.max(steep) ** 2)
+
+
+def squared_hazard_ceiling(model: NoiseModel, b: float) -> float:
+    """c_exp alone, on compute_constants' grid and bit-identical to its c_exp.
+
+    Solver step bounds need only this ceiling; it never evaluates the
+    strong-convexity floor c_down, which underflows to 0 at small noise.
+    """
+    return _squared_hazard_max(model, _window_grid(model, b, GRID_POINTS)[1])
+
+
+def compute_constants(model: NoiseModel, b: float, grid_points: int = GRID_POINTS) -> AnalysisConstants:
+    """Evaluate the analysis constants numerically on a dense grid.
+
+    c_quad has the closed form 2*B_f + (B + J(0))*B_f'; the inf/sup pair has
+    none, so both are taken over a >=10^4-point grid of the window with
+    geometric refinement clusters at both endpoints (where the extrema of
+    our models actually live).
+    """
+    j0, grid = _window_grid(model, b, grid_points)
     curv = np.minimum(model.log_sf_curvature(grid), model.log_cdf_curvature(grid))
     c_down = float(np.min(curv))
     if not np.isfinite(c_down) or c_down <= 0.0:
@@ -230,8 +296,7 @@ def compute_constants(model: NoiseModel, b: float, grid_points: int = 20001) -> 
             f"strong-convexity floor must be positive, got {c_down} (log-concavity broken?)"
         )
 
-    steep = np.maximum(np.asarray(model.hazard(grid)), np.asarray(model.reverse_hazard(grid)))
-    c_exp = float(np.max(steep) ** 2)
+    c_exp = _squared_hazard_max(model, grid)
     c_quad = 2.0 * model.b_f + (b + j0) * model.b_fprime
     return AnalysisConstants(
         b_f=model.b_f,

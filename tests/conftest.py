@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pricelab
 from pricelab import GaussianNoise, LogisticNoise, OrthantBall, PricingProblem
 
 
@@ -33,3 +37,10 @@ def problem(gauss025):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240501)
+
+
+@pytest.fixture
+def source_env():
+    """Environment for a subprocess that must import this checkout's pricelab."""
+    src = str(Path(pricelab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -2,6 +2,8 @@
 
 import functools
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -263,3 +265,11 @@ class TestConstantsCommand:
         assert payload["c_down"] > 0
         assert payload["c_exp"] > payload["c_down"]
         assert payload["c_quad"] == pytest.approx(2 * payload["b_f"] + (1 + payload["j0"]) * payload["b_fprime"])
+
+
+def test_module_entry_point(source_env):
+    done = subprocess.run(
+        [sys.executable, "-m", "pricelab", "--help"], capture_output=True, text=True, env=source_env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: pricelab" in done.stdout

@@ -94,6 +94,22 @@ class TestLogTails:
                 assert np.max(second) <= -1e-12
 
 
+class TestCurvatures:
+    def test_logistic_matches_mpmath(self):
+        # both curvatures are F(1-F)/s^2; the generic r(r - f'/f) form
+        # returned 0 at |w/s| = 40, where the true value is 4.2e-18
+        mp = pytest.importorskip("mpmath")
+        for model in (LogisticNoise(0.02), LogisticNoise(0.3), LogisticNoise(1.0)):
+            w = np.linspace(-40.0, 40.0, 801) * model.scale
+            with mp.workdps(40):
+                s = mp.mpf(model.scale)
+                tail = [mp.exp(-abs(mp.mpf(x) / s)) for x in w]
+                want = np.array([float(e / (1 + e) ** 2 / s**2) for e in tail])
+            for curvature in (model.log_sf_curvature, model.log_cdf_curvature):
+                # 1e-14: w/s rounds by half an ulp, and f moves by |w/s| times that
+                np.testing.assert_allclose(curvature(w), want, rtol=1e-14, atol=0.0)
+
+
 class TestHazard:
     def test_value_at_zero(self, gauss1):
         assert gauss1.hazard(0.0) == pytest.approx(HAZARD_0, rel=1e-13)

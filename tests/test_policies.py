@@ -1,7 +1,10 @@
 """Policy behavior: protocol discipline, update rules, state contracts."""
 
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,19 +15,23 @@ from pricelab import (
     EmlpPolicy,
     Exp4Policy,
     GaussianNoise,
+    LogisticNoise,
     OnspPolicy,
     OraclePolicy,
     OrthantBall,
+    PricingProblem,
     StochasticScenario,
     compute_constants,
     expected_reward,
     greedy_price,
+    greedy_price_vec,
     onsp_default_hyperparams,
     run_episode,
 )
 import pricelab.policies as policies_module
 from pricelab.environments import FIXED_VALUATION
 from pricelab.harness import episode_seed, replay_prices
+from test_pricing import INVERSE_MODELS, THRESHOLD_BAND, mpmath_threshold, threshold_ulps
 
 # Reg(t) at t = 1, 2, 4, ..., 16384 of the EMLP episode SeedSequence([3717387332, 0])
 # on the reference problem, as played with the earlier first-order MLE (Nesterov
@@ -46,6 +53,37 @@ PROJECTED_GRADIENT_REGRET = [
     1.2355303388402779, 1.3324119249117843, 1.7020366642420364, 1.7878794385713621,
     1.9514630247230518, 1.964797480920094,
 ]  # fmt: skip
+
+
+EXP4_HORIZONS = (8, 64, 4096, 10**5)
+
+
+def rounded_greedy_price_arms(policy, x):
+    """The arm rule the thresholds replace: J(x'theta_e) rounded to the nearest arm."""
+    u = np.clip(policy.experts @ x, 0.0, policy.valuation_bound)
+    prices = greedy_price_vec(policy.model, u)
+    if len(policy.arms) == 1:
+        return np.zeros(len(prices), dtype=int)
+    idx = np.rint(prices / policy.arm_spacing).astype(int)
+    return np.clip(idx, 0, len(policy.arms) - 1)
+
+
+class RoundingExp4(Exp4Policy):
+    """Exp4 on the rounding rule, the reference an episode is pinned to."""
+
+    recommendations = rounded_greedy_price_arms
+
+
+def _arms_at(policy, valuations):
+    """Recommended arm at each valuation: expert (u, 0) under feature e1 has x'theta = u exactly."""
+    policy.experts = np.column_stack([valuations, np.zeros_like(valuations)])
+    return policy.recommendations(np.array([1.0, 0.0]))
+
+
+def _threshold_gap(policy, valuations):
+    """Distance of each clipped valuation to the nearest arm threshold."""
+    u = np.clip(valuations, 0.0, policy.valuation_bound)
+    return np.min(np.abs(u[:, None] - policy.thresholds[None, :]), axis=1)
 
 
 def _drive(policy, scenario, rounds, seed):
@@ -180,6 +218,17 @@ class TestEmlp:
         assert len(fits) == 15 and all(fit.converged for fit in fits)
         assert max(fit.iterations for fit in fits) <= 50
         np.testing.assert_allclose(trace.cumulative, FIRST_ORDER_REGRET, rtol=1e-6, atol=0.0)
+
+    def test_small_noise_episodes_complete(self):
+        # the step bound takes c_exp alone; the whole compute_constants raised
+        # on the first fit here, from a c_down that underflows to 0
+        # (Gaussian) or cancelled below 0 (logistic)
+        for model in (LogisticNoise(0.02), GaussianNoise(0.02)):
+            problem = PricingProblem(model=model, region=OrthantBall(1.0, 2), theta_star=np.array([0.5, 0.5]))
+            policy = EmlpPolicy(model, problem.region, 1.0)
+            run_episode(policy, StochasticScenario(problem), 2**12, episode_seed(0, 0))
+            if isinstance(model, LogisticNoise):
+                assert policy.mle_warnings == 0
 
 
 class TestOnsp:
@@ -342,6 +391,74 @@ class TestExp4:
         policy._last = (rec, np.full_like(probs, 1e-15), arm)
         policy.feedback(True)
         assert policy.clip_events == 1
+
+    def test_thresholds_split_arms_where_mpmath_does(self):
+        # u_k* is the 30-digit valuation priced exactly halfway between arms k
+        # and k + 1; from THRESHOLD_BAND units out, the rule must give arm k
+        # below it and k + 1 above
+        steps = np.arange(33)
+        probed = 0
+        for model in INVERSE_MODELS:
+            for horizon in EXP4_HORIZONS:
+                policy = Exp4Policy(model, OrthantBall(1.0, 2), 1.0, horizon=horizon)
+                for k, threshold in enumerate(policy.thresholds):
+                    with mpmath.workdps(30):
+                        price = (k + mpmath.mpf(0.5)) * mpmath.mpf(policy.arm_spacing)
+                        if np.isneginf(threshold):  # the logistic J stays above s
+                            assert isinstance(model, LogisticNoise) and price < model.spread
+                            continue
+                        exact = float(mpmath_threshold(model, price, threshold))
+                    unit = threshold_ulps(exact, float(price))
+                    offsets = (THRESHOLD_BAND + steps) * unit
+                    if not offsets[-1] < exact < policy.valuation_bound - offsets[-1]:
+                        continue  # the clip to [0, B] would move the probes
+                    arms = _arms_at(policy, np.concatenate([exact - offsets, exact + offsets]))
+                    want = np.repeat([k, k + 1], steps.size)
+                    np.testing.assert_array_equal(arms, want, err_msg=f"{model} T={horizon} k={k}")
+                    probed += 1
+        assert probed >= 100
+
+    def test_rule_matches_rounded_greedy_price_away_from_thresholds(self, rng):
+        # the rule sees the region only through B: the dense valuation grid
+        # covers the rule, and the features each region's own expert grid
+        features = rng.normal(size=(50, 2))
+        features /= np.linalg.norm(features, axis=1, keepdims=True)
+        for model in INVERSE_MODELS:
+            for horizon in EXP4_HORIZONS:
+                for region in (OrthantBall(1.0, 2), Ball(np.zeros(2), 1.0)):
+                    policy = Exp4Policy(model, region, 1.0, horizon=horizon)
+                    for x in features:
+                        away = _threshold_gap(policy, policy.experts @ x) > 1e-12
+                        got, want = policy.recommendations(x), rounded_greedy_price_arms(policy, x)
+                        np.testing.assert_array_equal(got[away], want[away], err_msg=f"{model} {region} T={horizon}")
+                u = np.linspace(-0.01, 1.01, 100_001) * policy.valuation_bound
+                got = _arms_at(policy, u[_threshold_gap(policy, u) > 1e-12])
+                want = rounded_greedy_price_arms(policy, np.array([1.0, 0.0]))
+                np.testing.assert_array_equal(got, want, err_msg=f"{model} T={horizon}")
+
+    @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
+    def test_episode_matches_rounded_greedy_price(self, problem, scenario):
+        played, reference = (
+            cls(problem.model, problem.region, 1.0, horizon=4096) for cls in (Exp4Policy, RoundingExp4)
+        )
+        transcript, trace = run_episode(played, scenario(problem), 4096, episode_seed(9002, 0))
+        want_transcript, want_trace = run_episode(reference, scenario(problem), 4096, episode_seed(9002, 0))
+        np.testing.assert_array_equal(transcript.prices, want_transcript.prices)
+        np.testing.assert_array_equal(played.weights, reference.weights)
+        assert played.clip_events == reference.clip_events
+        np.testing.assert_array_equal(trace.cumulative, want_trace.cumulative)
+
+    def test_thresholds_need_no_optimizer(self, source_env):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import pricelab.cli\n"
+            "from pricelab import Exp4Policy, GaussianNoise, OrthantBall\n"
+            "policy = Exp4Policy(GaussianNoise(0.25), OrthantBall(1.0, 2), 1.0, horizon=4096)\n"
+            "policy.recommendations(np.array([0.6, 0.8]))\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=source_env, timeout=120)
 
 
 class TestSnapshots:

@@ -4,7 +4,8 @@ The important frozen oracles: the unit-noise pricing fixed point at
 sqrt(pi/2); J(0) for unit Gaussian and unit logistic located by a
 high-precision root find; the scale identity J_s(u) = s*J_1(u/s).  The
 Newton solver is also checked against an independent 90-step bisection and
-against 30-digit mpmath roots of the first-order condition.
+against 30-digit mpmath roots of the first-order condition, and its inverse
+J^{-1} against 30-digit mpmath roots of J(u) = p.
 """
 
 import math
@@ -26,7 +27,13 @@ from pricelab import (
     virtual_valuation,
 )
 from pricelab import pricing
-from pricelab.pricing import InvariantViolation, first_order_residual, virtual_valuation_slope
+from pricelab.pricing import (
+    InvariantViolation,
+    first_order_residual,
+    greedy_price_inverse,
+    squared_hazard_ceiling,
+    virtual_valuation_slope,
+)
 
 U_STAR = math.sqrt(math.pi / 2.0)
 J1_AT_0 = 0.7517915246935645  # root of (1-Phi(w))/phi(w) = w, mpmath
@@ -81,6 +88,36 @@ def mpmath_price(model, u):
         guess = greedy_price(model, u)
         width = 1e-6 * model.spread
         return float(mpmath.findroot(foc, (guess - width, guess + width), solver="anderson"))
+
+
+# J^{-1} is checked on these laws; the logistic J stays above s = 0.3
+INVERSE_MODELS = (GaussianNoise(0.02), GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(0.3))
+# |J^{-1}(p) - u*| in threshold_ulps: 13.4 measured, at sigma = 1 where the
+# Mills kernel's own rounding error moves the root by that much
+THRESHOLD_BAND = 16
+
+
+def threshold_ulps(u, price):
+    """Agreement unit for u = p - spread*z: one ulp of the larger of |u| and p.
+
+    u is formed by subtracting from p, so near u = 0 it keeps only p's
+    absolute precision.
+    """
+    return np.spacing(np.maximum(np.abs(u), price))
+
+
+def mpmath_threshold(model, price, guess):
+    """30-digit u with J(u) = p: the root z of m(z) = p/spread, bracketed near the float one."""
+    with mpmath.workdps(30):
+        s, p = mpmath.mpf(model.spread), mpmath.mpf(price)
+        if isinstance(model, GaussianNoise):
+            def gap(z):
+                return mpmath.ncdf(-z) / mpmath.npdf(z) - p / s
+        else:
+            def gap(z):
+                return 1 + mpmath.exp(-z) - p / s
+        z = (price - guess) / model.spread
+        return p - s * mpmath.findroot(gap, (z - 1e-6, z + 1e-6), solver="anderson")
 
 
 class _NanMills(GaussianNoise):
@@ -263,6 +300,65 @@ class TestGreedyPrice:
             assert 0.0 < d_price < hi - lo
 
 
+class TestGreedyPriceInverse:
+    def test_matches_mpmath_roots(self):
+        prices = np.linspace(0.02, 2.0, 100)
+        for model in INVERSE_MODELS:
+            got = greedy_price_inverse(model, prices)
+            found = np.isfinite(got)
+            want = np.array([float(mpmath_threshold(model, p, u)) for p, u in zip(prices[found], got[found])])
+            # far below u = 0, J' -> 0 and half an ulp of p/spread moves the
+            # root by more than the band (the logistic at p = s(1 + 2e-16) sits
+            # 0.15 from it); the policy uses only the sign of such a threshold
+            near = want >= -1.0
+            err = np.abs(got[found] - want)[near] / threshold_ulps(want[near], prices[found][near])
+            assert np.max(err) <= THRESHOLD_BAND, (model, np.max(err))
+            assert np.all(got[found][~near] < 0.0)
+
+    def test_round_trip(self):
+        prices = np.linspace(0.01, 2.5, 20001)
+        for model in INVERSE_MODELS:
+            u = greedy_price_inverse(model, prices)
+            fires = u >= 0.0  # J is defined on u >= 0
+            assert fires.sum() > 10_000
+            back = greedy_price_vec(model, u[fires])
+            assert np.max(np.abs(back - prices[fires]) / price_ulps(model, prices[fires])) <= 4.0, model
+            assert np.all(np.diff(u[np.isfinite(u)]) > 0.0)
+
+    def test_far_tail_roots(self):
+        # at spread 5 the root z = (p - u)/5 reaches 500, where ztol is finer
+        # than one ulp of z and Newton cycles between two floats: the loop
+        # stops when a step lands back on an evaluated end of its bracket
+        model = GaussianNoise(5.0)
+        prices = np.geomspace(0.01, 1.0, 30)
+        got = greedy_price_inverse(model, prices)
+        want = np.array([float(mpmath_threshold(model, p, u)) for p, u in zip(prices, got)])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_logistic_prices_below_its_infimum(self):
+        # J(u) = s * m(z) > s for the logistic, so no valuation is priced at s or below
+        model = LogisticNoise(0.3)
+        u = greedy_price_inverse(model, [0.1, 0.3, 0.3 * (1 + 1e-12), 0.3 * (1 + 1e-6)])
+        assert np.all(np.isneginf(u[:2]))
+        assert np.all(np.isfinite(u[2:])) and u[2] < u[3] < 0.0
+
+    def test_shape_and_domain(self, gauss1):
+        assert greedy_price_inverse(gauss1, 0.75).shape == ()
+        assert greedy_price_inverse(gauss1, np.ones((2, 3))).shape == (2, 3)
+        assert greedy_price_inverse(gauss1, []).shape == (0,)
+        for bad in ([0.5, 0.0], [-0.1], [np.nan], [np.inf]):
+            with pytest.raises(ValueError):
+                greedy_price_inverse(gauss1, bad)
+
+    def test_failures_raise(self, gauss1, monkeypatch):
+        with pytest.raises(InvariantViolation):
+            greedy_price_inverse(_NanMills(1.0), [0.5, 1.0])
+        # 2 steps converge neither price here (5 are needed)
+        monkeypatch.setattr(pricing, "NEWTON_CAP", 2)
+        with pytest.raises(InvariantViolation):
+            greedy_price_inverse(gauss1, [0.5, 1.0])
+
+
 class TestAnalysisConstants:
     def test_quadratic_constant_closed_form(self, gauss025):
         c = compute_constants(gauss025, 1.0)
@@ -287,6 +383,18 @@ class TestAnalysisConstants:
         w = 1.0 + c.j0
         assert c.c_down == pytest.approx(logistic1.pdf(w) / 1.0, abs=1e-8)
         assert c.c_exp == pytest.approx(float(logistic1.cdf(w)) ** 2, abs=1e-8)
+
+    def test_small_logistic_floor(self):
+        # c_down = f(B + J(0))/s = 1.3e-19; the cancelling curvature form gave -8.2e-12 and raised
+        model = LogisticNoise(0.02)
+        c = compute_constants(model, 1.0)
+        assert c.c_down == pytest.approx(model.pdf(1.0 + c.j0) / model.scale, rel=1e-12)
+
+    def test_squared_hazard_ceiling_is_c_exp(self):
+        for model in (GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(0.3), LogisticNoise(0.02)):
+            assert squared_hazard_ceiling(model, 1.0) == compute_constants(model, 1.0).c_exp
+        # the ceiling alone exists where c_down underflows to 0 (Gaussian sigma = 0.02)
+        assert 0.0 < squared_hazard_ceiling(GaussianNoise(0.02), 1.0) < math.inf
 
     def test_grid_density_floor(self, gauss1):
         with pytest.raises(ValueError):
