@@ -16,7 +16,8 @@ Subcommands:
   demonstrative: the floor is a statement about all policies, the demo
   measures one.
 * ``constants --sigma S --b B`` - print the analysis constants of a
-  Gaussian market.
+  Gaussian market; exit 2 on invalid arguments, 1 when a constant breaks
+  its invariant (one line on stderr either way).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .harness import (
 )
 from .noise import GaussianNoise
 from .policies import EmlpPolicy, OnspPolicy, OraclePolicy
-from .pricing import compute_constants
+from .pricing import InvariantViolation, compute_constants
 from .verify import run_checks
 
 __all__ = ["main", "run_experiments", "lower_bound_demo"]
@@ -245,7 +246,14 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "constants":
-        constants = compute_constants(GaussianNoise(args.sigma), args.b)
+        try:
+            constants = compute_constants(GaussianNoise(args.sigma), args.b)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except InvariantViolation as exc:
+            print(f"invariant violated: {exc}", file=sys.stderr)
+            return 1
         print(json.dumps(constants.__dict__, indent=2))
         return 0
 

@@ -20,7 +20,7 @@ errors are reported together with their JSON path:
         {"kind": "emlp"},
         {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
         {"kind": "exp4", "horizon_cap": 4096}
-      ],
+      ],                                # exp4 also takes "exploration" in [0, 1], "learning_rate" > 0
       "slope_window": [1024, 65536],
       "output_dir": "results"
     }
@@ -229,6 +229,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 if has_g:
                     _positive_real(spec.get("gamma"), f"policies[{i}].gamma", problems)
                     _positive_real(spec.get("epsilon"), f"policies[{i}].epsilon", problems)
+            exploration = spec.get("exploration")
+            if exploration is not None and not (_is_real(exploration) and 0 <= exploration <= 1):
+                problems.append(f"policies[{i}].exploration must be a real in [0, 1]")
+            if spec.get("learning_rate") is not None:
+                _positive_real(spec["learning_rate"], f"policies[{i}].learning_rate", problems)
             if spec.get("horizon_cap") is not None:
                 _positive_int(spec["horizon_cap"], f"policies[{i}].horizon_cap", problems)
 

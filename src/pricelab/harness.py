@@ -13,6 +13,10 @@ stream, policy stream); repetition r of a run with master seed m uses
 episode seed derived from SeedSequence([m, r]).  Everything downstream is a
 pure function of those integers, so repetitions can run in any order or in
 parallel without changing results.
+
+Inputs are validated where they enter: ``PricingPolicy.propose`` checks each
+feature and raises on a price outside [0, V_max], which aborts the episode;
+the runner does not check either again.
 """
 
 from __future__ import annotations
@@ -114,13 +118,14 @@ def episode_seed(master_seed: int, repetition: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master_seed), int(repetition)])
 
 
-def run_episode(
-    policy: PricingPolicy,
-    scenario: Scenario,
-    horizon: int,
-    seed,
-    check_features: bool = False,
-) -> tuple[Transcript, RegretTrace]:
+def _spawn(seed, n: int = 2) -> list[np.random.SeedSequence]:
+    """n child streams of a seed (an integer s means SeedSequence([s])); an
+    episode's two are its (environment, policy) streams."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence([int(seed)])
+    return root.spawn(n)
+
+
+def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -> tuple[Transcript, RegretTrace]:
     """Play the four-step protocol for ``horizon`` rounds.
 
     The policy is reset here with its derived stream; identical
@@ -128,28 +133,22 @@ def run_episode(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence([int(seed)])
-    env_stream, policy_stream = root.spawn(2)
+    env_stream, policy_stream = _spawn(seed)
     env_rng = np.random.default_rng(env_stream)
 
     problem = scenario.problem
     features = scenario.features(horizon, env_rng)
-    if check_features:
-        scenario.check_features(features)
     noise = np.asarray(problem.model.sample(env_rng, horizon))
     u_star = features @ problem.theta_star
 
     policy.reset(policy_stream)
     prices = np.empty(horizon)
     accepted = np.empty(horizon, dtype=bool)
-    cap = policy.price_cap * (1.0 + 1e-9) + 1e-12
     for t in range(horizon):
         try:
             v = policy.propose(features[t])
         except RuntimeError as exc:
             raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
-        if not (0.0 <= v <= cap):
-            raise EpisodeAbort(f"round {t + 1}: price {v} outside [0, {policy.price_cap}]")
         sale = bool(v <= u_star[t] + noise[t])
         policy.feedback(sale)
         prices[t] = v
@@ -187,8 +186,7 @@ def run_horizon_envelope(
     horizons = np.asarray(sorted(int(t) for t in horizons))
     if horizons.size == 0 or horizons[0] < 1:
         raise ValueError("horizons must be positive")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence([int(seed)])
-    streams = root.spawn(len(horizons))
+    streams = _spawn(seed, len(horizons))
     finals = np.empty(len(horizons))
     for i, horizon in enumerate(horizons):
         policy = policy_builder(int(horizon))
@@ -201,8 +199,7 @@ def run_horizon_envelope(
 
 def replay_prices(policy: PricingPolicy, transcript: Transcript, seed) -> np.ndarray:
     """Drive a fresh policy through a recorded transcript; returns its prices."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence([int(seed)])
-    _, policy_stream = root.spawn(2)
+    _, policy_stream = _spawn(seed)
     policy.reset(policy_stream)
     prices = np.empty(len(transcript))
     for t in range(len(transcript)):

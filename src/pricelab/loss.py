@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 ARMIJO = 1e-4
+# gradient-mapping norm at which a fit counts as converged
+MLE_TOL = 1e-9
 # ridge added to the Hessian, relative to the curvature bound L: it makes the
 # Newton metric positive definite on batches that do not span the space
 RIDGE = 1e-12
@@ -150,7 +152,6 @@ def solve_mle(
     batch: BatchObjective,
     region: Region,
     theta_init,
-    tol: float = 1e-9,
     max_iter: int = 100,
     step_bound: float | None = None,
 ) -> MleResult:
@@ -165,7 +166,7 @@ def solve_mle(
     range there, so the step keeps the warm start's null-space component.
     Each iteration first tests convergence: the gradient-mapping norm
     ||theta - P(theta - g/L)|| L at the base step 1/L (L = curvature bound
-    over the batch) is at most ``tol``.  ``converged`` is True exactly when
+    over the batch) is at most MLE_TOL.  ``converged`` is True exactly when
     such a test passed; hitting the iteration cap, or a line search that
     finds no representable decrease, returns the current iterate with
     ``converged=False``, which callers surface as a warning, not a failure.
@@ -184,7 +185,7 @@ def solve_mle(
     while iterations < max_iter:
         iterations += 1
         grad, hess = batch.gradient_hessian(theta)
-        converged = float(np.linalg.norm(theta - region.project(theta - grad / ell))) * ell <= tol
+        converged = float(np.linalg.norm(theta - region.project(theta - grad / ell))) * ell <= MLE_TOL
         if converged:
             break
         metric = hess + ridge

@@ -62,8 +62,8 @@ class NoiseModel(abc.ABC):
     """Zero-mean noise law with stable CDF/PDF/tail/hazard evaluation.
 
     Subclasses provide the scalar kernels; all public methods accept floats
-    or arrays and validate finiteness.  Instances are immutable and safe to
-    share; samplers take an explicit ``numpy.random.Generator``.
+    or arrays and validate finiteness (once per call).  Instances are
+    immutable and safe to share; samplers take an explicit Generator.
     """
 
     # -- primitive kernels -------------------------------------------------
@@ -123,11 +123,14 @@ class NoiseModel(abc.ABC):
 
     def pdf_derivative(self, omega):
         arr = _check_finite(omega)
-        return _like(omega, self.pdf(arr) * self.log_pdf_slope(arr))
+        return _like(omega, np.exp(self._log_pdf(arr / self.spread)) / self.spread * self._log_pdf_slope(arr))
 
-    @abc.abstractmethod
     def log_pdf_slope(self, omega):
         """f'(w)/f(w), the derivative of log f."""
+        return _like(omega, self._log_pdf_slope(_check_finite(omega)))
+
+    @abc.abstractmethod
+    def _log_pdf_slope(self, w: np.ndarray) -> np.ndarray: ...
 
     def mills_ratio(self, omega):
         """(1 - F(w))/f(w), stable in both tails (may overflow to inf far left)."""
@@ -139,20 +142,29 @@ class NoiseModel(abc.ABC):
         return self.hazard_detail(omega).value
 
     def hazard_detail(self, omega) -> HazardResult:
-        arr = _check_finite(omega)
-        z = arr / self.spread
+        value, saturated = self._hazard(_check_finite(omega))
+        return HazardResult(_like(omega, value), _like(omega, saturated) if np.ndim(omega) else bool(saturated))
+
+    def _hazard(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hazard values and the mask of those taken from the asymptote."""
+        z = w / self.spread
         saturated = z > HAZARD_SATURATION
         safe = np.where(saturated, 0.0, z)
-        value = 1.0 / (self.spread * self._mills(safe))
+        # far left the Mills ratio overflows to +inf, and 1/inf = 0 is the hazard
+        with np.errstate(over="ignore"):
+            value = 1.0 / (self.spread * self._mills(safe))
         if np.any(saturated):
             asym = (z + 1.0 / np.where(saturated, z, 1.0)) / self.spread
             value = np.where(saturated, asym, value)
-        return HazardResult(_like(omega, value), _like(omega, saturated) if np.ndim(omega) else bool(saturated))
+        return value, saturated
 
     def reverse_hazard(self, omega):
         """f(w)/F(w)."""
-        arr = _check_finite(omega)
-        return _like(omega, np.exp(self.log_pdf(arr) - self.log_cdf(arr)))
+        return _like(omega, self._reverse_hazard(_check_finite(omega)))
+
+    def _reverse_hazard(self, w: np.ndarray) -> np.ndarray:
+        z = w / self.spread
+        return np.exp(self._log_pdf(z) - math.log(self.spread) - self._log_cdf(z))
 
     # -- log-concavity curvatures -------------------------------------------
     # -d^2 log(1-F)/dw^2 = h^2 + (f'/f) h       with h = f/(1-F)
@@ -160,12 +172,14 @@ class NoiseModel(abc.ABC):
     # Both are strictly positive for strictly log-concave F.
 
     def log_sf_curvature(self, omega):
-        h = np.asarray(self.hazard(omega))
-        return _like(omega, h * (h + np.asarray(self.log_pdf_slope(omega))))
+        w = _check_finite(omega)
+        h = self._hazard(w)[0]
+        return _like(omega, h * (h + self._log_pdf_slope(w)))
 
     def log_cdf_curvature(self, omega):
-        r = np.asarray(self.reverse_hazard(omega))
-        return _like(omega, r * (r - np.asarray(self.log_pdf_slope(omega))))
+        w = _check_finite(omega)
+        r = self._reverse_hazard(w)
+        return _like(omega, r * (r - self._log_pdf_slope(w)))
 
     # -- sampling ------------------------------------------------------------
 
@@ -234,9 +248,8 @@ class GaussianNoise(NoiseModel):
     def _mills_prime(self, z, m):
         return z * m - 1.0
 
-    def log_pdf_slope(self, omega):
-        arr = _check_finite(omega)
-        return _like(omega, -arr / self.sigma**2)
+    def _log_pdf_slope(self, w):
+        return -w / self.sigma**2
 
     def sample(self, rng, size=None):
         return rng.normal(0.0, self.sigma, size)
@@ -290,15 +303,11 @@ class LogisticNoise(NoiseModel):
     def _mills_prime(self, z, m):
         return 1.0 - m
 
-    def log_pdf_slope(self, omega):
-        arr = _check_finite(omega)
-        return _like(omega, (1.0 - 2.0 * special.expit(arr / self.scale)) / self.scale)
+    def _log_pdf_slope(self, w):
+        return (1.0 - 2.0 * special.expit(w / self.scale)) / self.scale
 
-    def hazard_detail(self, omega) -> HazardResult:
-        arr = _check_finite(omega)
-        value = special.expit(arr / self.scale) / self.scale
-        sat = np.zeros(np.shape(arr), dtype=bool)
-        return HazardResult(_like(omega, value), _like(omega, sat) if np.ndim(omega) else False)
+    def _hazard(self, w):
+        return special.expit(w / self.scale) / self.scale, np.zeros(np.shape(w), dtype=bool)
 
     # Both curvatures equal F(1-F)/s^2 = f/s.  The generic r(r - f'/f) and
     # h(h + f'/f) cancel in the tails: 0 at |w/s| = 40, where F(1-F) is 4.2e-18.

@@ -156,8 +156,7 @@ class EmlpPolicy(PricingPolicy):
 
     name = "emlp"
 
-    def __init__(self, model, region, feature_bound, mle_tol: float = 1e-9):
-        self.mle_tol = mle_tol
+    def __init__(self, model, region, feature_bound):
         self._c_exp: float | None = None
         super().__init__(model, region, feature_bound)
 
@@ -182,9 +181,7 @@ class EmlpPolicy(PricingPolicy):
         return self._c_exp * batch.max_feature_norm**2
 
     def _solve(self, batch: BatchObjective, init: np.ndarray) -> np.ndarray:
-        result = solve_mle(
-            batch, self.region, init, tol=self.mle_tol, step_bound=self._step_bound(batch)
-        )
+        result = solve_mle(batch, self.region, init, step_bound=self._step_bound(batch))
         if not result.converged:
             self.mle_warnings += 1
         return result.theta
@@ -249,7 +246,6 @@ class OnspPolicy(PricingPolicy):
         feature_bound,
         gamma: float | None = None,
         epsilon: float | None = None,
-        theta_init=None,
         refresh_every: int = 4096,
     ):
         if (gamma is None) != (epsilon is None):
@@ -262,13 +258,11 @@ class OnspPolicy(PricingPolicy):
         self.gamma = float(gamma)
         self.epsilon = float(epsilon)
         self.refresh_every = refresh_every
-        self._theta_init = None if theta_init is None else np.asarray(theta_init, dtype=float)
         super().__init__(model, region, feature_bound)
 
     def _reset_state(self) -> None:
         dim = self.region.dim
-        start = self.region.interior_point() if self._theta_init is None else self._theta_init
-        self.theta = self.region.project(start)
+        self.theta = self.region.project(self.region.interior_point())
         self.matrix = self.epsilon * np.eye(dim)
         self.matrix_inv = np.eye(dim) / self.epsilon
         self.rounds = 0

@@ -159,7 +159,7 @@ def _newton_array(model: NoiseModel, a: float, c, lo, hi, z, ztol: float) -> np.
     )
 
 
-def greedy_price(model: NoiseModel, valuation: float, u_max: float | None = None, tol: float = PRICE_TOL) -> float:
+def greedy_price(model: NoiseModel, valuation: float) -> float:
     """Revenue-maximizing price J(u) = u + phi^{-1}(u) for u >= 0.
 
     On the standardized scale z = (J - u)/spread the first-order condition
@@ -167,23 +167,21 @@ def greedy_price(model: NoiseModel, valuation: float, u_max: float | None = None
     the root is found by safeguarded Newton on q(z) = log m(z) - log(z + c)
     as described in the module docstring, over Python floats (policies call
     this once per round).  Stops when a step moves z by less than
-    tol/spread and raises InvariantViolation after NEWTON_CAP steps.
+    PRICE_TOL/spread and raises InvariantViolation after NEWTON_CAP steps.
     """
     u = float(valuation)
     if not math.isfinite(u) or u < 0:
         raise ValueError("valuation must be finite and nonnegative")
-    if u_max is not None and u > u_max * (1.0 + 1e-12):
-        raise ValueError(f"valuation {u} exceeds the declared bound {u_max}")
     spread = model.spread
-    return u + spread * _newton_scalar(model, u / spread, tol / spread)
+    return u + spread * _newton_scalar(model, u / spread, PRICE_TOL / spread)
 
 
 def greedy_price_vec(model: NoiseModel, valuations) -> np.ndarray:
     """J(u) elementwise: greedy_price's iteration run over arrays.
 
     Each element takes the Newton and bisection steps the scalar loop would
-    take, with the default tolerance, and stops when it has converged;
-    InvariantViolation after NEWTON_CAP steps as there.
+    take, and stops when it has converged; InvariantViolation after
+    NEWTON_CAP steps as there.
     """
     u = np.asarray(valuations, dtype=float)
     if np.any(~np.isfinite(u)) or np.any(u < 0):
@@ -252,16 +250,14 @@ class AnalysisConstants:
     alpha: float
 
 
-def _window_grid(model: NoiseModel, b: float, grid_points: int) -> tuple[float, np.ndarray]:
+def _window_grid(model: NoiseModel, b: float) -> tuple[float, np.ndarray]:
     """J(0) and the grid of the window [-B, B + J(0)] the constants are taken over."""
-    if b <= 0:
-        raise ValueError("valuation bound must be positive")
-    if grid_points < 10_000:
-        raise ValueError("grid must have at least 10^4 points")
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError("valuation bound must be a positive real")
     j0 = greedy_price(model, 0.0)
     lo, hi = -b, b + j0
     width = hi - lo
-    base = np.linspace(lo, hi, grid_points)
+    base = np.linspace(lo, hi, GRID_POINTS)
     edge = width * np.geomspace(1e-9, 1e-2, 40)
     return j0, np.unique(np.concatenate([base, lo + edge, hi - edge]))
 
@@ -277,18 +273,18 @@ def squared_hazard_ceiling(model: NoiseModel, b: float) -> float:
     Solver step bounds need only this ceiling; it never evaluates the
     strong-convexity floor c_down, which underflows to 0 at small noise.
     """
-    return _squared_hazard_max(model, _window_grid(model, b, GRID_POINTS)[1])
+    return _squared_hazard_max(model, _window_grid(model, b)[1])
 
 
-def compute_constants(model: NoiseModel, b: float, grid_points: int = GRID_POINTS) -> AnalysisConstants:
+def compute_constants(model: NoiseModel, b: float) -> AnalysisConstants:
     """Evaluate the analysis constants numerically on a dense grid.
 
     c_quad has the closed form 2*B_f + (B + J(0))*B_f'; the inf/sup pair has
-    none, so both are taken over a >=10^4-point grid of the window with
+    none, so both are taken over a GRID_POINTS grid of the window with
     geometric refinement clusters at both endpoints (where the extrema of
     our models actually live).
     """
-    j0, grid = _window_grid(model, b, grid_points)
+    j0, grid = _window_grid(model, b)
     curv = np.minimum(model.log_sf_curvature(grid), model.log_cdf_curvature(grid))
     c_down = float(np.min(curv))
     if not np.isfinite(c_down) or c_down <= 0.0:

@@ -9,6 +9,9 @@ Sorensen 1983, *Computing a trust region step*); the orthant-ball solves
 that subproblem on each face of the orthant and keeps the best feasible
 candidate.  The Newton-step policy applies it after each update, and the
 batch MLE takes it as its projected-Newton step.
+
+Every public method validates its vector; the weight matrix A is validated
+only on an active projection, the one path that reads it.
 """
 
 from __future__ import annotations
@@ -111,11 +114,13 @@ class Ball:
         return self.center + gap * (self.radius / norm)
 
     def project_weighted(self, theta, a) -> np.ndarray:
-        """Exact A-norm projection: the trust-region step about the center."""
-        theta = _as_vector(theta)
-        a = _check_weight_matrix(a, self.dim)
+        """Exact A-norm projection: the trust-region step about the center.
+
+        A feasible theta comes back unchanged and A is not inspected.
+        """
         if self.contains(theta):
-            return theta.copy()
+            return np.array(theta, dtype=float)
+        a = _check_weight_matrix(a, self.dim)
         return self.center + _trust_region(a, a @ (theta - self.center), self.radius)
 
 
@@ -163,12 +168,12 @@ class OrthantBall:
         the problem is convex.  So each of the 2^d faces gets its exact
         trust-region solution, candidates with a negative coordinate are
         discarded, and the feasible candidate of least objective is z*.
+        A feasible theta comes back unchanged and A is not inspected.
         """
-        theta = _as_vector(theta)
-        a = _check_weight_matrix(a, self.dim)
         if self.contains(theta):
-            return theta.copy()
-        b = a @ theta
+            return np.array(theta, dtype=float)
+        a = _check_weight_matrix(a, self.dim)
+        b = a @ np.asarray(theta, dtype=float)
         # objective z'Az - 2b'z, which is 0 on the empty face (the origin)
         best, best_value = np.zeros(self.dim), 0.0
         for mask in itertools.product((False, True), repeat=self.dim):

@@ -1,5 +1,6 @@
 """CLI surface: run/verify/demo/constants, config validation, outputs."""
 
+import dataclasses
 import functools
 import json
 import subprocess
@@ -12,7 +13,11 @@ import pricelab.policies as policies_module
 import pricelab.verify as verify_mod
 from pricelab.cli import lower_bound_demo, main
 from pricelab.config import ConfigError, default_raw, load_config, parse_config
+from pricelab.environments import StochasticScenario
+from pricelab.loss import BatchObjective
+from pricelab.noise import GaussianNoise, LogisticNoise
 from pricelab.pricing import AnalysisConstants
+from pricelab.regions import Ball, OrthantBall
 
 
 @pytest.fixture
@@ -27,6 +32,167 @@ def small_raw():
     ]
     raw["slope_window"] = [8, 128]
     return raw
+
+
+def _mis_scaled_likelihood(init):
+    # the loss is built on a noise 20% wider than the market's: value and gradient stay consistent
+    def wrapped(self, features, prices, accepted, model):
+        init(self, features, prices, accepted, dataclasses.replace(model, sigma=1.2 * model.sigma))
+
+    return wrapped
+
+
+def _region_faults(check, fault, label):
+    return [
+        pytest.param(check, region, "project_weighted", fault, id=f"{label}-{region.__name__}")
+        for region in (Ball, OrthantBall)
+    ]
+
+
+# (check, owner, attribute, fault): fault maps the true attribute to a broken one
+_FAULTS = [
+    pytest.param(
+        verify_mod.check_log_concavity,
+        GaussianNoise,
+        "log_cdf",
+        lambda f: lambda self, w: f(self, w) + 1e-3 * np.square(w),
+        id="log-concavity",
+    ),
+    pytest.param(
+        verify_mod.check_density_consistency,
+        GaussianNoise,
+        "pdf_derivative",
+        lambda f: lambda self, w: f(self, w) * (1.0 + 1e-4),
+        id="derivative-consistency",
+    ),
+    pytest.param(
+        verify_mod.check_hazard_monotone,
+        GaussianNoise,
+        "hazard",
+        lambda f: lambda self, w: np.maximum(f(self, w), 1e-3),
+        id="hazard-monotone",
+    ),
+    pytest.param(
+        verify_mod.check_hazard_asymptotics,
+        GaussianNoise,
+        "hazard",
+        lambda f: lambda self, w: f(self, w) + 1e-12,
+        id="hazard-cube-decay",
+    ),
+    pytest.param(
+        verify_mod.check_hazard_asymptotics,
+        GaussianNoise,
+        "hazard",
+        lambda f: lambda self, w: f(self, w) * (1.0 + 1e-4),
+        id="hazard-mills-asymptote",
+    ),
+    pytest.param(
+        verify_mod.check_tail_identity,
+        GaussianNoise,
+        "log_sf",
+        lambda f: lambda self, w: f(self, w) + 1e-8,
+        id="tail-identity",
+    ),
+    pytest.param(
+        verify_mod.check_reward_unimodal,
+        verify_mod,
+        "greedy_price",
+        lambda f: lambda model, u: f(model, u) + 0.01,
+        id="reward-unimodal",
+    ),
+    pytest.param(
+        verify_mod.check_price_contraction,
+        verify_mod,
+        "greedy_price_vec",
+        lambda f: lambda model, u: f(model, u) + (u if model == LogisticNoise(1.0) else 0.0),
+        id="contraction-logistic-unit",
+    ),
+    pytest.param(
+        verify_mod.check_fixed_point_and_scaling,
+        verify_mod,
+        "greedy_price",
+        lambda f: lambda model, u: f(model, u) + 1e-8,
+        id="fixed-point-and-scaling",
+    ),
+    pytest.param(
+        verify_mod.check_first_order_residual,
+        verify_mod,
+        "greedy_price",
+        lambda f: lambda model, u: f(model, u) + (1e-6 if u > 1.0 else 0.0),
+        id="first-order-residual-above-1",
+    ),
+    pytest.param(
+        verify_mod.check_quadratic_regret_bound,
+        verify_mod,
+        "compute_constants",
+        lambda f: lambda model, b: dataclasses.replace(f(model, b), c_quad=0.1 * f(model, b).c_quad),
+        id="quadratic-regret-bound",
+    ),
+    pytest.param(
+        verify_mod.check_constants,
+        verify_mod,
+        "compute_constants",
+        lambda f: lambda model, b: dataclasses.replace(f(model, b), alpha=2.0),
+        id="analysis-constants-alpha",
+    ),
+    pytest.param(
+        verify_mod.check_gradient_hessian_fd,
+        BatchObjective,
+        "gradient",
+        lambda f: lambda self, theta: f(self, theta) * (1.0 + 1e-5),
+        id="gradient-finite-difference",
+    ),
+    pytest.param(
+        verify_mod.check_psd_sandwich,
+        BatchObjective,
+        "gradient",
+        lambda f: lambda self, theta: 2.0 * f(self, theta),
+        id="psd-sandwich-gradient-ceiling",
+    ),
+    pytest.param(
+        verify_mod.check_exp_concavity,
+        BatchObjective,
+        "hessian",
+        lambda f: lambda self, theta: -f(self, theta),
+        id="exp-concavity",
+    ),
+    pytest.param(
+        verify_mod.check_truth_is_stationary,
+        BatchObjective,
+        "__init__",
+        _mis_scaled_likelihood,
+        id="truth-stationary",
+    ),
+    *_region_faults(
+        verify_mod.check_weighted_projection, lambda f: lambda self, y, a: self.project(y), "projection-ignores-weight"
+    ),
+    *_region_faults(
+        verify_mod.check_weighted_projection,
+        lambda f: lambda self, y, a: f(self, y, a) * (1.0 + 1e-11),
+        "projection-membership-1e-12",
+    ),
+    pytest.param(
+        verify_mod.check_scenario_contract,
+        StochasticScenario,
+        "features",
+        lambda f: lambda self, horizon, rng: 2.0 * f(self, horizon, rng),
+        id="feature-contract",
+    ),
+    pytest.param(
+        verify_mod.check_lower_bound_geometry,
+        verify_mod,
+        "greedy_price",
+        lambda f: lambda model, u: u,
+        id="lower-bound-geometry",
+    ),
+    pytest.param(
+        verify_mod.check_slope_recovery,
+        verify_mod,
+        "fit_slope",
+        lambda f: lambda source, window: dataclasses.replace(f(source, window), slope=1.001 * f(source, window).slope),
+        id="slope-recovery",
+    ),
+]
 
 
 def _write(tmp_path, raw, name="cfg.json"):
@@ -130,6 +296,30 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert line in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, line",
+        [
+            ("exploration", 5, "config error: policies[2].exploration must be a real in [0, 1]"),
+            ("exploration", -1, "config error: policies[2].exploration must be a real in [0, 1]"),
+            ("exploration", "x", "config error: policies[2].exploration must be a real in [0, 1]"),
+            ("learning_rate", 0, "config error: policies[2].learning_rate must be a positive real"),
+            ("learning_rate", "x", "config error: policies[2].learning_rate must be a positive real"),
+        ],
+    )
+    def test_bad_exp4_rates_exit_2(self, tmp_path, small_raw, capsys, key, value, line):
+        # these used to pass the config and end the run in a traceback
+        small_raw["policies"][2][key] = value
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert line in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exp4_rates_in_range_parse(self, small_raw):
+        small_raw["policies"][2].update(exploration=1, learning_rate=0.05)
+        assert parse_config(small_raw).policies[2]["exploration"] == 1
+        small_raw["policies"][2].update(exploration=0.0)
+        parse_config(small_raw)
+
     def test_oracle_pair_has_no_slope(self, tmp_path, small_raw, capsys):
         small_raw["horizon"] = 64
         small_raw["slope_window"] = [16, 64]
@@ -214,8 +404,8 @@ class TestVerifyCommand:
     def test_fault_injection_names_the_sandwich(self, capsys, monkeypatch):
         true_fn = verify_mod.compute_constants
 
-        def corrupted(model, b, grid_points=20001):
-            constants = true_fn(model, b, grid_points)
+        def corrupted(model, b):
+            constants = true_fn(model, b)
             return AnalysisConstants(
                 b_f=constants.b_f,
                 b_fprime=constants.b_fprime,
@@ -230,6 +420,39 @@ class TestVerifyCommand:
         assert main(["verify", "--fast"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  loss.psd-sandwich" in out
+
+    def test_woodbury_check_reads_the_policy(self, monkeypatch):
+        # an inverse update off by a relative 1e-6 per round; the check used to test its own copy
+        assert verify_mod.check_woodbury(fast=True).passed
+        update = policies_module.OnspPolicy._feedback
+
+        def skewed(self, x, price, accepted):
+            update(self, x, price, accepted)
+            self.matrix_inv = self.matrix_inv * (1.0 + 1e-6)
+
+        monkeypatch.setattr(policies_module.OnspPolicy, "_feedback", skewed)
+        result = verify_mod.check_woodbury(fast=True)
+        assert not result.passed, result.detail
+
+    def test_onsp_state_check_reads_the_matrix_floor(self, monkeypatch):
+        # A and its inverse start at (epsilon/2) I, consistently: only the floor is wrong
+        reset = policies_module.OnspPolicy._reset_state
+
+        def half_floor(self):
+            reset(self)
+            self.matrix, self.matrix_inv = 0.5 * self.matrix, 2.0 * self.matrix_inv
+
+        monkeypatch.setattr(policies_module.OnspPolicy, "_reset_state", half_floor)
+        result = verify_mod.check_onsp_state(fast=True)
+        assert not result.passed
+        assert "floor eigenvalue" in result.detail
+
+    @pytest.mark.parametrize("check, owner, attr, fault", _FAULTS)
+    def test_check_catches_fault(self, monkeypatch, check, owner, attr, fault):
+        # each structural invariant lives only in its check, so each check must fail on a broken program
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        result = check(fast=True)
+        assert not result.passed, result.detail
 
 
 class TestLowerBoundDemo:
@@ -265,6 +488,25 @@ class TestConstantsCommand:
         assert payload["c_down"] > 0
         assert payload["c_exp"] > payload["c_down"]
         assert payload["c_quad"] == pytest.approx(2 * payload["b_f"] + (1 + payload["j0"]) * payload["b_fprime"])
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--sigma", "-1", "--b", "1"], "error: sigma must be a positive real"),
+            (["--sigma", "0.25", "--b", "0"], "error: valuation bound must be a positive real"),
+            (["--sigma", "0.25", "--b", "nan"], "error: valuation bound must be a positive real"),
+        ],
+    )
+    def test_invalid_arguments_exit_2(self, capsys, argv, line):
+        assert main(["constants", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line + "\n"
+
+    def test_broken_invariant_exits_1(self, capsys):
+        # c_down underflows to 0 at sigma = 0.02
+        assert main(["constants", "--sigma", "0.02", "--b", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violated: strong-convexity floor") and err.count("\n") == 1
 
 
 def test_module_entry_point(source_env):

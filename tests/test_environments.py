@@ -134,22 +134,6 @@ class TestLowerBoundPair:
             lower_bound_pair(2)
 
 
-class TestLowerBoundGeometry:
-    @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9])
-    def test_small_noise_prices_below_the_fixed_point(self, sigma):
-        j = greedy_price(GaussianNoise(sigma), FIXED_VALUATION)
-        assert j < FIXED_VALUATION - 1e-9
-        assert FIXED_VALUATION - j >= 0.4 * (1.0 - sigma) - 1e-9
-
-    @pytest.mark.parametrize("sigma", [0.6, 0.75, 0.9])
-    def test_quadratic_revenue_margin(self, sigma):
-        model = GaussianNoise(sigma)
-        v_best = greedy_price(model, FIXED_VALUATION)
-        grid = np.linspace(1e-9, FIXED_VALUATION - 1e-9, 1000)
-        margin = expected_reward(model, v_best, FIXED_VALUATION) - expected_reward(model, grid, FIXED_VALUATION)
-        assert np.min(margin - (v_best - grid) ** 2 / 60.0) >= -1e-9
-
-
 class TestProblemValidation:
     def test_theta_star_must_be_feasible(self):
         with pytest.raises(ValueError):

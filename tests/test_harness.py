@@ -142,20 +142,10 @@ class TestFitSlope:
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
         assert fit.stderr == pytest.approx(0.0, abs=1e-10)
 
-    def test_two_thirds_power(self):
-        t = 2 ** np.arange(0, 17)
-        fit = fit_slope((t, 0.3 * t.astype(float) ** (2 / 3)), (1, 2**16))
-        assert fit.slope == pytest.approx(2.0 / 3.0, abs=1e-12)
-
     def test_seven_tenths_power(self):
         t = 2 ** np.arange(0, 17)
         fit = fit_slope((t, 1.7 * t.astype(float) ** 0.7), (1, 2**16))
         assert fit.slope == pytest.approx(0.7, abs=0.01)
-
-    def test_log_curve_is_flat(self):
-        t = 2 ** np.arange(1, 17)
-        fit = fit_slope((t, 4.0 * np.log(t.astype(float))), (2**10, 2**16))
-        assert fit.slope <= 0.2
 
     def test_nonpositive_checkpoints_excluded(self):
         t = 2 ** np.arange(0, 8)

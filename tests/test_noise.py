@@ -84,16 +84,6 @@ class TestLogTails:
         assert np.all(np.isfinite(values))
         assert np.all(np.diff(values) < 0)
 
-    def test_log_concavity_numerically(self, gauss025, gauss1, logistic1):
-        h = 1e-4
-        for model in (gauss025, gauss1, logistic1):
-            j0 = 0.76 * model.spread
-            grid = np.linspace(-1.0, 1.0 + j0, 1000)
-            for fn in (model.log_cdf, model.log_sf):
-                second = (fn(grid + h) - 2 * fn(grid) + fn(grid - h)) / h**2
-                assert np.max(second) <= -1e-12
-
-
 class TestCurvatures:
     def test_logistic_matches_mpmath(self):
         # both curvatures are F(1-F)/s^2; the generic r(r - f'/f) form
@@ -125,19 +115,6 @@ class TestHazard:
         value = gauss1.hazard(-10.0)
         assert 0 < value < 1e-20
         assert value == pytest.approx(HAZARD_M10, rel=1e-10)
-
-    def test_cube_decay(self, gauss1):
-        assert abs((-8.0) ** 3) * gauss1.hazard(-8.0) < 1e-10
-
-    def test_mills_asymptote(self, gauss1):
-        for w in (10.0, 20.0, 30.0):
-            assert abs(gauss1.hazard(w) - w - 1.0 / w) <= 3.0 / w**3
-
-    def test_monotone(self, gauss025, gauss1, logistic1):
-        for model in (gauss025, gauss1, logistic1):
-            grid = np.linspace(-1.0, 1.76 * model.spread + 1.0, 1000)
-            lam = np.asarray(model.hazard(grid))
-            assert np.all(np.diff(lam) > 0)
 
     def test_saturation_flag(self, gauss025):
         w = 46.0 * 0.25
@@ -173,16 +150,6 @@ class TestDensity:
             g = grid * model.spread
             assert np.max(model.pdf(g)) <= model.b_f * (1 + 1e-12)
             assert np.max(np.abs(model.pdf_derivative(g))) <= model.b_fprime * (1 + 1e-12)
-
-    def test_derivative_consistency(self, gauss025, logistic1):
-        h = 1e-6
-        for model in (gauss025, logistic1):
-            grid = np.linspace(-0.9, 0.9, 500) * model.spread
-            fd = (model.cdf(grid + h) - model.cdf(grid - h)) / (2 * h)
-            np.testing.assert_allclose(fd, model.pdf(grid), rtol=1e-6)
-            fd2 = (model.pdf(grid + h) - model.pdf(grid - h)) / (2 * h)
-            np.testing.assert_allclose(fd2, model.pdf_derivative(grid), rtol=2e-5, atol=1e-9)
-
 
 class TestSampler:
     def test_deterministic_given_seed(self, gauss025):

@@ -29,6 +29,7 @@ from pricelab import (
     run_episode,
 )
 import pricelab.policies as policies_module
+import pricelab.regions as regions_module
 from pricelab.environments import FIXED_VALUATION
 from pricelab.harness import episode_seed, replay_prices
 from test_pricing import INVERSE_MODELS, THRESHOLD_BAND, mpmath_threshold, threshold_ulps
@@ -247,7 +248,7 @@ class TestOnsp:
         # A = 1 + g^2 and theta = -g/(1+g^2) for the observed gradient g
         model = GaussianNoise(1.0)
         region = Ball(np.zeros(1), 100.0)
-        policy = OnspPolicy(model, region, 100.0, gamma=1.0, epsilon=1.0, theta_init=np.zeros(1))
+        policy = OnspPolicy(model, region, 100.0, gamma=1.0, epsilon=1.0)
         policy.reset(0)
         v = policy.propose(np.array([1.0]))
         policy.feedback(True)
@@ -266,26 +267,26 @@ class TestOnsp:
         g = BatchObjective(x, v, accepted, problem.model).gradient(theta0)
         np.testing.assert_array_equal(policy.matrix, np.eye(2) + np.outer(g, g))
 
-    def test_woodbury_tracks_direct_inverse(self, problem):
-        scen = StochasticScenario(problem)
-        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0, refresh_every=10**9)
-        rng = np.random.default_rng(9)
-        x = scen.features(100, rng)
-        noise = problem.model.sample(rng, 100)
-        u = x @ problem.theta_star
-        policy.reset(0)
-        worst = 0.0
-        for t in range(100):
-            v = policy.propose(x[t])
-            policy.feedback(bool(v <= u[t] + noise[t]))
-            worst = max(worst, float(np.max(np.abs(policy.matrix_inv - np.linalg.inv(policy.matrix)))))
-        assert worst <= 1e-8
+    def test_weight_checked_only_on_active_projections(self, problem, monkeypatch):
+        # this adversarial episode takes 4 Newton steps out of the region in 256 rounds
+        validations, outside = [], []
+        check_weight = regions_module._check_weight_matrix
+        project = OrthantBall.project_weighted
 
-    def test_matrix_floor(self, problem):
-        scen = AlternatingScenario(problem)
-        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=0.7)
-        _drive(policy, scen, 200, seed=11)
-        assert np.min(np.linalg.eigvalsh(policy.matrix)) >= 0.7 - 1e-9
+        def counted_check(a, dim):
+            validations.append(dim)
+            return check_weight(a, dim)
+
+        def counted_projection(region, theta, a):
+            outside.append(not region.contains(theta))
+            return project(region, theta, a)
+
+        monkeypatch.setattr(regions_module, "_check_weight_matrix", counted_check)
+        monkeypatch.setattr(OrthantBall, "project_weighted", counted_projection)
+        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
+        run_episode(policy, AlternatingScenario(problem), 256, episode_seed(5, 0))
+        assert len(outside) == 256
+        assert len(validations) == sum(outside) == 4
 
     def test_exact_projection_keeps_the_adversarial_trace(self, problem):
         # the active projection moves by about 1e-13, so Reg(t) agrees to 1e-11 relative

@@ -1,14 +1,17 @@
 """Greedy pricing and the analysis constants.
 
-The important frozen oracles: the unit-noise pricing fixed point at
-sqrt(pi/2); J(0) for unit Gaussian and unit logistic located by a
-high-precision root find; the scale identity J_s(u) = s*J_1(u/s).  The
-Newton solver is also checked against an independent 90-step bisection and
-against 30-digit mpmath roots of the first-order condition, and its inverse
-J^{-1} against 30-digit mpmath roots of J(u) = p.
+The important frozen oracle: J(0) for unit Gaussian and unit logistic
+located by a high-precision root find.  The Newton solver is also checked
+against an independent 90-step bisection and against 30-digit mpmath roots
+of the first-order condition, and its inverse J^{-1} against 30-digit mpmath
+roots of J(u) = p.  The structural properties (contraction, the unit-noise
+fixed point and scale identity, first-order residual, unimodality, the
+quadratic regret bound and the analysis constants) are checked once, by
+``pricelab verify``.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -29,7 +32,6 @@ from pricelab import (
 from pricelab import pricing
 from pricelab.pricing import (
     InvariantViolation,
-    first_order_residual,
     greedy_price_inverse,
     squared_hazard_ceiling,
     virtual_valuation_slope,
@@ -179,9 +181,6 @@ class TestVirtualValuation:
 
 
 class TestGreedyPrice:
-    def test_unit_noise_fixed_point(self, gauss1):
-        assert abs(greedy_price(gauss1, U_STAR) - U_STAR) <= 1e-9
-
     def test_j_at_zero_frozen(self, gauss1, logistic1):
         assert greedy_price(gauss1, 0.0) == pytest.approx(J1_AT_0, abs=1e-11)
         assert greedy_price(logistic1, 0.0) == pytest.approx(JLOG_AT_0, abs=1e-11)
@@ -195,38 +194,11 @@ class TestGreedyPrice:
         assert j > 0.0
         assert abs(best - j) <= 1e-5
 
-    def test_scale_identity(self, gauss1, rng):
-        for _ in range(100):
-            s = rng.uniform(0.1, 1.0)
-            u = rng.uniform(0.0, 1.0)
-            assert greedy_price(GaussianNoise(s), u) == pytest.approx(
-                s * greedy_price(gauss1, u / s), abs=1e-9
-            )
-
     def test_quarter_sigma_case(self, gauss025):
         assert greedy_price(gauss025, 0.5) == pytest.approx(0.25 * J1_AT_2, abs=1e-9)
         assert greedy_price(gauss025, 0.5) == pytest.approx(
             0.25 * greedy_price(GaussianNoise(1.0), 2.0), abs=1e-9
         )
-
-    def test_contraction(self, gauss025, logistic1, rng):
-        for model in (gauss025, logistic1):
-            u = np.sort(rng.uniform(0.0, 1.0, 200))
-            j = greedy_price_vec(model, u)
-            du, dj = np.diff(u), np.diff(j)
-            keep = du > 1e-9
-            assert np.all(dj[keep] > 0.0)
-            assert np.all(dj[keep] < du[keep])
-
-    def test_first_order_condition(self, gauss025, gauss1, logistic1, rng):
-        cases = [(model, 1.0) for model in (gauss025, gauss1, logistic1)]
-        cases += [(model, 2.0) for model in SMALL_NOISE]
-        for model, u_hi in cases:
-            for u in rng.uniform(0.0, u_hi, 50):
-                j = greedy_price(model, float(u))
-                assert first_order_residual(model, float(u), j) <= 1e-10, (model, u)
-        # u/sigma = 38.4: Newton on m(z) - z - c crawls here; 200 such steps leave residual 6.5e-7
-        assert first_order_residual(GaussianNoise(0.01), 0.384, greedy_price(GaussianNoise(0.01), 0.384)) <= 1e-10
 
     def test_price_window(self, gauss025, rng):
         cap = price_cap(gauss025, 1.0)
@@ -238,8 +210,6 @@ class TestGreedyPrice:
     def test_domain_errors(self, gauss1):
         with pytest.raises(ValueError):
             greedy_price(gauss1, -0.1)
-        with pytest.raises(ValueError):
-            greedy_price(gauss1, 1.5, u_max=1.0)
         with pytest.raises(ValueError):
             greedy_price_vec(gauss1, [0.2, -0.3])
 
@@ -364,26 +334,6 @@ class TestAnalysisConstants:
         c = compute_constants(gauss025, 1.0)
         assert c.c_quad == pytest.approx(2 * gauss025.b_f + (1.0 + c.j0) * gauss025.b_fprime, rel=1e-15)
 
-    def test_floor_positive_ceiling_dominates_endpoint(self, gauss1):
-        c = compute_constants(gauss1, 1.0)
-        assert c.c_down > 0.0
-        assert c.c_exp >= gauss1.hazard(1.0 + c.j0) ** 2 - 1e-12
-        assert 0.0 < c.alpha <= 1.0
-
-    def test_conditioning_explodes_as_noise_shrinks(self):
-        small = compute_constants(GaussianNoise(0.25), 1.0)
-        unit = compute_constants(GaussianNoise(1.0), 1.0)
-        assert small.c_exp / small.c_down > unit.c_exp / unit.c_down
-
-    def test_logistic_closed_forms(self, logistic1):
-        # both log-concavity curvatures collapse to f(w)/s for the logistic,
-        # minimized at the right end of the window; the hazard F(w)/s and
-        # reverse hazard (1-F(-w))/s peak at the respective endpoints
-        c = compute_constants(logistic1, 1.0)
-        w = 1.0 + c.j0
-        assert c.c_down == pytest.approx(logistic1.pdf(w) / 1.0, abs=1e-8)
-        assert c.c_exp == pytest.approx(float(logistic1.cdf(w)) ** 2, abs=1e-8)
-
     def test_small_logistic_floor(self):
         # c_down = f(B + J(0))/s = 1.3e-19; the cancelling curvature form gave -8.2e-12 and raised
         model = LogisticNoise(0.02)
@@ -396,29 +346,11 @@ class TestAnalysisConstants:
         # the ceiling alone exists where c_down underflows to 0 (Gaussian sigma = 0.02)
         assert 0.0 < squared_hazard_ceiling(GaussianNoise(0.02), 1.0) < math.inf
 
-    def test_grid_density_floor(self, gauss1):
-        with pytest.raises(ValueError):
-            compute_constants(gauss1, 1.0, grid_points=100)
-
-    def test_quadratic_regret_bound(self, gauss025, rng):
-        c = compute_constants(gauss025, 1.0)
-        for _ in range(300):
-            u_true, u_est = rng.uniform(0.0, 1.0, 2)
-            gap = expected_reward(gauss025, greedy_price(gauss025, u_true), u_true) - expected_reward(
-                gauss025, greedy_price(gauss025, u_est), u_true
-            )
-            assert gap <= c.c_quad * (u_true - u_est) ** 2 + 1e-12
-
-    def test_unimodality_random_valuations(self, gauss025, rng):
-        cap = price_cap(gauss025, 1.0)
-        grid = np.linspace(0.0, cap, 10_000)
-        for u in rng.uniform(0.0, 1.0, 200):
-            values = expected_reward(gauss025, grid, float(u))
-            diffs = np.diff(values)
-            sign_flips = np.flatnonzero(np.sign(diffs[:-1]) > np.sign(diffs[1:]))
-            assert sign_flips.size == 1
-            assert abs(grid[sign_flips[0] + 1] - greedy_price(gauss025, float(u))) <= grid[1] + 1e-12
-
+    def test_small_noise_ceiling_is_warning_free(self):
+        # the sigma = 0.02 grid reaches z = -50, where the Mills ratio is +inf and the hazard 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert squared_hazard_ceiling(GaussianNoise(0.02), 1.0) > 0.0
 
 def test_invariant_violation_is_runtime_error():
     assert issubclass(InvariantViolation, RuntimeError)
