@@ -152,14 +152,12 @@ class FixedValuationScenario(Scenario):
     name = "fixed-valuation"
 
     @classmethod
-    def build(cls, u_star: float = FIXED_VALUATION, sigma: float = 1.0, dim: int = 2):
-        """Gaussian(sigma) market whose expected valuation is pinned at u*."""
-        theta = np.zeros(dim)
-        theta[0] = u_star
+    def build(cls, u_star: float = FIXED_VALUATION, sigma: float = 1.0):
+        """Gaussian(sigma) market in d=2 whose expected valuation is pinned at u*."""
         problem = PricingProblem(
             model=GaussianNoise(sigma),
-            region=OrthantBall(radius=u_star, dim=dim),
-            theta_star=theta,
+            region=OrthantBall(radius=u_star, dim=2),
+            theta_star=np.array([u_star, 0.0]),
             feature_bound=1.0,
         )
         return cls(problem)

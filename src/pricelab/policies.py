@@ -8,16 +8,15 @@ All policies speak the same two-phase, per-round protocol:
 plus ``reset(seed)`` for a fresh, reproducible run.  ``propose`` validates
 the feature and range-checks the price, so every proposed price lies in
 [0, V_max] with V_max = B + J(0); ``feedback`` passes (x, price, accepted)
-to the policy's update unchecked.  ``state_snapshot()`` returns the mutable
-state (epoch counter and estimate, Newton matrix, expert weights) as plain
-JSON-serializable types.
+to the policy's update unchecked.
 
 EmlpPolicy   - epoch-doubling batch maximum-likelihood pricing: prices each
                epoch greedily under the previous epoch's MLE, refits at
                epoch boundaries only (O(log T) policy switches).
-OnspPolicy   - per-round online Newton step on the sale likelihood with a
-               rank-one updated matrix, Woodbury-maintained inverse, and
-               matrix-weighted projection back onto the feasible set.
+OnspPolicy   - per-round online Newton step on the sale likelihood: a
+               rank-one updated matrix, one linear solve for the Newton
+               direction, and matrix-weighted projection back onto the
+               feasible set.
 Exp4Policy   - discretized experts-and-arms baseline: a parameter grid of
                experts each recommending the arm nearest its greedy price,
                found by a sorted search of precomputed valuation thresholds,
@@ -131,9 +130,6 @@ class PricingPolicy(abc.ABC):
     @abc.abstractmethod
     def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None: ...
 
-    @abc.abstractmethod
-    def state_snapshot(self) -> dict: ...
-
 
 class EpochRecord(NamedTuple):
     """One completed pricing epoch: its index, its length and the estimate that priced it."""
@@ -215,39 +211,20 @@ class EmlpPolicy(PricingPolicy):
         """Number of distinct estimates adopted so far."""
         return (1 if self.epoch >= 1 else 0) + len(self.epoch_log)
 
-    def state_snapshot(self) -> dict:
-        return {
-            "kind": self.name,
-            "epoch": self.epoch,
-            "epoch_length": self.epoch_length,
-            "position": self.position,
-            "theta": self.theta.tolist(),
-            "mle_warnings": self.mle_warnings,
-        }
-
 
 class OnspPolicy(PricingPolicy):
     """Online Newton-step pricing on the sale likelihood.
 
     Per round: price J(x'theta_t); after the outcome, take the gradient g
     of the round's sale likelihood (its row slope times x), rank-one update
-    A += g g', Newton step theta - (1/gamma) A^{-1} g, and A-weighted
-    projection back onto the feasible set.  A^{-1} is maintained by the
-    rank-one inverse identity and re-synced by direct inversion every
-    ``refresh_every`` rounds to keep float drift below 1e-8.
+    A += g g', Newton step theta - (1/gamma) A^{-1} g with A^{-1} g from one
+    linear solve, and A-weighted projection back onto the feasible set.
+    The state is theta and A alone.
     """
 
     name = "onsp"
 
-    def __init__(
-        self,
-        model,
-        region,
-        feature_bound,
-        gamma: float | None = None,
-        epsilon: float | None = None,
-        refresh_every: int = 4096,
-    ):
+    def __init__(self, model, region, feature_bound, gamma: float | None = None, epsilon: float | None = None):
         if (gamma is None) != (epsilon is None):
             raise ValueError("override gamma and epsilon together or not at all")
         if gamma is None:
@@ -257,15 +234,11 @@ class OnspPolicy(PricingPolicy):
             raise ValueError("gamma and epsilon must be positive")
         self.gamma = float(gamma)
         self.epsilon = float(epsilon)
-        self.refresh_every = refresh_every
         super().__init__(model, region, feature_bound)
 
     def _reset_state(self) -> None:
-        dim = self.region.dim
         self.theta = self.region.project(self.region.interior_point())
-        self.matrix = self.epsilon * np.eye(dim)
-        self.matrix_inv = np.eye(dim) / self.epsilon
-        self.rounds = 0
+        self.matrix = self.epsilon * np.eye(self.region.dim)
 
     def _propose(self, x: np.ndarray) -> float:
         return greedy_price(self.model, self.clipped_valuation(x, self.theta))
@@ -274,25 +247,8 @@ class OnspPolicy(PricingPolicy):
         slope = row_slopes(self.model, np.array([price - x @ self.theta]), np.array([accepted]))
         grad = slope[0] * x
         self.matrix = self.matrix + np.outer(grad, grad)
-        # rank-one inverse update: (A + gg')^{-1} = A^{-1} - (A^{-1}g)(A^{-1}g)'/(1+g'A^{-1}g)
-        ag = self.matrix_inv @ grad
-        self.matrix_inv = self.matrix_inv - np.outer(ag, ag) / (1.0 + float(grad @ ag))
-        self.matrix_inv = 0.5 * (self.matrix_inv + self.matrix_inv.T)
-        self.rounds += 1
-        if self.rounds % self.refresh_every == 0:
-            self.matrix_inv = np.linalg.inv(self.matrix)
-        newton = self.theta - (self.matrix_inv @ grad) / self.gamma
+        newton = self.theta - np.linalg.solve(self.matrix, grad) / self.gamma
         self.theta = self.region.project_weighted(newton, self.matrix)
-
-    def state_snapshot(self) -> dict:
-        return {
-            "kind": self.name,
-            "theta": self.theta.tolist(),
-            "matrix": self.matrix.tolist(),
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "rounds": self.rounds,
-        }
 
 
 class Exp4Policy(PricingPolicy):
@@ -399,17 +355,6 @@ class Exp4Policy(PricingPolicy):
         self.weights = np.where(rec == arm, self.weights * boost, self.weights)
         self.weights = self.weights / self.weights.sum()
 
-    def state_snapshot(self) -> dict:
-        return {
-            "kind": self.name,
-            "weights": self.weights.tolist(),
-            "arms": self.arms.tolist(),
-            "n_experts": len(self.experts),
-            "learning_rate": self.learning_rate,
-            "exploration": self.exploration,
-            "clip_events": self.clip_events,
-        }
-
 
 class OraclePolicy(PricingPolicy):
     """Greedy pricing under the true parameter: the regret comparator."""
@@ -428,6 +373,3 @@ class OraclePolicy(PricingPolicy):
 
     def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
         pass
-
-    def state_snapshot(self) -> dict:
-        return {"kind": self.name, "theta": self.theta_star.tolist()}

@@ -44,9 +44,6 @@ class ConstantPricePolicy(PricingPolicy):
     def _feedback(self, x, price, accepted):
         pass
 
-    def state_snapshot(self):
-        return {"kind": self.name, "price": self._price}
-
 
 class TestCheckpoints:
     def test_dyadic_plus_final(self):

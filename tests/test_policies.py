@@ -46,13 +46,22 @@ FIRST_ORDER_REGRET = [
 
 # Reg(t) at t = 1, 2, 4, ..., 8192 of the ONSP (gamma = epsilon = 1) episode
 # SeedSequence([4252541989, 0]) on alternating features, as played with the
-# earlier weighted projection (projected gradient, 500-step cap); one of its
-# projections is active
+# earlier weighted projection (projected gradient, 500-step cap) and the
+# earlier rank-one updated inverse of A; one of its projections is active
 PROJECTED_GRADIENT_REGRET = [
     0.013368328714300909, 0.026736657428601818, 0.05800853099640502, 0.13760613418867693,
     0.6355921280429879, 0.6966396377741246, 0.9920225433855372, 1.016749294570238,
     1.2355303388402779, 1.3324119249117843, 1.7020366642420364, 1.7878794385713621,
     1.9514630247230518, 1.964797480920094,
+]  # fmt: skip
+
+# the same episode on stochastic features, as played with the earlier rank-one
+# updated inverse of A (re-inverted every 4096 rounds) in place of a linear solve
+INVERSE_UPDATE_REGRET = [
+    0.014999144579292079, 0.019584174149248096, 0.033671573920012215, 0.04240116945806635,
+    0.1490625287677314, 0.19818263894702523, 0.23352159718411222, 0.31569840187150866,
+    0.41477085566505123, 0.47495482651932425, 0.5904370558416698, 0.6955692573830033,
+    0.7179861753609339, 0.7763720795253084,
 ]  # fmt: skip
 
 
@@ -195,13 +204,6 @@ class TestEmlp:
         x = np.array([0.6, 0.5])
         assert policy.propose(x) == pytest.approx(oracle.propose(x), abs=1e-13)
 
-    def test_snapshot_is_plain(self, problem):
-        import json
-
-        policy = EmlpPolicy(problem.model, problem.region, 1.0)
-        policy.reset(0)
-        json.dumps(policy.state_snapshot())
-
     def test_former_stall_seed_fits_in_newton_steps(self, problem, monkeypatch):
         # this seed's 4-round refit once ran a first-order solver to its
         # 100,000-iteration cap; both solvers stop at the same 1e-9
@@ -256,6 +258,25 @@ class TestOnsp:
         assert policy.matrix[0, 0] == pytest.approx(1.0 + g * g, rel=1e-12)
         assert policy.theta[0] == pytest.approx(-g / (1.0 + g * g), rel=1e-10)
 
+    def test_planar_newton_step_solves_the_matrix(self):
+        # d=2, gamma=1, epsilon=1, wide region: after two rounds on independent
+        # features, theta_2 = theta_1 - A^{-1} g_2 with A^{-1} from the 2x2 adjugate
+        model = GaussianNoise(1.0)
+        region = Ball(np.zeros(2), 100.0)
+        policy = OnspPolicy(model, region, 100.0, gamma=1.0, epsilon=1.0)
+        policy.reset(0)
+        grads = []
+        for x, accepted in ((np.array([1.0, 0.5]), True), (np.array([-0.3, 0.8]), False)):
+            theta = policy.theta.copy()
+            v = policy.propose(x)
+            policy.feedback(accepted)
+            grads.append(BatchObjective(x, v, accepted, model).gradient(theta))
+        a = np.eye(2) + sum(np.outer(g, g) for g in grads)
+        adjugate = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+        expected = theta - adjugate @ grads[1] / (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        np.testing.assert_allclose(policy.matrix, a, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(policy.theta, expected, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("accepted", [True, False])
     def test_gradient_is_the_rounds_batch_gradient(self, problem, accepted):
         policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
@@ -293,6 +314,12 @@ class TestOnsp:
         policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
         _, trace = run_episode(policy, AlternatingScenario(problem), 8192, episode_seed(4252541989, 0))
         np.testing.assert_allclose(trace.cumulative, PROJECTED_GRADIENT_REGRET, rtol=1e-11, atol=0.0)
+
+    def test_linear_solve_keeps_the_stochastic_trace(self, problem):
+        # the solve and the updated inverse give Newton directions a few ulp apart
+        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
+        _, trace = run_episode(policy, StochasticScenario(problem), 8192, episode_seed(4252541989, 0))
+        np.testing.assert_allclose(trace.cumulative, INVERSE_UPDATE_REGRET, rtol=1e-11, atol=0.0)
 
     def test_deterministic(self, problem):
         scen = StochasticScenario(problem)
@@ -460,24 +487,6 @@ class TestExp4:
             "assert 'scipy.optimize' not in sys.modules\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=source_env, timeout=120)
-
-
-class TestSnapshots:
-    def test_snapshots_serialize_and_carry_state(self, problem):
-        import json
-
-        scen = StochasticScenario(problem)
-        onsp = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
-        _drive(onsp, scen, 16, seed=2)
-        snap = json.loads(json.dumps(onsp.state_snapshot()))
-        assert snap["kind"] == "onsp" and len(snap["matrix"]) == 2 and snap["rounds"] == 16
-
-        exp4 = Exp4Policy(problem.model, problem.region, 1.0, horizon=64)
-        _drive(exp4, scen, 16, seed=2)
-        snap = json.loads(json.dumps(exp4.state_snapshot()))
-        assert snap["kind"] == "exp4"
-        assert len(snap["weights"]) == len(exp4.experts)
-        assert snap["n_experts"] == len(exp4.experts)
 
 
 class TestOracle:
