@@ -14,9 +14,16 @@ episode seed derived from SeedSequence([m, r]).  Everything downstream is a
 pure function of those integers, so repetitions can run in any order or in
 parallel without changing results.
 
-Inputs are validated where they enter: ``PricingPolicy.propose`` checks each
-feature and raises on a price outside [0, V_max], which aborts the episode;
-the runner does not check either again.
+One loop plays every policy: it asks the policy how many rounds it can
+price without feedback (``frozen_rounds``), takes the prices of those rounds
+as one block and hands back the block's sale outcomes.  ``run_episode``
+draws the outcomes from the sale rule, a sale when the price is at most
+x'theta* + noise, and ``replay_prices`` reads them from a transcript.
+
+Inputs are validated where they enter: ``PricingPolicy.propose_block``
+checks each block of features and raises on a price outside [0, V_max],
+which aborts the episode at that price's round; the runner does not check
+either again.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 
 from .environments import Scenario
 from .loss import BatchObjective
-from .policies import EmlpPolicy, PricingPolicy
+from .policies import EmlpPolicy, PriceWindowError, PricingPolicy
 from .pricing import expected_reward, greedy_price_vec
 
 __all__ = [
@@ -125,6 +132,33 @@ def _spawn(seed, n: int = 2) -> list[np.random.SeedSequence]:
     return root.spawn(n)
 
 
+def _play(policy: PricingPolicy, policy_stream, features: np.ndarray, sales) -> tuple[np.ndarray, np.ndarray]:
+    """The block loop: prices and outcomes of every round of ``features``.
+
+    The policy is reset with ``policy_stream``; ``sales(rows, prices)`` gives
+    the outcomes of the block of rounds ``rows`` at the posted prices.
+    """
+    horizon = len(features)
+    policy.reset(policy_stream)
+    prices = np.empty(horizon)
+    accepted = np.empty(horizon, dtype=bool)
+    t = 0
+    while t < horizon:
+        rows = slice(t, t + min(policy.frozen_rounds(), horizon - t))
+        try:
+            block = policy.propose_block(features[rows])
+        except PriceWindowError as exc:
+            raise EpisodeAbort(f"round {t + exc.row + 1}: {exc}") from exc
+        except RuntimeError as exc:
+            raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
+        sold = sales(rows, block)
+        policy.feedback_block(sold)
+        prices[rows] = block
+        accepted[rows] = sold
+        t = rows.stop
+    return prices, accepted
+
+
 def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -> tuple[Transcript, RegretTrace]:
     """Play the four-step protocol for ``horizon`` rounds.
 
@@ -140,19 +174,8 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
     features = scenario.features(horizon, env_rng)
     noise = np.asarray(problem.model.sample(env_rng, horizon))
     u_star = features @ problem.theta_star
-
-    policy.reset(policy_stream)
-    prices = np.empty(horizon)
-    accepted = np.empty(horizon, dtype=bool)
-    for t in range(horizon):
-        try:
-            v = policy.propose(features[t])
-        except RuntimeError as exc:
-            raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
-        sale = bool(v <= u_star[t] + noise[t])
-        policy.feedback(sale)
-        prices[t] = v
-        accepted[t] = sale
+    reservation = u_star + noise
+    prices, accepted = _play(policy, policy_stream, features, lambda rows, v: v <= reservation[rows])
 
     best_prices = greedy_price_vec(problem.model, np.clip(u_star, 0.0, None))
     best = expected_reward(problem.model, best_prices, u_star)
@@ -200,11 +223,7 @@ def run_horizon_envelope(
 def replay_prices(policy: PricingPolicy, transcript: Transcript, seed) -> np.ndarray:
     """Drive a fresh policy through a recorded transcript; returns its prices."""
     _, policy_stream = _spawn(seed)
-    policy.reset(policy_stream)
-    prices = np.empty(len(transcript))
-    for t in range(len(transcript)):
-        prices[t] = policy.propose(transcript.features[t])
-        policy.feedback(bool(transcript.accepted[t]))
+    prices, _ = _play(policy, policy_stream, transcript.features, lambda rows, v: transcript.accepted[rows])
     return prices
 
 

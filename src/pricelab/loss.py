@@ -69,8 +69,12 @@ def row_losses(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.nda
 
 
 def row_slopes(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """Derivative of each row's loss in x'theta: -hazard(w) on sales, reverse_hazard(w) on misses."""
-    return _by_outcome(w, accepted, lambda s: -model.hazard(s), model.reverse_hazard)
+    """Derivative of each row's loss in x'theta: -hazard(w) on sales, reverse_hazard(w) on misses.
+
+    Calls the unchecked kernels: margins are built from features and prices
+    validated where they entered.
+    """
+    return _by_outcome(w, accepted, lambda s: -model._hazard(s)[0], model._reverse_hazard)
 
 
 def row_curvatures(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:

@@ -1,18 +1,25 @@
 """Online pricing policies.
 
-All policies speak the same two-phase, per-round protocol:
+All policies speak the same two-phase block protocol:
 
-    price = policy.propose(x)      # post a price for feature vector x
-    policy.feedback(accepted)      # observe the binary sale outcome
+    n = policy.frozen_rounds()           # rounds priceable without feedback
+    prices = policy.propose_block(X)     # post prices for up to n feature rows
+    policy.feedback_block(accepted)      # observe the block's sale outcomes
 
-plus ``reset(seed)`` for a fresh, reproducible run.  ``propose`` validates
-the feature and range-checks the price, so every proposed price lies in
-[0, V_max] with V_max = B + J(0); ``feedback`` passes (x, price, accepted)
-to the policy's update unchecked.
+plus ``reset(seed)`` for a fresh, reproducible run.  ``propose_block``
+validates the block once and range-checks all of its prices with one vector
+comparison, so every proposed price lies in [0, V_max] with
+V_max = B + J(0); ``feedback_block`` passes (X, prices, accepted) to the
+policy's update unchecked.  A policy whose estimate is frozen over a stretch
+prices the stretch with one ``greedy_price_vec`` call; the others take
+blocks of one row and price them with their per-row ``_propose`` and
+``_feedback``.  ``propose(x)``/``feedback(accepted)`` are the batch-of-one
+view of the block methods.
 
 EmlpPolicy   - epoch-doubling batch maximum-likelihood pricing: prices each
-               epoch greedily under the previous epoch's MLE, refits at
-               epoch boundaries only (O(log T) policy switches).
+               epoch greedily under the previous epoch's MLE, as one block,
+               and refits at epoch boundaries only (O(log T) policy
+               switches).
 OnspPolicy   - per-round online Newton step on the sale likelihood: a
                rank-one updated matrix, one linear solve for the Newton
                direction, and matrix-weighted projection back onto the
@@ -22,13 +29,14 @@ Exp4Policy   - discretized experts-and-arms baseline: a parameter grid of
                found by a sorted search of precomputed valuation thresholds,
                exponential weights over importance-weighted rewards.
 OraclePolicy - prices greedily under the true parameter (the regret
-               comparator).
+               comparator), the whole episode as one block.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +48,7 @@ from .pricing import (
     compute_constants,
     greedy_price,
     greedy_price_inverse,
+    greedy_price_vec,
     price_cap,
     squared_hazard_ceiling,
 )
@@ -47,6 +56,7 @@ from .regions import OrthantBall, Region
 
 __all__ = [
     "PricingPolicy",
+    "PriceWindowError",
     "EmlpPolicy",
     "OnspPolicy",
     "Exp4Policy",
@@ -71,8 +81,21 @@ def onsp_default_hyperparams(constants: AnalysisConstants, b1: float, b2: float)
     return gamma, epsilon
 
 
+class PriceWindowError(RuntimeError):
+    """A proposed price outside [0, V_max]; ``row`` is its index in the block."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class PricingPolicy(abc.ABC):
-    """Two-phase online policy base: propose exactly once, then feedback."""
+    """Two-phase online policy base: propose one block, then its feedback.
+
+    A subclass prices one row at a time through ``_propose`` and
+    ``_feedback``, or a stretch with a frozen estimate through
+    ``frozen_rounds``, ``_propose_block`` and ``_feedback_block``.
+    """
 
     name: str = "policy"
 
@@ -85,7 +108,7 @@ class PricingPolicy(abc.ABC):
         self.valuation_bound = region.radius * feature_bound
         self.price_cap = price_cap(model, self.valuation_bound)
         self._rng = np.random.default_rng()
-        self._pending: tuple[np.ndarray, float] | None = None
+        self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._reset_state()
 
     # -- protocol ------------------------------------------------------------
@@ -95,40 +118,75 @@ class PricingPolicy(abc.ABC):
         self._pending = None
         self._reset_state()
 
-    def propose(self, x) -> float:
+    def frozen_rounds(self) -> int:
+        """How many upcoming rounds the policy can price without feedback."""
+        return 1
+
+    def propose_block(self, features) -> np.ndarray:
+        """Prices for a (rounds, d) block of at most ``frozen_rounds()`` rows."""
         if self._pending is not None:
             raise RuntimeError("propose called twice without feedback")
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or not np.all(np.isfinite(x)):
-            raise ValueError("feature must be a finite 1-d vector")
-        price = float(self._propose(x))
-        if not (0.0 <= price <= self.price_cap * (1.0 + 1e-9) + 1e-12):
-            raise RuntimeError(f"{self.name} priced {price} outside [0, {self.price_cap}]")
-        self._pending = (x, price)
-        return price
+        x = np.asarray(features, dtype=float)
+        if x.ndim != 2 or np.count_nonzero(np.isfinite(x)) < x.size:
+            raise ValueError("features must be a finite (rounds, d) array")
+        if not 1 <= len(x) <= self.frozen_rounds():
+            raise ValueError(f"a block of {len(x)} rounds, where {self.frozen_rounds()} can be priced")
+        prices = self._propose_block(x)
+        inside = (prices >= 0.0) & (prices <= self.price_cap * (1.0 + 1e-9) + 1e-12)
+        if np.count_nonzero(inside) < len(prices):
+            row = int(np.argmin(inside))
+            raise PriceWindowError(f"{self.name} priced {prices[row]} outside [0, {self.price_cap}]", row)
+        self._pending = (x, prices)
+        return prices
 
-    def feedback(self, accepted) -> None:
+    def feedback_block(self, accepted) -> None:
+        """The sale outcome of each round of the pending block."""
         if self._pending is None:
             raise RuntimeError("feedback without a pending propose")
-        x, price = self._pending
+        x, prices = self._pending
+        accepted = np.asarray(accepted, dtype=bool)
+        if accepted.shape != prices.shape:
+            raise ValueError(f"outcomes of shape {accepted.shape} for prices of shape {prices.shape}")
         self._pending = None
-        self._feedback(x, price, bool(accepted))
+        self._feedback_block(x, prices, accepted)
 
-    def clipped_valuation(self, x, theta) -> float:
+    def propose(self, x) -> float:
+        """The price for one feature vector: a block of one row."""
+        return float(self.propose_block(np.asarray(x, dtype=float)[np.newaxis])[0])
+
+    def feedback(self, accepted) -> None:
+        """The sale outcome of the one pending round."""
+        self.feedback_block(np.array([bool(accepted)]))
+
+    def clipped_valuation(self, x, theta):
         # x'theta lies in [0, B] for theta in H by assumption; clamp is a
         # numerical guard only.
-        return float(np.clip(x @ theta, 0.0, self.valuation_bound))
+        return (x @ theta).clip(0.0, self.valuation_bound)
+
+    def clipped_valuations(self, x: np.ndarray, theta) -> np.ndarray:
+        """``clipped_valuation`` of each row of a block, summed row by row.
+
+        A BLAS matrix-vector product rounds a row differently in a block of
+        one and in a longer block; a row's price must not depend on its block.
+        """
+        return (x * theta).sum(axis=1).clip(0.0, self.valuation_bound)
 
     # -- subclass hooks --------------------------------------------------------
 
     @abc.abstractmethod
     def _reset_state(self) -> None: ...
 
-    @abc.abstractmethod
-    def _propose(self, x: np.ndarray) -> float: ...
+    def _propose_block(self, x: np.ndarray) -> np.ndarray:
+        return np.array([self._propose(x[0])], dtype=float)
 
-    @abc.abstractmethod
-    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None: ...
+    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
+        self._feedback(x[0], float(prices[0]), bool(accepted[0]))
+
+    def _propose(self, x: np.ndarray) -> float:
+        raise NotImplementedError(f"{type(self).__name__} prices blocks, not rows")
+
+    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
+        raise NotImplementedError(f"{type(self).__name__} takes feedback by blocks, not rows")
 
 
 class EpochRecord(NamedTuple):
@@ -145,9 +203,11 @@ class EmlpPolicy(PricingPolicy):
     Round 1 posts a uniform random price in [0, V_max] and fits the first
     estimate on that single observation.  Epoch k then lasts 2^(k-1) rounds,
     prices J(x'theta_k) throughout, and refits on exactly that epoch's batch
-    at the boundary (warm-started at the current estimate).  Only the current
-    epoch's features, prices and outcomes are held, in arrays of its length;
-    ``epoch_log`` keeps each completed epoch's index, length and estimate.
+    at the boundary (warm-started at the current estimate).  The estimate is
+    frozen within an epoch, so the rest of the epoch is one block, priced by
+    one ``greedy_price_vec`` call.  Only the current epoch's features, prices
+    and outcomes are held, in arrays of its length; ``epoch_log`` keeps each
+    completed epoch's index, length and estimate.
     """
 
     name = "emlp"
@@ -182,16 +242,20 @@ class EmlpPolicy(PricingPolicy):
             self.mle_warnings += 1
         return result.theta
 
-    def _propose(self, x: np.ndarray) -> float:
-        if self.epoch == 0:
-            return self._rng.uniform(0.0, self.price_cap)
-        return greedy_price(self.model, self.clipped_valuation(x, self.theta))
+    def frozen_rounds(self) -> int:
+        return self.epoch_length - self.position  # the bootstrap round is an epoch of one
 
-    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
-        self._features[self.position] = x
-        self._prices[self.position] = price
-        self._accepted[self.position] = accepted
-        self.position += 1
+    def _propose_block(self, x: np.ndarray) -> np.ndarray:
+        if self.epoch == 0:
+            return np.array([self._rng.uniform(0.0, self.price_cap)])
+        return greedy_price_vec(self.model, self.clipped_valuations(x, self.theta))
+
+    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
+        rows = slice(self.position, self.position + len(prices))
+        self._features[rows] = x
+        self._prices[rows] = prices
+        self._accepted[rows] = accepted
+        self.position = rows.stop
         if self.position < self.epoch_length:
             return
         batch = BatchObjective(self._features, self._prices, self._accepted, self.model)
@@ -325,7 +389,7 @@ class Exp4Policy(PricingPolicy):
         """Arm index each expert recommends for feature x: the number of thresholds below x'theta_e."""
         if len(self.arms) == 1:
             return np.zeros(len(self.experts), dtype=int)
-        return np.searchsorted(self.thresholds, np.clip(self.experts @ x, 0.0, self.valuation_bound))
+        return self.thresholds.searchsorted(self.clipped_valuation(self.experts, x))
 
     def arm_distribution(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rec = self.recommendations(x)
@@ -352,8 +416,8 @@ class Exp4Policy(PricingPolicy):
         # eta*estimate <= 1 whenever exploration = K*eta; the clamp guards
         # the clipped-probability path only
         boost = math.exp(min(self.learning_rate * estimate, 50.0))
-        self.weights = np.where(rec == arm, self.weights * boost, self.weights)
-        self.weights = self.weights / self.weights.sum()
+        self.weights[rec == arm] *= boost
+        self.weights /= self.weights.sum()
 
 
 class OraclePolicy(PricingPolicy):
@@ -368,8 +432,11 @@ class OraclePolicy(PricingPolicy):
     def _reset_state(self) -> None:
         pass
 
-    def _propose(self, x: np.ndarray) -> float:
-        return greedy_price(self.model, self.clipped_valuation(x, self.theta_star))
+    def frozen_rounds(self) -> int:
+        return sys.maxsize  # the true parameter prices every remaining round
 
-    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
+    def _propose_block(self, x: np.ndarray) -> np.ndarray:
+        return greedy_price_vec(self.model, self.clipped_valuations(x, self.theta_star))
+
+    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
         pass

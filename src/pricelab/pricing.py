@@ -165,8 +165,9 @@ def greedy_price(model: NoiseModel, valuation: float) -> float:
     On the standardized scale z = (J - u)/spread the first-order condition
     is m(z) = z + c with c = u/spread and m the standardized Mills ratio;
     the root is found by safeguarded Newton on q(z) = log m(z) - log(z + c)
-    as described in the module docstring, over Python floats (policies call
-    this once per round).  Stops when a step moves z by less than
+    as described in the module docstring, over Python floats (ONSP calls
+    this once per round; EMLP and the oracle price whole blocks with
+    greedy_price_vec).  Stops when a step moves z by less than
     PRICE_TOL/spread and raises InvariantViolation after NEWTON_CAP steps.
     """
     u = float(valuation)

@@ -16,6 +16,7 @@ from pricelab import (
     StochasticScenario,
     expected_reward,
     greedy_price,
+    greedy_price_vec,
     lower_bound_pair,
     run_episode,
 )
@@ -92,13 +93,17 @@ def _oracle_transcript(scenario, horizon, seed):
 
 
 class TestResolveSale:
-    """The harness sells when the price is at most x'theta* + noise."""
+    """The harness sells when the price is at most x'theta* + noise.
+
+    The oracle prices a whole episode with one greedy_price_vec call, so its
+    prices equal that solver's exactly.
+    """
 
     def test_acceptance_frequency(self):
         scen = FixedValuationScenario.build(u_star=0.6, sigma=1.0)
         n = 100_000
         transcript = _oracle_transcript(scen, n, seed=3)
-        v = greedy_price(scen.problem.model, 0.6)
+        v = float(greedy_price_vec(scen.problem.model, 0.6))
         np.testing.assert_array_equal(transcript.prices, v)
         p = scen.problem.model.sf(v - 0.6)  # 1 - F(v - u*)
         assert p < 0.4  # J(u*) > u* below the fixed point: fewer than half buy
@@ -108,7 +113,7 @@ class TestResolveSale:
         # at the unit-noise fixed point the optimal price is the valuation
         # itself, accepted half the time for an expected reward of u*/2
         scen = FixedValuationScenario.build(sigma=1.0)
-        v = greedy_price(GaussianNoise(1.0), FIXED_VALUATION)
+        v = float(greedy_price_vec(GaussianNoise(1.0), FIXED_VALUATION))
         assert v == pytest.approx(FIXED_VALUATION, abs=1e-9)
         transcript = _oracle_transcript(scen, 50_000, seed=11)
         np.testing.assert_array_equal(transcript.prices, v)

@@ -45,6 +45,29 @@ class ConstantPricePolicy(PricingPolicy):
         pass
 
 
+class WindowBreakingPolicy(PricingPolicy):
+    """Prices blocks of four rounds at 0.5, and every round from ``bad`` on far outside the window."""
+
+    name = "window-breaking"
+
+    def __init__(self, model, region, feature_bound, bad):
+        self.bad = bad
+        super().__init__(model, region, feature_bound)
+
+    def _reset_state(self):
+        self.played = 0
+
+    def frozen_rounds(self):
+        return 4
+
+    def _propose_block(self, x):
+        rounds = self.played + 1 + np.arange(len(x))
+        return np.where(rounds >= self.bad, 3.0 * self.price_cap, 0.5)
+
+    def _feedback_block(self, x, prices, accepted):
+        self.played += len(prices)
+
+
 class TestCheckpoints:
     def test_dyadic_plus_final(self):
         np.testing.assert_array_equal(dyadic_checkpoints(10), [1, 2, 4, 8, 10])
@@ -93,6 +116,13 @@ class TestRunEpisode:
         policy._price = problem.price_window * 3.0  # bypass construction-time sanity
         with pytest.raises(EpisodeAbort):
             run_episode(policy, StochasticScenario(problem), 8, 0)
+
+    @pytest.mark.parametrize("bad", [5, 7])
+    def test_abort_names_the_first_round_outside_the_window(self, problem, bad):
+        # round 5 opens the second block of four; round 7 is its third row
+        policy = WindowBreakingPolicy(problem.model, problem.region, 1.0, bad)
+        with pytest.raises(EpisodeAbort, match=rf"^round {bad}: window-breaking priced"):
+            run_episode(policy, StochasticScenario(problem), 16, 0)
 
     def test_cumulative_nondecreasing(self, problem):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)

@@ -64,6 +64,26 @@ INVERSE_UPDATE_REGRET = [
     0.7179861753609339, 0.7763720795253084,
 ]  # fmt: skip
 
+# Reg(t) at t = 1, 2, 4, ..., 16384 of the EMLP episode SeedSequence([4252541989, 0])
+# on each scenario, as played with one scalar greedy-price solve per round
+SCALAR_PRICING_REGRET = {
+    "stochastic": [
+        0.037589636234791196, 0.09324531267469724, 0.16462514856364407, 0.2550839907659344,
+        0.4609500929628211, 1.024465097861146, 1.1860692624017444, 2.5969723868657506,
+        2.625122160442076, 3.4259740668268064, 3.7253770232482992, 4.352381727025707,
+        4.416751092391136, 4.533682834121707, 4.762513465118782,
+    ],
+    "adversarial": [
+        0.00873456178528459, 0.10343800220413432, 0.35478528971297196, 0.7335990513883708,
+        0.9040975680406846, 1.7608795074757653, 4.078013132811985, 10.226089661739636,
+        22.64046208112105, 45.14462191966224, 97.3735966912756, 194.25467501594792,
+        394.8871547349481, 782.6977433102046, 1558.413660729892,
+    ],
+}  # fmt: skip
+# Block pricing moves a stochastic price by about one ulp in some rounds (the
+# vector solve, and x'theta summed row by row); over 8 episodes of 16384
+# rounds no sale flipped and Reg(t) moved by at most 2.8e-15 relative
+BLOCK_PRICING_RTOL = 1e-13
 
 EXP4_HORIZONS = (8, 64, 4096, 10**5)
 
@@ -134,6 +154,56 @@ class TestProtocol:
             prices = _drive(policy, scen, 128, seed=1)
             assert np.all(prices >= 0.0)
             assert np.all(prices <= policy.price_cap + 1e-9)
+
+
+class TestBlockProtocol:
+    def test_block_longer_than_the_frozen_stretch_rejected(self, problem):
+        policy = EmlpPolicy(problem.model, problem.region, 1.0)
+        policy.reset(0)
+        assert policy.frozen_rounds() == 1  # the bootstrap round
+        with pytest.raises(ValueError):
+            policy.propose_block(np.ones((2, 2)))
+
+    def test_outcomes_must_match_the_block(self, problem):
+        policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
+        policy.reset(0)
+        policy.propose_block(np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            policy.feedback_block([True, False])
+
+    def test_oracle_prices_the_episode_in_one_vector_solve(self, problem, monkeypatch):
+        sizes, solve = [], policies_module.greedy_price_vec
+
+        def counted(model, valuations):
+            sizes.append(len(valuations))
+            return solve(model, valuations)
+
+        monkeypatch.setattr(policies_module, "greedy_price_vec", counted)
+        policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
+        run_episode(policy, StochasticScenario(problem), 1000, episode_seed(5, 0))
+        assert sizes == [1000]
+
+    @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
+    def test_rounds_of_one_price_as_the_blocks_do(self, problem, scenario):
+        # batch-of-one propose/feedback on the block path's transcript
+        seed = episode_seed(7, 0)
+        for make in (
+            lambda: EmlpPolicy(problem.model, problem.region, 1.0),
+            lambda: OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star),
+        ):
+            block, single = make(), make()
+            transcript, _ = run_episode(block, scenario(problem), 1024, seed)
+            single.reset(episode_seed(7, 0).spawn(2)[1])  # the episode's policy stream
+            prices = []
+            for x, accepted in zip(transcript.features, transcript.accepted):
+                prices.append(single.propose(x))
+                single.feedback(accepted)
+            np.testing.assert_array_equal(prices, transcript.prices)
+            if isinstance(block, EmlpPolicy):
+                assert [(r.index, r.length) for r in single.epoch_log] == [(r.index, r.length) for r in block.epoch_log]
+                for mine, theirs in zip(single.epoch_log, block.epoch_log):
+                    np.testing.assert_array_equal(mine.theta_used, theirs.theta_used)
+                np.testing.assert_array_equal(single.theta, block.theta)
 
 
 class TestEmlp:
@@ -221,6 +291,31 @@ class TestEmlp:
         assert len(fits) == 15 and all(fit.converged for fit in fits)
         assert max(fit.iterations for fit in fits) <= 50
         np.testing.assert_allclose(trace.cumulative, FIRST_ORDER_REGRET, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
+    def test_block_pricing_keeps_the_trace(self, problem, scenario):
+        policy = EmlpPolicy(problem.model, problem.region, 1.0)
+        _, trace = run_episode(policy, scenario(problem), 16384, episode_seed(4252541989, 0))
+        np.testing.assert_allclose(
+            trace.cumulative, SCALAR_PRICING_REGRET[scenario.name], rtol=BLOCK_PRICING_RTOL, atol=0.0
+        )
+
+    def test_one_vector_solve_per_epoch(self, problem, monkeypatch):
+        sizes, solve = [], policies_module.greedy_price_vec
+
+        def counted(model, valuations):
+            sizes.append(len(valuations))
+            return solve(model, valuations)
+
+        def scalar(model, valuation):
+            raise AssertionError("EMLP priced a round with the scalar greedy_price")
+
+        monkeypatch.setattr(policies_module, "greedy_price_vec", counted)
+        monkeypatch.setattr(policies_module, "greedy_price", scalar)
+        policy = EmlpPolicy(problem.model, problem.region, 1.0)
+        run_episode(policy, StochasticScenario(problem), 2**10, episode_seed(5, 0))
+        # the bootstrap round is a random draw; epochs 1..10 then last 1, 2, ..., 512 rounds
+        assert sizes == [2**k for k in range(10)]
 
     def test_small_noise_episodes_complete(self):
         # the step bound takes c_exp alone; the whole compute_constants raised
