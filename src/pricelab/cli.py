@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_policy, build_scenario, default_config, load_config
+from .config import ConfigError, ExperimentConfig, build_policy, build_scenario, default_config, load_config, parse_config
 from .environments import FIXED_VALUATION, FixedValuationScenario, lower_bound_pair
 from .harness import (
     EpisodeAbort,
@@ -60,8 +60,6 @@ def _pair_worker(args: tuple) -> dict:
     of MLE fits that did not report convergence.
     """
     raw, policy_index, scenario_name, rep = args
-    from .config import parse_config  # local import keeps the worker picklable
-
     config = parse_config(raw)
     spec = config.policies[policy_index]
     horizon = config.effective_horizon(spec)
@@ -210,8 +208,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw = dict(config.raw)
             raw["master_seed"] = args.seed
-            from .config import parse_config
-
             config = parse_config(raw)
         try:
             summary = run_experiments(config, out_dir=args.out, workers=args.workers)

@@ -48,6 +48,8 @@ __all__ = [
 ARMIJO = 1e-4
 # gradient-mapping norm at which a fit counts as converged
 MLE_TOL = 1e-9
+# Newton iterations after which a fit stops and reports converged=False
+MLE_MAX_ITER = 100
 # ridge added to the Hessian, relative to the curvature bound L: it makes the
 # Newton metric positive definite on batches that do not span the space
 RIDGE = 1e-12
@@ -156,7 +158,6 @@ def solve_mle(
     batch: BatchObjective,
     region: Region,
     theta_init,
-    max_iter: int = 100,
     step_bound: float | None = None,
 ) -> MleResult:
     """Constrained batch MLE by projected Newton.
@@ -171,7 +172,7 @@ def solve_mle(
     Each iteration first tests convergence: the gradient-mapping norm
     ||theta - P(theta - g/L)|| L at the base step 1/L (L = curvature bound
     over the batch) is at most MLE_TOL.  ``converged`` is True exactly when
-    such a test passed; hitting the iteration cap, or a line search that
+    such a test passed; hitting the MLE_MAX_ITER cap, or a line search that
     finds no representable decrease, returns the current iterate with
     ``converged=False``, which callers surface as a warning, not a failure.
     """
@@ -186,7 +187,7 @@ def solve_mle(
     noise_floor = 1e-14 * max(1.0, abs(value))
 
     iterations, converged = 0, False
-    while iterations < max_iter:
+    while iterations < MLE_MAX_ITER:
         iterations += 1
         grad, hess = batch.gradient_hessian(theta)
         converged = float(np.linalg.norm(theta - region.project(theta - grad / ell))) * ell <= MLE_TOL

@@ -12,9 +12,7 @@ comparison, so every proposed price lies in [0, V_max] with
 V_max = B + J(0); ``feedback_block`` passes (X, prices, accepted) to the
 policy's update unchecked.  A policy whose estimate is frozen over a stretch
 prices the stretch with one ``greedy_price_vec`` call; the others take
-blocks of one row and price them with their per-row ``_propose`` and
-``_feedback``.  ``propose(x)``/``feedback(accepted)`` are the batch-of-one
-view of the block methods.
+blocks of one row.
 
 EmlpPolicy   - epoch-doubling batch maximum-likelihood pricing: prices each
                epoch greedily under the previous epoch's MLE, as one block,
@@ -92,16 +90,16 @@ class PriceWindowError(RuntimeError):
 class PricingPolicy(abc.ABC):
     """Two-phase online policy base: propose one block, then its feedback.
 
-    A subclass prices one row at a time through ``_propose`` and
-    ``_feedback``, or a stretch with a frozen estimate through
-    ``frozen_rounds``, ``_propose_block`` and ``_feedback_block``.
+    A subclass implements ``_reset_state``, ``_propose_block`` and
+    ``_feedback_block``, and overrides ``frozen_rounds`` when its estimate
+    stays frozen over more than one round.
     """
 
     name: str = "policy"
 
     def __init__(self, model: NoiseModel, region: Region, feature_bound: float):
-        if feature_bound <= 0:
-            raise ValueError("feature bound must be positive")
+        if not 0.0 < feature_bound < math.inf:
+            raise ValueError("feature bound must be positive and finite")
         self.model = model
         self.region = region
         self.feature_bound = feature_bound
@@ -150,14 +148,6 @@ class PricingPolicy(abc.ABC):
         self._pending = None
         self._feedback_block(x, prices, accepted)
 
-    def propose(self, x) -> float:
-        """The price for one feature vector: a block of one row."""
-        return float(self.propose_block(np.asarray(x, dtype=float)[np.newaxis])[0])
-
-    def feedback(self, accepted) -> None:
-        """The sale outcome of the one pending round."""
-        self.feedback_block(np.array([bool(accepted)]))
-
     def clipped_valuation(self, x, theta):
         # x'theta lies in [0, B] for theta in H by assumption; clamp is a
         # numerical guard only.
@@ -176,17 +166,11 @@ class PricingPolicy(abc.ABC):
     @abc.abstractmethod
     def _reset_state(self) -> None: ...
 
-    def _propose_block(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self._propose(x[0])], dtype=float)
+    @abc.abstractmethod
+    def _propose_block(self, x: np.ndarray) -> np.ndarray: ...
 
-    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
-        self._feedback(x[0], float(prices[0]), bool(accepted[0]))
-
-    def _propose(self, x: np.ndarray) -> float:
-        raise NotImplementedError(f"{type(self).__name__} prices blocks, not rows")
-
-    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
-        raise NotImplementedError(f"{type(self).__name__} takes feedback by blocks, not rows")
+    @abc.abstractmethod
+    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None: ...
 
 
 class EpochRecord(NamedTuple):
@@ -294,8 +278,8 @@ class OnspPolicy(PricingPolicy):
         if gamma is None:
             constants = compute_constants(model, region.radius * feature_bound)
             gamma, epsilon = onsp_default_hyperparams(constants, region.radius, feature_bound)
-        if gamma <= 0 or epsilon <= 0:
-            raise ValueError("gamma and epsilon must be positive")
+        if not (0.0 < gamma < math.inf and 0.0 < epsilon < math.inf):
+            raise ValueError("gamma and epsilon must be positive and finite")
         self.gamma = float(gamma)
         self.epsilon = float(epsilon)
         super().__init__(model, region, feature_bound)
@@ -304,12 +288,12 @@ class OnspPolicy(PricingPolicy):
         self.theta = self.region.project(self.region.interior_point())
         self.matrix = self.epsilon * np.eye(self.region.dim)
 
-    def _propose(self, x: np.ndarray) -> float:
-        return greedy_price(self.model, self.clipped_valuation(x, self.theta))
+    def _propose_block(self, x: np.ndarray) -> np.ndarray:
+        return np.array([greedy_price(self.model, self.clipped_valuation(x[0], self.theta))])
 
-    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
-        slope = row_slopes(self.model, np.array([price - x @ self.theta]), np.array([accepted]))
-        grad = slope[0] * x
+    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
+        slope = row_slopes(self.model, prices - x[0] @ self.theta, accepted)
+        grad = slope[0] * x[0]
         self.matrix = self.matrix + np.outer(grad, grad)
         newton = self.theta - np.linalg.solve(self.matrix, grad) / self.gamma
         self.theta = self.region.project_weighted(newton, self.matrix)
@@ -345,12 +329,17 @@ class Exp4Policy(PricingPolicy):
     ):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if learning_rate is not None and not 0.0 < learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
+        if exploration is not None and not 0.0 <= exploration <= 1.0:
+            raise ValueError("exploration must lie in [0, 1]")
         self.horizon = int(horizon)
-        super().__init__(model, region, feature_bound)
+        # the grids exist before the base constructor resets the weights over them
+        cap = price_cap(model, region.radius * feature_bound)
         per_axis = int(math.floor(self.horizon ** (1.0 / 3.0) + 1e-9)) + 1
-        self.experts = self._parameter_grid(per_axis)
-        self.arms = np.linspace(0.0, self.price_cap, per_axis)
-        self.arm_spacing = self.arms[1] - self.arms[0] if per_axis > 1 else self.price_cap
+        self.experts = self._parameter_grid(region, per_axis)
+        self.arms = np.linspace(0.0, cap, per_axis)
+        self.arm_spacing = self.arms[1] - self.arms[0] if per_axis > 1 else cap
         # J(u) is nearest arm k + 1 rather than arm k once u passes J^{-1}((k + 1/2) spacing)
         self.thresholds = greedy_price_inverse(model, (np.arange(per_axis - 1) + 0.5) * self.arm_spacing)
         n, k = len(self.experts), len(self.arms)
@@ -362,10 +351,15 @@ class Exp4Policy(PricingPolicy):
         self.exploration = (
             min(1.0, k * self.learning_rate) if exploration is None else float(exploration)
         )
-        self._reset_state()
+        super().__init__(model, region, feature_bound)
 
-    def _parameter_grid(self, per_axis: int) -> np.ndarray:
-        region = self.region
+    def _reset_state(self) -> None:
+        self.weights = np.full(len(self.experts), 1.0 / len(self.experts))
+        self.clip_events = 0
+        self._last: tuple[np.ndarray, np.ndarray, int] | None = None
+
+    @staticmethod
+    def _parameter_grid(region: Region, per_axis: int) -> np.ndarray:
         if isinstance(region, OrthantBall):
             axes = [np.linspace(0.0, region.radius, per_axis)] * region.dim
         else:  # Ball: cover [center - r, center + r] at the same spacing
@@ -377,13 +371,6 @@ class Exp4Policy(PricingPolicy):
         if not points:
             points.append(region.interior_point())
         return np.asarray(points)
-
-    def _reset_state(self) -> None:
-        if not hasattr(self, "experts"):
-            return  # base __init__ calls this before grids exist
-        self.weights = np.full(len(self.experts), 1.0 / len(self.experts))
-        self.clip_events = 0
-        self._last: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def recommendations(self, x: np.ndarray) -> np.ndarray:
         """Arm index each expert recommends for feature x: the number of thresholds below x'theta_e."""
@@ -398,16 +385,16 @@ class Exp4Policy(PricingPolicy):
         probs = (1.0 - self.exploration) * mixture + self.exploration / len(self.arms)
         return rec, probs / probs.sum()
 
-    def _propose(self, x: np.ndarray) -> float:
-        rec, probs = self.arm_distribution(x)
+    def _propose_block(self, x: np.ndarray) -> np.ndarray:
+        rec, probs = self.arm_distribution(x[0])
         arm = int(self._rng.choice(len(self.arms), p=probs))
         self._last = (rec, probs, arm)
-        return float(self.arms[arm])
+        return self.arms[[arm]]
 
-    def _feedback(self, x: np.ndarray, price: float, accepted: bool) -> None:
+    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
         rec, probs, arm = self._last
         self._last = None
-        reward = price if accepted else 0.0
+        reward = float(prices[0]) if accepted[0] else 0.0
         prob = float(probs[arm])
         if prob < 1e-12:
             prob = 1e-12

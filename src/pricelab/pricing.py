@@ -220,8 +220,8 @@ def greedy_price_inverse(model: NoiseModel, prices) -> np.ndarray:
 
 def price_cap(model: NoiseModel, b: float) -> float:
     """Price search window V_max = B + J(0); every policy prices inside [0, V_max]."""
-    if b <= 0:
-        raise ValueError("valuation bound must be positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError("valuation bound must be positive and finite")
     return b + greedy_price(model, 0.0)
 
 

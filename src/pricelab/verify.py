@@ -414,9 +414,9 @@ class _RecordedOnsp(OnspPolicy):
         super()._reset_state()
         self.gradients: list[np.ndarray] = []
 
-    def _feedback(self, x, price, accepted) -> None:
-        self.gradients.append(BatchObjective(x, price, accepted, self.model).gradient(self.theta))
-        super()._feedback(x, price, accepted)
+    def _feedback_block(self, x, prices, accepted) -> None:
+        self.gradients.append(BatchObjective(x, prices, accepted, self.model).gradient(self.theta))
+        super()._feedback_block(x, prices, accepted)
 
 
 def check_onsp_state(fast: bool) -> CheckResult:

@@ -1,7 +1,6 @@
 """CLI surface: run/verify/demo/constants, config validation, outputs."""
 
 import dataclasses
-import functools
 import json
 import subprocess
 import sys
@@ -9,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import pricelab.loss as loss_module
 import pricelab.policies as policies_module
 import pricelab.verify as verify_mod
 from pricelab.cli import lower_bound_demo, main
@@ -355,8 +355,7 @@ class TestRun:
         pairs = json.loads((tmp_path / "ok" / "summary.json").read_text())["pairs"]
         assert pairs[0]["mle_warnings"] == 0 and "mle_warnings" not in pairs[1]
         # one iteration only tests convergence at the warm start
-        capped = functools.partial(policies_module.solve_mle, max_iter=1)
-        monkeypatch.setattr(policies_module, "solve_mle", capped)
+        monkeypatch.setattr(loss_module, "MLE_MAX_ITER", 1)
         assert main(["run", str(cfg), "--out", str(tmp_path / "capped")]) == 0
         count = json.loads((tmp_path / "capped" / "summary.json").read_text())["pairs"][0]["mle_warnings"]
         assert count > 0

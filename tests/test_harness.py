@@ -38,10 +38,10 @@ class ConstantPricePolicy(PricingPolicy):
     def _reset_state(self):
         pass
 
-    def _propose(self, x):
-        return self._price
+    def _propose_block(self, x):
+        return np.full(len(x), self._price, dtype=float)
 
-    def _feedback(self, x, price, accepted):
+    def _feedback_block(self, x, prices, accepted):
         pass
 
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import logistic, norm
 
+import pricelab.loss as loss_module
 from pricelab import (
     Ball,
     BatchObjective,
@@ -229,9 +230,10 @@ class TestSolveMle:
         assert ours.objective == pytest.approx(probit_nll(ours.theta / sigma), abs=1e-12)
         assert ours.objective == pytest.approx(free.fun, abs=1e-6)
 
-    def test_iteration_cap_flags(self, problem):
+    def test_iteration_cap_flags(self, problem, monkeypatch):
+        monkeypatch.setattr(loss_module, "MLE_MAX_ITER", 3)
         batch = _synthetic_batch(problem, 512, seed=7)
-        result = solve_mle(batch, problem.region, problem.region.interior_point(), max_iter=3)
+        result = solve_mle(batch, problem.region, problem.region.interior_point())
         assert not result.converged
         assert result.iterations == 3
 

@@ -19,6 +19,7 @@ from pricelab import (
     OnspPolicy,
     OraclePolicy,
     OrthantBall,
+    PricingPolicy,
     PricingProblem,
     StochasticScenario,
     compute_constants,
@@ -124,8 +125,8 @@ def _drive(policy, scenario, rounds, seed):
     policy.reset(seed)
     prices = []
     for t in range(rounds):
-        v = policy.propose(x[t])
-        policy.feedback(bool(v <= u[t] + noise[t]))
+        v = policy.propose_block(x[t][None])[0]
+        policy.feedback_block([v <= u[t] + noise[t]])
         prices.append(v)
     return np.array(prices)
 
@@ -134,15 +135,48 @@ class TestProtocol:
     def test_double_propose_rejected(self, problem):
         policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
         policy.reset(0)
-        policy.propose(np.array([1.0, 0.0]))
+        policy.propose_block(np.array([[1.0, 0.0]]))
         with pytest.raises(RuntimeError):
-            policy.propose(np.array([1.0, 0.0]))
+            policy.propose_block(np.array([[1.0, 0.0]]))
 
     def test_feedback_needs_pending_propose(self, problem):
         policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
         policy.reset(0)
         with pytest.raises(RuntimeError):
-            policy.feedback(True)
+            policy.feedback_block([True])
+
+    @pytest.mark.parametrize("missing", ["_propose_block", "_feedback_block"])
+    def test_a_policy_without_a_block_hook_does_not_construct(self, problem, missing):
+        hooks = {
+            "_reset_state": lambda self: None,
+            "_propose_block": lambda self, x: np.zeros(len(x)),
+            "_feedback_block": lambda self, x, prices, accepted: None,
+        }
+        del hooks[missing]
+        partial = type("PartialPolicy", (PricingPolicy,), hooks)
+        with pytest.raises(TypeError):
+            partial(problem.model, problem.region, 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=float("nan"), epsilon=1.0),
+            lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=1.0, epsilon=float("inf")),
+            lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=64, exploration=2.0),
+            lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=64, exploration=float("nan")),
+            lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=64, learning_rate=-1.0),
+            lambda p: Exp4Policy(p.model, p.region, float("nan"), horizon=64),
+            lambda p: EmlpPolicy(p.model, p.region, float("nan")),
+            lambda p: OraclePolicy(p.model, p.region, float("inf"), p.theta_star),
+        ],
+        ids=["onsp-gamma-nan", "onsp-epsilon-inf", "exp4-exploration-2", "exp4-exploration-nan",
+             "exp4-learning-rate-negative", "exp4-feature-bound-nan", "emlp-feature-bound-nan",
+             "oracle-feature-bound-inf"],
+    )
+    def test_constructors_reject_what_the_config_rejects(self, problem, make):
+        # each would otherwise construct and then fail inside its first episode
+        with pytest.raises(ValueError):
+            make(problem)
 
     def test_prices_stay_in_window(self, problem):
         scen = StochasticScenario(problem)
@@ -185,7 +219,7 @@ class TestBlockProtocol:
 
     @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
     def test_rounds_of_one_price_as_the_blocks_do(self, problem, scenario):
-        # batch-of-one propose/feedback on the block path's transcript
+        # blocks of one row on the block path's transcript
         seed = episode_seed(7, 0)
         for make in (
             lambda: EmlpPolicy(problem.model, problem.region, 1.0),
@@ -196,8 +230,8 @@ class TestBlockProtocol:
             single.reset(episode_seed(7, 0).spawn(2)[1])  # the episode's policy stream
             prices = []
             for x, accepted in zip(transcript.features, transcript.accepted):
-                prices.append(single.propose(x))
-                single.feedback(accepted)
+                prices.append(single.propose_block(x[None])[0])
+                single.feedback_block([accepted])
             np.testing.assert_array_equal(prices, transcript.prices)
             if isinstance(block, EmlpPolicy):
                 assert [(r.index, r.length) for r in single.epoch_log] == [(r.index, r.length) for r in block.epoch_log]
@@ -213,7 +247,7 @@ class TestEmlp:
         seen = set()
         for seed in range(5):
             policy.reset(seed)
-            seen.add(round(policy.propose(x), 12))
+            seen.add(round(float(policy.propose_block(x[None])[0]), 12))
         assert len(seen) > 1
         assert all(0.0 <= v <= policy.price_cap for v in seen)
 
@@ -236,8 +270,8 @@ class TestEmlp:
         policy.reset(0)
         snapshots = []
         for t in range(40):
-            v = policy.propose(x[t])
-            policy.feedback(bool(v <= u[t] + noise[t]))
+            v = policy.propose_block(x[t][None])[0]
+            policy.feedback_block([v <= u[t] + noise[t]])
             snapshots.append((policy.epoch, policy.theta.copy()))
         for (e1, th1), (e2, th2) in zip(snapshots, snapshots[1:]):
             if e1 == e2:
@@ -247,32 +281,32 @@ class TestEmlp:
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         policy.reset(0)
         # play the bootstrap round to enter epoch 1
-        policy.propose(np.array([1.0, 0.0]))
-        policy.feedback(True)
+        policy.propose_block(np.array([[1.0, 0.0]]))
+        policy.feedback_block([True])
         theta = policy.theta.copy()
         x = np.array([0.4, 0.3])
         want = greedy_price(problem.model, float(np.clip(x @ theta, 0.0, 1.0)))
-        assert policy.propose(x) == pytest.approx(want, abs=1e-12)
+        assert policy.propose_block(x[None])[0] == pytest.approx(want, abs=1e-12)
 
     def test_zero_feature_prices_at_j0(self, problem):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         policy.reset(0)
-        policy.propose(np.array([1.0, 0.0]))
-        policy.feedback(False)
+        policy.propose_block(np.array([[1.0, 0.0]]))
+        policy.feedback_block([False])
         j0 = greedy_price(problem.model, 0.0)
-        assert policy.propose(np.zeros(2)) == pytest.approx(j0, abs=1e-12)
+        assert policy.propose_block(np.zeros((1, 2)))[0] == pytest.approx(j0, abs=1e-12)
         assert j0 > 0.0
 
     def test_true_parameter_matches_oracle(self, problem):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         policy.reset(0)
-        policy.propose(np.array([1.0, 0.0]))
-        policy.feedback(True)
+        policy.propose_block(np.array([[1.0, 0.0]]))
+        policy.feedback_block([True])
         policy.theta = problem.theta_star.copy()
         oracle = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
         oracle.reset(0)
-        x = np.array([0.6, 0.5])
-        assert policy.propose(x) == pytest.approx(oracle.propose(x), abs=1e-13)
+        x = np.array([[0.6, 0.5]])
+        assert policy.propose_block(x)[0] == pytest.approx(oracle.propose_block(x)[0], abs=1e-13)
 
     def test_former_stall_seed_fits_in_newton_steps(self, problem, monkeypatch):
         # this seed's 4-round refit once ran a first-order solver to its
@@ -335,8 +369,8 @@ class TestOnsp:
         policy.reset(0)
         theta0 = policy.theta.copy()
         matrix0 = policy.matrix.copy()
-        policy.propose(np.zeros(2))
-        policy.feedback(True)
+        policy.propose_block(np.zeros((1, 2)))
+        policy.feedback_block([True])
         np.testing.assert_array_equal(policy.theta, theta0)
         np.testing.assert_array_equal(policy.matrix, matrix0)
 
@@ -347,8 +381,8 @@ class TestOnsp:
         region = Ball(np.zeros(1), 100.0)
         policy = OnspPolicy(model, region, 100.0, gamma=1.0, epsilon=1.0)
         policy.reset(0)
-        v = policy.propose(np.array([1.0]))
-        policy.feedback(True)
+        v = policy.propose_block(np.array([[1.0]]))[0]
+        policy.feedback_block([True])
         g = -model.hazard(v - 0.0)
         assert policy.matrix[0, 0] == pytest.approx(1.0 + g * g, rel=1e-12)
         assert policy.theta[0] == pytest.approx(-g / (1.0 + g * g), rel=1e-10)
@@ -363,8 +397,8 @@ class TestOnsp:
         grads = []
         for x, accepted in ((np.array([1.0, 0.5]), True), (np.array([-0.3, 0.8]), False)):
             theta = policy.theta.copy()
-            v = policy.propose(x)
-            policy.feedback(accepted)
+            v = policy.propose_block(x[None])[0]
+            policy.feedback_block([accepted])
             grads.append(BatchObjective(x, v, accepted, model).gradient(theta))
         a = np.eye(2) + sum(np.outer(g, g) for g in grads)
         adjugate = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
@@ -378,8 +412,8 @@ class TestOnsp:
         policy.reset(0)
         theta0 = policy.theta.copy()
         x = np.array([0.6, 0.7])
-        v = policy.propose(x)
-        policy.feedback(accepted)
+        v = policy.propose_block(x[None])[0]
+        policy.feedback_block([accepted])
         g = BatchObjective(x, v, accepted, problem.model).gradient(theta0)
         np.testing.assert_array_equal(policy.matrix, np.eye(2) + np.outer(g, g))
 
@@ -476,8 +510,8 @@ class TestExp4:
         policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=512)
         policy.reset(0)
         before = policy.weights.copy()
-        v = policy.propose(np.array([1.0, 0.0]))
-        policy.feedback(False)  # reward v * 0 = 0
+        policy.propose_block(np.array([[1.0, 0.0]]))
+        policy.feedback_block([False])  # reward v * 0 = 0
         np.testing.assert_allclose(policy.weights, before, rtol=1e-12)
 
     def test_single_arm_degenerates(self, problem):
@@ -486,8 +520,8 @@ class TestExp4:
         policy.arm_spacing = policy.price_cap
         policy.reset(3)
         for _ in range(5):
-            assert policy.propose(np.array([1.0, 0.0])) == 0.7
-            policy.feedback(True)
+            assert policy.propose_block(np.array([[1.0, 0.0]]))[0] == 0.7
+            policy.feedback_block([True])
 
     def test_correct_expert_takes_over(self, problem):
         # two experts, deterministic accept rule: prices at or below 0.5
@@ -502,17 +536,17 @@ class TestExp4:
         policy.weights = np.array([0.5, 0.5])
         policy.reset(7)
         for _ in range(10_000):
-            v = policy.propose(x)
-            policy.feedback(bool(v <= 0.5))
+            v = policy.propose_block(x[None])[0]
+            policy.feedback_block([v <= 0.5])
         assert policy.weights[0] >= 0.9
 
     def test_probability_floor_flagged(self, problem):
         policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=256)
         policy.reset(0)
-        v = policy.propose(np.array([1.0, 0.0]))
+        policy.propose_block(np.array([[1.0, 0.0]]))
         rec, probs, arm = policy._last
         policy._last = (rec, np.full_like(probs, 1e-15), arm)
-        policy.feedback(True)
+        policy.feedback_block([True])
         assert policy.clip_events == 1
 
     def test_thresholds_split_arms_where_mpmath_does(self):
@@ -590,12 +624,12 @@ class TestOracle:
         region = OrthantBall(FIXED_VALUATION, 2)
         policy = OraclePolicy(model, region, 1.0, np.array([FIXED_VALUATION, 0.0]))
         policy.reset(0)
-        assert policy.propose(np.array([1.0, 0.0])) == pytest.approx(FIXED_VALUATION, abs=1e-9)
+        assert policy.propose_block(np.array([[1.0, 0.0]]))[0] == pytest.approx(FIXED_VALUATION, abs=1e-9)
 
     def test_zero_valuation_still_charges(self, problem):
         policy = OraclePolicy(problem.model, problem.region, 1.0, np.zeros(2))
         policy.reset(0)
-        v = policy.propose(np.array([1.0, 0.0]))
+        v = policy.propose_block(np.array([[1.0, 0.0]]))[0]
         assert v > 0.0
         assert expected_reward(problem.model, v, 0.0) > 0.0
 
