@@ -127,9 +127,17 @@ def episode_seed(master_seed: int, repetition: int) -> np.random.SeedSequence:
 
 def _spawn(seed, n: int = 2) -> list[np.random.SeedSequence]:
     """n child streams of a seed (an integer s means SeedSequence([s])); an
-    episode's two are its (environment, policy) streams."""
+    episode's two are its (environment, policy) streams.
+
+    They are the first n children ``seed.spawn(n)`` would give, built
+    without calling it: ``spawn`` advances the caller's SeedSequence, and a
+    second run on the same object would get other streams.
+    """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence([int(seed)])
-    return root.spawn(n)
+    return [
+        np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,), pool_size=root.pool_size)
+        for i in range(n)
+    ]
 
 
 def _play(policy: PricingPolicy, policy_stream, features: np.ndarray, sales) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,10 @@ second derivatives in x'theta for arrays of margins and outcomes, so a
 row's gradient is slope * x and its Hessian curvature * xx'.  Each noise
 kernel runs only on the rows with its outcome (hazard, log_sf and
 log_sf_curvature on sales; reverse_hazard, log_cdf and log_cdf_curvature on
-misses) and is skipped when that outcome has no rows; all scalars come from
-the stable log-space forms in :mod:`pricelab.noise`.
+misses).  A batch whose rows share one outcome, such as the single round of
+an online update, goes to that outcome's kernel whole; only a mixed batch is
+split by a mask and its results scattered back.  All scalars come from the
+stable log-space forms in :mod:`pricelab.noise`.
 
 :class:`BatchObjective` averages the rows of a batch and is the one place a
 batch's features and prices are validated.  Its constrained minimizer is
@@ -56,12 +58,15 @@ RIDGE = 1e-12
 
 
 def _by_outcome(w: np.ndarray, accepted: np.ndarray, on_sale, on_miss) -> np.ndarray:
+    sales = np.count_nonzero(accepted)
+    if sales == len(w):
+        return on_sale(w)
+    if sales == 0:
+        return on_miss(w)
     out = np.empty_like(w)
-    if accepted.any():
-        out[accepted] = on_sale(w[accepted])
+    out[accepted] = on_sale(w[accepted])
     missed = ~accepted
-    if missed.any():
-        out[missed] = on_miss(w[missed])
+    out[missed] = on_miss(w[missed])
     return out
 
 

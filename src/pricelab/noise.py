@@ -149,11 +149,11 @@ class NoiseModel(abc.ABC):
         """Hazard values and the mask of those taken from the asymptote."""
         z = w / self.spread
         saturated = z > HAZARD_SATURATION
-        safe = np.where(saturated, 0.0, z)
+        some = saturated.any()
         # far left the Mills ratio overflows to +inf, and 1/inf = 0 is the hazard
         with np.errstate(over="ignore"):
-            value = 1.0 / (self.spread * self._mills(safe))
-        if np.any(saturated):
+            value = 1.0 / (self.spread * self._mills(np.where(saturated, 0.0, z) if some else z))
+        if some:
             asym = (z + 1.0 / np.where(saturated, z, 1.0)) / self.spread
             value = np.where(saturated, asym, value)
         return value, saturated

@@ -7,12 +7,12 @@ All policies speak the same two-phase block protocol:
     policy.feedback_block(accepted)      # observe the block's sale outcomes
 
 plus ``reset(seed)`` for a fresh, reproducible run.  ``propose_block``
-validates the block once and range-checks all of its prices with one vector
-comparison, so every proposed price lies in [0, V_max] with
-V_max = B + J(0); ``feedback_block`` passes (X, prices, accepted) to the
-policy's update unchecked.  A policy whose estimate is frozen over a stretch
-prices the stretch with one ``greedy_price_vec`` call; the others take
-blocks of one row.
+validates the block once and range-checks its prices by their minimum and
+maximum, locating the offending row only when one falls outside, so every
+proposed price lies in [0, V_max] with V_max = B + J(0); ``feedback_block``
+passes (X, prices, accepted) to the policy's update unchecked.  A policy
+whose estimate is frozen over a stretch prices the stretch with one
+``greedy_price_vec`` call; the others take blocks of one row.
 
 EmlpPolicy   - epoch-doubling batch maximum-likelihood pricing: prices each
                epoch greedily under the previous epoch's MLE, as one block,
@@ -121,7 +121,11 @@ class PricingPolicy(abc.ABC):
         return 1
 
     def propose_block(self, features) -> np.ndarray:
-        """Prices for a (rounds, d) block of at most ``frozen_rounds()`` rows."""
+        """Prices for a (rounds, d) block of at most ``frozen_rounds()`` rows.
+
+        Raises PriceWindowError, naming the first row whose price lies
+        outside [0, V_max], when the block's minimum or maximum does.
+        """
         if self._pending is not None:
             raise RuntimeError("propose called twice without feedback")
         x = np.asarray(features, dtype=float)
@@ -130,9 +134,9 @@ class PricingPolicy(abc.ABC):
         if not 1 <= len(x) <= self.frozen_rounds():
             raise ValueError(f"a block of {len(x)} rounds, where {self.frozen_rounds()} can be priced")
         prices = self._propose_block(x)
-        inside = (prices >= 0.0) & (prices <= self.price_cap * (1.0 + 1e-9) + 1e-12)
-        if np.count_nonzero(inside) < len(prices):
-            row = int(np.argmin(inside))
+        ceiling = self.price_cap * (1.0 + 1e-9) + 1e-12
+        if not (prices.min() >= 0.0 and prices.max() <= ceiling):  # a NaN fails both
+            row = int(np.argmin((prices >= 0.0) & (prices <= ceiling)))
             raise PriceWindowError(f"{self.name} priced {prices[row]} outside [0, {self.price_cap}]", row)
         self._pending = (x, prices)
         return prices
@@ -289,12 +293,14 @@ class OnspPolicy(PricingPolicy):
         self.matrix = self.epsilon * np.eye(self.region.dim)
 
     def _propose_block(self, x: np.ndarray) -> np.ndarray:
-        return np.array([greedy_price(self.model, self.clipped_valuation(x[0], self.theta))])
+        # clipped_valuation on a Python float: max(0.0, -0.0) is 0.0, as np.clip gives
+        u = min(max(0.0, float(x[0] @ self.theta)), self.valuation_bound)
+        return np.array([greedy_price(self.model, u)])
 
     def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
         slope = row_slopes(self.model, prices - x[0] @ self.theta, accepted)
         grad = slope[0] * x[0]
-        self.matrix = self.matrix + np.outer(grad, grad)
+        self.matrix = self.matrix + grad[:, None] * grad
         newton = self.theta - np.linalg.solve(self.matrix, grad) / self.gamma
         self.theta = self.region.project_weighted(newton, self.matrix)
 

@@ -10,8 +10,11 @@ that subproblem on each face of the orthant and keeps the best feasible
 candidate.  The Newton-step policy applies it after each update, and the
 batch MLE takes it as its projected-Newton step.
 
-Every public method validates its vector; the weight matrix A is validated
-only on an active projection, the one path that reads it.
+Every public method checks its vector once: ``_as_vector`` raises ValueError
+unless it has the region's length, and the norm the method takes anyway
+(one dot product) is also its finiteness test, so the entries are inspected
+only when that norm is not finite.  The weight matrix A is validated only on
+an active projection, the one path that reads it.
 """
 
 from __future__ import annotations
@@ -31,11 +34,30 @@ __all__ = ["Ball", "OrthantBall", "Region"]
 SECULAR_CAP = 100
 
 
-def _as_vector(theta) -> np.ndarray:
+def _as_vector(theta, dim: int) -> np.ndarray:
     arr = np.asarray(theta, dtype=float)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        raise ValueError("parameter must be a finite 1-d vector")
+    if arr.shape != (dim,):
+        raise ValueError(f"parameter must be a vector of length {dim}, not of shape {arr.shape}")
     return arr
+
+
+def _require_finite(theta: np.ndarray) -> None:
+    if not np.isfinite(theta).all():
+        raise ValueError("parameter must be finite")
+
+
+def _norm(theta: np.ndarray, v: np.ndarray) -> float:
+    """||v|| for a v computed entrywise from theta, and theta's finiteness test.
+
+    The root of np.vdot(v, v), the dot product np.linalg.norm takes of a real
+    vector, so bit-equal to it, but without its warning on overflow.  A
+    non-finite entry of theta makes v'v inf or NaN, so theta's entries are
+    inspected only then; a finite theta whose squares overflow has norm inf.
+    """
+    sq = float(np.vdot(v, v))
+    if not sq < math.inf:
+        _require_finite(theta)
+    return math.sqrt(sq)
 
 
 def _check_weight_matrix(a: np.ndarray, dim: int) -> np.ndarray:
@@ -90,7 +112,9 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_vector(self.center))
+        center = _as_vector(self.center, np.size(self.center))
+        _require_finite(center)
+        object.__setattr__(self, "center", center)
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError("radius must be positive")
 
@@ -102,13 +126,13 @@ class Ball:
         return self.center.copy()
 
     def contains(self, theta, tol: float = 1e-12) -> bool:
-        theta = _as_vector(theta)
-        return float(np.linalg.norm(theta - self.center)) <= self.radius * (1.0 + tol) + tol
+        theta = _as_vector(theta, self.dim)
+        return _norm(theta, theta - self.center) <= self.radius * (1.0 + tol) + tol
 
     def project(self, theta) -> np.ndarray:
-        theta = _as_vector(theta)
+        theta = _as_vector(theta, self.dim)
         gap = theta - self.center
-        norm = float(np.linalg.norm(gap))
+        norm = _norm(theta, gap)
         if norm <= self.radius:
             return theta.copy()
         return self.center + gap * (self.radius / norm)
@@ -145,16 +169,17 @@ class OrthantBall:
         return np.full(self.dim, self.radius / (2.0 * math.sqrt(self.dim)))
 
     def contains(self, theta, tol: float = 1e-12) -> bool:
-        theta = _as_vector(theta)
-        return bool(np.all(theta >= -tol) and np.linalg.norm(theta) <= self.radius * (1.0 + tol) + tol)
+        theta = _as_vector(theta, self.dim)
+        return _norm(theta, theta) <= self.radius * (1.0 + tol) + tol and min(theta.tolist()) >= -tol
 
     def project(self, theta) -> np.ndarray:
         # Clip to the orthant, then scale radially: exact for cone-ball
         # intersections because clipping is the projection onto the cone and
         # commutes with the radial scaling.
-        theta = _as_vector(theta)
+        theta = _as_vector(theta, self.dim)
+        _require_finite(theta)  # clipping would turn an entry of -inf into 0
         clipped = np.maximum(theta, 0.0)
-        norm = float(np.linalg.norm(clipped))
+        norm = _norm(theta, clipped)
         if norm <= self.radius:
             return clipped
         return clipped * (self.radius / norm)

@@ -9,6 +9,7 @@ from scipy.stats import linregress
 
 from pricelab import (
     EmlpPolicy,
+    Exp4Policy,
     OnspPolicy,
     OraclePolicy,
     RegretTrace,
@@ -22,7 +23,7 @@ from pricelab import (
     run_episode,
     run_horizon_envelope,
 )
-from pricelab.harness import EpisodeAbort, emlp_epoch_gaps, write_trace_csv
+from pricelab.harness import EpisodeAbort, emlp_epoch_gaps, replay_prices, write_trace_csv
 from pricelab.policies import PricingPolicy
 
 
@@ -214,6 +215,38 @@ class TestSeeding:
         for rep in (0, 2, 1):
             run_episode(make(), scen, 64, episode_seed(1, rep))
         _, again = run_episode(make(), scen, 64, episode_seed(1, 3))
+        np.testing.assert_array_equal(first.cumulative, again.cumulative)
+
+
+    def test_a_seed_object_plays_the_same_episode_twice(self, problem):
+        scen = StochasticScenario(problem)
+        seed = episode_seed(3, 0)
+        runs = [run_episode(EmlpPolicy(problem.model, problem.region, 1.0), scen, 64, seed) for _ in range(2)]
+        (t1, r1), (t2, r2) = runs
+        np.testing.assert_array_equal(t1.features, t2.features)
+        np.testing.assert_array_equal(t1.prices, t2.prices)
+        np.testing.assert_array_equal(r1.increments, r2.increments)
+        assert seed.n_children_spawned == 0
+        # and it is the episode a fresh object gives
+        t3, _ = run_episode(EmlpPolicy(problem.model, problem.region, 1.0), scen, 64, episode_seed(3, 0))
+        np.testing.assert_array_equal(t1.prices, t3.prices)
+
+    def test_replay_with_the_runs_own_seed_object(self, problem):
+        # EMLP's bootstrap price is drawn from the policy stream, so a replay
+        # on another stream prices differently from round 1 on
+        seed = episode_seed(3, 0)
+        make = lambda: EmlpPolicy(problem.model, problem.region, 1.0)
+        transcript, _ = run_episode(make(), StochasticScenario(problem), 64, seed)
+        replayed = replay_prices(make(), transcript, seed)
+        np.testing.assert_array_equal(replayed, transcript.prices)
+
+    def test_envelope_with_a_reused_seed_object(self, problem):
+        scen = StochasticScenario(problem)
+        seed = episode_seed(3, 0)
+        build = lambda t: Exp4Policy(problem.model, problem.region, 1.0, horizon=t)
+        first = run_horizon_envelope(build, scen, [2, 8, 32], seed)
+        again = run_horizon_envelope(build, scen, [2, 8, 32], seed)
+        assert first.total > 0.0
         np.testing.assert_array_equal(first.cumulative, again.cumulative)
 
 

@@ -157,6 +157,46 @@ class TestOneImplementation:
         np.testing.assert_allclose(batch.hessian(theta), want_hess, rtol=1e-12)
 
 
+def _masked(w, accepted, on_sale, on_miss):
+    """Each kernel on the rows of its outcome, through a mask, scattered back."""
+    out = np.empty_like(w)
+    if accepted.any():
+        out[accepted] = on_sale(w[accepted])
+    if (~accepted).any():
+        out[~accepted] = on_miss(w[~accepted])
+    return out
+
+
+class TestOneOutcomeBatches:
+    """A batch of one outcome skips the mask and the scatter; every row must
+    come out bit-equal to the masked path."""
+
+    @pytest.mark.parametrize("model", [GaussianNoise(0.25), LogisticNoise(0.3)], ids=["gaussian", "logistic"])
+    @pytest.mark.parametrize("outcomes", ["mixed", "all-sale", "all-miss"])
+    @pytest.mark.parametrize("rows", [1, 257])
+    def test_row_kernels_match_the_masked_path(self, model, outcomes, rows):
+        rng = np.random.default_rng(29)
+        # the working window, the saturated right tail, the far left and a signed zero
+        for edge in (0.3, 12.0, -12.0, -0.0):
+            w = rng.uniform(-2.0, 2.0, rows)
+            w[0] = edge
+            accepted = {
+                "mixed": rng.random(rows) < 0.5,
+                "all-sale": np.ones(rows, dtype=bool),
+                "all-miss": np.zeros(rows, dtype=bool),
+            }[outcomes]
+            neg_hazard = lambda s: -model._hazard(s)[0]
+            masked = {
+                loss_module.row_losses: -_masked(w, accepted, model.log_sf, model.log_cdf),
+                loss_module.row_slopes: _masked(w, accepted, neg_hazard, model._reverse_hazard),
+                loss_module.row_curvatures: _masked(w, accepted, model.log_sf_curvature, model.log_cdf_curvature),
+            }
+            for kernel, want in masked.items():
+                got = kernel(model, w, accepted)
+                assert got.shape == w.shape
+                assert got.tobytes() == want.tobytes(), (kernel.__name__, edge)
+
+
 class TestSolveMle:
     def test_zero_feature_returns_init(self, problem):
         batch = BatchObjective(np.zeros((1, 2)), [0.5], [True], problem.model)

@@ -123,6 +123,22 @@ class TestHazard:
         assert result.value == pytest.approx((46.0 + 1.0 / 46.0) / 0.25, rel=1e-12)
         assert not gauss025.hazard_detail(0.5).saturated
 
+    def test_mixed_saturation_matches_elementwise(self, gauss025):
+        # the asymptote is built only for a batch with a saturated element
+        w = 0.25 * np.array([46.0, 0.5, 45.0, 120.0, -40.0, 44.9, -0.0])
+        value, saturated = gauss025._hazard(w)
+        np.testing.assert_array_equal(saturated, w / 0.25 > 45.0)
+        for i, wi in enumerate(w):
+            alone, flag = gauss025._hazard(w[i : i + 1])
+            assert flag[0] == saturated[i]
+            assert alone[0] == value[i]
+        z = w / 0.25
+        far = z[saturated]
+        np.testing.assert_array_equal(value[saturated], (far + 1.0 / far) / 0.25)
+        with np.errstate(over="ignore"):
+            exact = 1.0 / (0.25 * gauss025._mills(z[~saturated]))
+        np.testing.assert_array_equal(value[~saturated], exact)
+
     def test_logistic_closed_form_never_saturates(self, logistic1):
         res = logistic1.hazard_detail(80.0)
         assert not res.saturated

@@ -1,5 +1,7 @@
 """Feasible sets: Euclidean and matrix-weighted projections."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,12 +207,89 @@ class TestValidation:
         with pytest.raises(ValueError):
             OrthantBall(-1.0, 2)
 
-    def test_finite_vectors(self, ball):
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    def test_finite_vectors(self, ball, orthant, bad):
+        theta = np.array([bad, 0.5])
+        for region in (ball, orthant):
+            for call in (region.contains, region.project, lambda t: region.project_weighted(t, np.eye(2))):
+                with pytest.raises(ValueError, match="finite"):
+                    call(theta)
+        with pytest.raises(ValueError, match="finite"):
+            Ball(theta, 1.0)
+
+    @pytest.mark.parametrize("theta", [np.full(3, 0.1), np.full(1, 0.1), np.full((1, 2), 0.1), 0.1, []])
+    def test_every_public_method_rejects_a_vector_of_another_length(self, ball, orthant, theta):
+        for region in (ball, orthant):
+            for call in (region.contains, region.project, lambda t: region.project_weighted(t, np.eye(2))):
+                with pytest.raises(ValueError, match="length 2"):
+                    call(theta)
+
+    def test_a_ball_center_must_be_a_vector(self):
         with pytest.raises(ValueError):
-            ball.project(np.array([np.inf, 0.0]))
+            Ball(np.zeros((2, 2)), 1.0)
+        with pytest.raises(ValueError):
+            Ball(0.0, 1.0)
 
     def test_interior_points_are_interior(self, ball, orthant):
         for region in (ball, orthant):
             p = region.interior_point()
             assert region.contains(p)
             assert np.linalg.norm(p - region.center) < region.radius
+
+
+def _reference_contains(region, theta, tol):
+    """The containment test as defined: np.linalg.norm, and np.all on the orthant's sign constraint."""
+    with np.errstate(over="ignore"):
+        if isinstance(region, OrthantBall):
+            return bool(np.all(theta >= -tol) and np.linalg.norm(theta) <= region.radius * (1.0 + tol) + tol)
+        return bool(np.linalg.norm(theta - region.center) <= region.radius * (1.0 + tol) + tol)
+
+
+coordinate = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1e-12, -2e-12, 1e-300]),
+    st.floats(min_value=1e199, max_value=1e201),
+    st.floats(min_value=-1e201, max_value=-1e199),
+)
+regions = st.sampled_from(
+    [OrthantBall(1.0, 2), Ball(np.zeros(2), 1.0), Ball(np.array([0.3, -0.2]), 0.5), OrthantBall(2.0, 3)]
+)
+
+
+@st.composite
+def region_and_vector(draw):
+    """A region and a vector of its length: anywhere, or on its boundary to within a few ulps."""
+    region = draw(regions)
+    theta = np.array(draw(st.lists(coordinate, min_size=region.dim, max_size=region.dim)))
+    if draw(st.booleans()):
+        direction = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=region.dim, max_size=region.dim)))
+        stretch = 1.0 + draw(st.sampled_from([-2e-12, -1e-16, 0.0, 1e-16, 5e-13, 1e-12, 2e-12]))
+        theta = region.center + direction * (region.radius * stretch / np.linalg.norm(direction))
+    return region, theta
+
+
+class TestContainsAgainstDefinition:
+    """``contains`` takes one dot product for both the norm and the finiteness
+    test; it must decide exactly as the definition with np.linalg.norm does."""
+
+    @given(case=region_and_vector(), tol=st.sampled_from([1e-12, 1e-9, 0.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_definition(self, case, tol):
+        region, theta = case
+        assert region.contains(theta, tol=tol) is _reference_contains(region, theta, tol)
+
+    @given(case=region_and_vector(), bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_non_finite_entry_raises(self, case, bad, data):
+        region, theta = case
+        theta = theta.copy()
+        theta[data.draw(st.integers(0, region.dim - 1))] = bad
+        with pytest.raises(ValueError, match="finite"):
+            region.contains(theta)
+
+    def test_overflowing_squares_are_outside_without_a_warning(self):
+        theta = np.array([1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not OrthantBall(1.0, 2).contains(theta)
+            assert not Ball(np.zeros(2), 1.0).contains(theta)
