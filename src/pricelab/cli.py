@@ -14,7 +14,7 @@ Subcommands:
   policy against the two nearly indistinguishable fixed-valuation markets
   and report the summed regret next to the sqrt(T)/24000 floor.  Purely
   demonstrative: the floor is a statement about all policies, the demo
-  measures one.
+  measures one.  Exit 2 on invalid arguments (one line on stderr).
 * ``constants --sigma S --b B`` - print the analysis constants of a
   Gaussian market; exit 2 on invalid arguments, 1 when a constant breaks
   its invariant (one line on stderr either way).
@@ -133,6 +133,8 @@ def lower_bound_demo(horizon: int, reps: int, seed: int, policy_kind: str = "ons
     """
     if horizon <= 16:
         raise ValueError("horizon must exceed 16 for a meaningful pair")
+    if reps < 1:
+        raise ValueError("repetitions must be at least 1")
     if policy_kind not in DEMO_POLICIES:
         raise ValueError(f"policy must be one of {DEMO_POLICIES}")
     sigma1, sigma2 = lower_bound_pair(horizon)
@@ -237,7 +239,11 @@ def main(argv=None) -> int:
         return 1 if failed else 0
 
     if args.command == "lower-bound-demo":
-        report = lower_bound_demo(args.t, args.reps, args.seed, args.policy)
+        try:
+            report = lower_bound_demo(args.t, args.reps, args.seed, args.policy)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(json.dumps(report, indent=2))
         return 0
 

@@ -79,7 +79,11 @@ class NoiseModel(abc.ABC):
 
     @abc.abstractmethod
     def _mills(self, z: np.ndarray) -> np.ndarray:
-        """(1-F)/f on the standardized scale."""
+        """(1-F)/f on the standardized scale.
+
+        A function of the law alone, not of its spread: pricing keeps one
+        greedy-price root table per noise class.
+        """
 
     @abc.abstractmethod
     def _mills_prime(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:

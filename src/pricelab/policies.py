@@ -7,9 +7,10 @@ All policies speak the same two-phase block protocol:
     policy.feedback_block(accepted)      # observe the block's sale outcomes
 
 plus ``reset(seed)`` for a fresh, reproducible run.  ``propose_block``
-validates the block once and range-checks its prices by their minimum and
-maximum, locating the offending row only when one falls outside, so every
-proposed price lies in [0, V_max] with V_max = B + J(0); ``feedback_block``
+validates the block once and range-checks its prices, a block of one as a
+float and a longer one by its minimum and maximum, locating the offending
+row only when one falls outside, so every proposed price lies in
+[0, V_max] with V_max = B + J(0); ``feedback_block``
 passes (X, prices, accepted) to the policy's update unchecked.  A policy
 whose estimate is frozen over a stretch prices the stretch with one
 ``greedy_price_vec`` call; the others take blocks of one row.
@@ -105,6 +106,8 @@ class PricingPolicy(abc.ABC):
         self.feature_bound = feature_bound
         self.valuation_bound = region.radius * feature_bound
         self.price_cap = price_cap(model, self.valuation_bound)
+        # the window check's upper end, with room for the solver's rounding
+        self._ceiling = self.price_cap * (1.0 + 1e-9) + 1e-12
         self._rng = np.random.default_rng()
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._reset_state()
@@ -134,8 +137,13 @@ class PricingPolicy(abc.ABC):
         if not 1 <= len(x) <= self.frozen_rounds():
             raise ValueError(f"a block of {len(x)} rounds, where {self.frozen_rounds()} can be priced")
         prices = self._propose_block(x)
-        ceiling = self.price_cap * (1.0 + 1e-9) + 1e-12
-        if not (prices.min() >= 0.0 and prices.max() <= ceiling):  # a NaN fails both
+        ceiling = self._ceiling
+        # a NaN fails every comparison
+        if len(prices) == 1:
+            inside = 0.0 <= float(prices[0]) <= ceiling
+        else:
+            inside = prices.min() >= 0.0 and prices.max() <= ceiling
+        if not inside:
             row = int(np.argmin((prices >= 0.0) & (prices <= ceiling)))
             raise PriceWindowError(f"{self.name} priced {prices[row]} outside [0, {self.price_cap}]", row)
         self._pending = (x, prices)
@@ -271,7 +279,8 @@ class OnspPolicy(PricingPolicy):
     of the round's sale likelihood (its row slope times x), rank-one update
     A += g g', Newton step theta - (1/gamma) A^{-1} g with A^{-1} g from one
     linear solve, and A-weighted projection back onto the feasible set.
-    The state is theta and A alone.
+    The state is theta and A alone; between a round's price and its outcome
+    the policy also keeps that round's x'theta, which both use.
     """
 
     name = "onsp"
@@ -291,15 +300,17 @@ class OnspPolicy(PricingPolicy):
     def _reset_state(self) -> None:
         self.theta = self.region.project(self.region.interior_point())
         self.matrix = self.epsilon * np.eye(self.region.dim)
+        self._xtheta = 0.0  # x'theta of the pending round
 
     def _propose_block(self, x: np.ndarray) -> np.ndarray:
+        self._xtheta = float(x[0] @ self.theta)
         # clipped_valuation on a Python float: max(0.0, -0.0) is 0.0, as np.clip gives
-        u = min(max(0.0, float(x[0] @ self.theta)), self.valuation_bound)
+        u = min(max(0.0, self._xtheta), self.valuation_bound)
         return np.array([greedy_price(self.model, u)])
 
     def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
-        slope = row_slopes(self.model, prices - x[0] @ self.theta, accepted)
-        grad = slope[0] * x[0]
+        slope = row_slopes(self.model, prices[0] - self._xtheta, accepted[0])
+        grad = slope * x[0]
         self.matrix = self.matrix + grad[:, None] * grad
         newton = self.theta - np.linalg.solve(self.matrix, grad) / self.gamma
         self.theta = self.region.project_weighted(newton, self.matrix)
@@ -393,7 +404,11 @@ class Exp4Policy(PricingPolicy):
 
     def _propose_block(self, x: np.ndarray) -> np.ndarray:
         rec, probs = self.arm_distribution(x[0])
-        arm = int(self._rng.choice(len(self.arms), p=probs))
+        # Generator.choice(K, p=probs) without its per-call validation of p:
+        # the same cumulative sum, the same one uniform draw
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        arm = int(cdf.searchsorted(self._rng.random(), side="right"))
         self._last = (rec, probs, arm)
         return self.arms[[arm]]
 
@@ -409,7 +424,7 @@ class Exp4Policy(PricingPolicy):
         # eta*estimate <= 1 whenever exploration = K*eta; the clamp guards
         # the clipped-probability path only
         boost = math.exp(min(self.learning_rate * estimate, 50.0))
-        self.weights[rec == arm] *= boost
+        np.multiply(self.weights, boost, out=self.weights, where=rec == arm)
         self.weights /= self.weights.sum()
 
 

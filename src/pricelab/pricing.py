@@ -11,14 +11,17 @@ first-order condition reads m(z) = z + c with c = u/spread and m the
 standardized Mills ratio.  Both solvers run one safeguarded Newton iteration
 on the log form q(z) = log m(z) - log(z + c).  On z > -c, q is convex and
 decreasing and grows only quadratically in the left tail, where m(z) - z - c
-grows like exp(z^2/2).  The iteration starts at z = 1 inside the bracket
-[-c/2, c + 10]: m(z) > -z puts the root right of -c/2, and m(z) < 2 for
-z > 0 puts it left of c + 10.  Each step evaluates m once, shrinks the
+grows like exp(z^2/2).  The bracket is [-c/2, c + 10]: m(z) > -z puts the
+root right of -c/2, and m(z) < 2 for z > 0 puts it left of c + 10.  The
+iteration starts from the root read off a table: the roots z(c) at
+ROOT_TABLE_POINTS even points of [0, ROOT_TABLE_MAX], found once per noise
+law by this same loop started at z = 1, and interpolated linearly in c.  A c
+beyond the table starts at z = 1.  Each step evaluates m once, shrinks the
 bracket by the sign of q, and takes the Newton step if it lands in the
 bracket (ends included), else bisects.  It stops once a step moves z by
-less than tol/spread; 3-8 steps suffice for spreads from 1e-3 to 5, and
-reaching NEWTON_CAP steps raises InvariantViolation instead of returning a
-price.
+less than tol/spread; from the table 1-3 steps suffice (3-8 from z = 1, for
+spreads from 1e-3 to 5), and reaching NEWTON_CAP steps raises
+InvariantViolation instead of returning a price.
 
 The inverse J^{-1}(p) reads the same condition backwards: at price p,
 m(z) = r with r = p/spread, and u = p - spread*z.  The same loop solves
@@ -60,12 +63,20 @@ __all__ = [
 ]
 
 
-# Newton steps allowed per greedy price; 3-8 are taken for spreads from 1e-3 to 5
+# Newton steps allowed per greedy price; 1-3 are taken from the root table,
+# 3-8 from z = 1 for spreads from 1e-3 to 5
 NEWTON_CAP = 60
 # absolute price tolerance: iteration stops once a step moves the price less
 PRICE_TOL = 1e-13
 # even points of the window grid the analysis constants are taken over
 GRID_POINTS = 20001
+# The greedy-price root table: z(c) at c = k/64, k = 0 .. 4096.  The range
+# covers c <= B/spread of every shipped config and tested market (4 at the
+# reference sigma = 0.25, 50 at the smallest spread, 0.02); linear
+# interpolation starts a price within 5e-6 of its root.
+ROOT_TABLE_MAX = 64.0
+ROOT_TABLE_POINTS = 4097
+_ROOT_TABLE_SCALE = (ROOT_TABLE_POINTS - 1) / ROOT_TABLE_MAX
 
 
 class InvariantViolation(RuntimeError):
@@ -98,9 +109,49 @@ def virtual_valuation_slope(model: NoiseModel, omega):
     return float(out) if np.ndim(omega) == 0 else out
 
 
+# One table per noise class: the standardized Mills ratio m is a function of
+# the law alone, so GaussianNoise(0.25) and GaussianNoise(0.02) share a table
+# and a process holds one per class, however many models it builds.  A table
+# takes about 2 ms to build and 66 kB to hold.
+_ROOT_TABLES: dict[type, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _root_table(model: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """z(c) at the table's points but the last, and the step to the next point.
+
+    Built on first use by the greedy-price loop started at z = 1.
+    """
+    table = _ROOT_TABLES.get(type(model))
+    if table is None:
+        c = np.arange(ROOT_TABLE_POINTS) / _ROOT_TABLE_SCALE
+        roots = _newton_array(model, 1.0, c, -0.5 * c, c + 10.0, np.ones_like(c), PRICE_TOL)
+        table = _ROOT_TABLES[type(model)] = (roots[:-1], np.diff(roots))
+    return table
+
+
+def _table_start(model: NoiseModel, c: np.ndarray) -> np.ndarray:
+    """_newton_scalar's start at each c: the interpolated root, or 1 beyond the table.
+
+    z(c) decreases in c, so an interpolated root lies between two roots and
+    inside the bracket [-c/2, c + 10].
+    """
+    roots, steps = _root_table(model)
+    pos = c * _ROOT_TABLE_SCALE
+    inside = pos < ROOT_TABLE_POINTS - 1
+    i = np.where(inside, pos, 0.0).astype(np.intp)
+    return np.where(inside, roots[i] + (pos - i) * steps[i], 1.0)
+
+
 def _newton_scalar(model: NoiseModel, c: float, ztol: float) -> float:
     """Root of q(z) = log m(z) - log(z + c) by safeguarded Newton, on floats."""
-    lo, hi, z = -0.5 * c, c + 10.0, 1.0
+    pos = c * _ROOT_TABLE_SCALE
+    if pos < ROOT_TABLE_POINTS - 1:
+        roots, steps = _root_table(model)
+        i = int(pos)
+        z = roots.item(i) + (pos - i) * steps.item(i)
+    else:
+        z = 1.0
+    lo, hi = -0.5 * c, c + 10.0
     for _ in range(NEWTON_CAP):
         m = float(model._mills(z))
         if not m > 0.0:
@@ -123,11 +174,12 @@ def _newton_array(model: NoiseModel, a: float, c, lo, hi, z, ztol: float) -> np.
     """Root of q(z) = log m(z) - log(a*z + c) elementwise, for a = 1 or 0.
 
     a = 1 is the greedy-price condition, and with the greedy-price bracket
-    and start each element takes the steps _newton_scalar would take; a = 0
-    is the inverse's condition m(z) = c.  An element stops once a step
-    moves it less than ztol, or lands on an end of its bracket: the step has
-    then run into the Mills kernel's rounding error (the inverse's roots
-    reach z = 500 at spread 5, where ztol is finer than one ulp of z).
+    and _table_start's start each element takes the steps _newton_scalar
+    would take; a = 0 is the inverse's condition m(z) = c.  An element
+    stops once a step moves it less than ztol, or lands on an end of its
+    bracket: the step has then run into the Mills kernel's rounding error
+    (the inverse's roots reach z = 500 at spread 5, where ztol is finer than
+    one ulp of z).
     """
     out = np.empty_like(c)
     if c.size == 0:
@@ -167,8 +219,10 @@ def greedy_price(model: NoiseModel, valuation: float) -> float:
     the root is found by safeguarded Newton on q(z) = log m(z) - log(z + c)
     as described in the module docstring, over Python floats (ONSP calls
     this once per round; EMLP and the oracle price whole blocks with
-    greedy_price_vec).  Stops when a step moves z by less than
-    PRICE_TOL/spread and raises InvariantViolation after NEWTON_CAP steps.
+    greedy_price_vec).  Starts from the root table's interpolated root (z = 1
+    for u/spread beyond ROOT_TABLE_MAX), stops when a step moves z by less
+    than PRICE_TOL/spread and raises InvariantViolation after NEWTON_CAP
+    steps.
     """
     u = float(valuation)
     if not math.isfinite(u) or u < 0:
@@ -180,16 +234,16 @@ def greedy_price(model: NoiseModel, valuation: float) -> float:
 def greedy_price_vec(model: NoiseModel, valuations) -> np.ndarray:
     """J(u) elementwise: greedy_price's iteration run over arrays.
 
-    Each element takes the Newton and bisection steps the scalar loop would
-    take, and stops when it has converged; InvariantViolation after
-    NEWTON_CAP steps as there.
+    Each element starts where the scalar loop would start, takes the Newton
+    and bisection steps it would take, and stops when it has converged;
+    InvariantViolation after NEWTON_CAP steps as there.
     """
     u = np.asarray(valuations, dtype=float)
     if np.any(~np.isfinite(u)) or np.any(u < 0):
         raise ValueError("valuations must be finite and nonnegative")
     spread = model.spread
     c = (u / spread).reshape(-1)
-    z = _newton_array(model, 1.0, c, -0.5 * c, c + 10.0, np.ones_like(c), PRICE_TOL / spread)
+    z = _newton_array(model, 1.0, c, -0.5 * c, c + 10.0, _table_start(model, c), PRICE_TOL / spread)
     return u + spread * z.reshape(u.shape)
 
 

@@ -60,6 +60,18 @@ def _norm(theta: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
+def _onto_sphere(v: np.ndarray, norm: float, radius: float) -> np.ndarray:
+    """v scaled to the given radius, for v != 0 of norm ``norm`` (from _norm).
+
+    A finite v whose squares overflow has norm inf, and r/inf would scale it
+    to 0; it is first divided by its largest entry, whose norm is finite.
+    """
+    if norm == math.inf:
+        v = v / np.abs(v).max()
+        norm = math.sqrt(float(np.vdot(v, v)))
+    return v * (radius / norm)
+
+
 def _check_weight_matrix(a: np.ndarray, dim: int) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (dim, dim):
@@ -135,7 +147,7 @@ class Ball:
         norm = _norm(theta, gap)
         if norm <= self.radius:
             return theta.copy()
-        return self.center + gap * (self.radius / norm)
+        return self.center + _onto_sphere(gap, norm, self.radius)
 
     def project_weighted(self, theta, a) -> np.ndarray:
         """Exact A-norm projection: the trust-region step about the center.
@@ -182,7 +194,7 @@ class OrthantBall:
         norm = _norm(theta, clipped)
         if norm <= self.radius:
             return clipped
-        return clipped * (self.radius / norm)
+        return _onto_sphere(clipped, norm, self.radius)
 
     def project_weighted(self, theta, a) -> np.ndarray:
         """Exact A-norm projection by a search over the faces of the orthant.

@@ -480,6 +480,22 @@ class TestLowerBoundDemo:
         with pytest.raises(ValueError):
             lower_bound_demo(16, 1, 0)
 
+    def test_requires_a_repetition(self):
+        with pytest.raises(ValueError):
+            lower_bound_demo(64, 0, 0)
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--t", "10"], "error: horizon must exceed 16 for a meaningful pair"),
+            (["--t", "64", "--reps", "0"], "error: repetitions must be at least 1"),
+        ],
+    )
+    def test_invalid_arguments_exit_2(self, capsys, argv, line):
+        assert main(["lower-bound-demo", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line + "\n"
+
 
 class TestConstantsCommand:
     def test_prints_the_reference_constants(self, capsys):

@@ -197,6 +197,27 @@ class TestOneOutcomeBatches:
                 assert got.tobytes() == want.tobytes(), (kernel.__name__, edge)
 
 
+class TestScalarRound:
+    """The round of an online update, a 0-d margin with one bool outcome,
+    goes to its kernel as a scalar; it must come out bit-equal to the
+    one-element batch."""
+
+    @pytest.mark.parametrize(
+        "model", [GaussianNoise(0.25), GaussianNoise(0.02), LogisticNoise(0.1)], ids=["g0.25", "g0.02", "logistic"]
+    )
+    def test_row_slopes_match_the_one_element_path(self, model):
+        rng = np.random.default_rng(31)
+        # standardized margins over the working window, past the hazard's
+        # saturation at z = 45 and into the far left, where erfcx overflows
+        z = np.concatenate([rng.uniform(-4.0, 4.0, 1500), rng.uniform(-80.0, 80.0, 1500), [45.0, 46.0, -40.0, -0.0]])
+        for w in z * model.spread:
+            for accepted in (True, False):
+                scalar = loss_module.row_slopes(model, np.float64(w), np.bool_(accepted))
+                row = loss_module.row_slopes(model, np.array([w]), np.array([accepted]))
+                assert np.ndim(scalar) == 0
+                assert np.float64(scalar).tobytes() == row.tobytes(), (w, accepted)
+
+
 class TestSolveMle:
     def test_zero_feature_returns_init(self, problem):
         batch = BatchObjective(np.zeros((1, 2)), [0.5], [True], problem.model)

@@ -105,6 +105,26 @@ class RoundingExp4(Exp4Policy):
     recommendations = rounded_greedy_price_arms
 
 
+class ChoiceExp4(Exp4Policy):
+    """Exp4 drawing its arm with Generator.choice, the draw the cumulative search replaces."""
+
+    def _propose_block(self, x):
+        rec, probs = self.arm_distribution(x[0])
+        arm = int(self._rng.choice(len(self.arms), p=probs))
+        self._last = (rec, probs, arm)
+        return self.arms[[arm]]
+
+
+class CountingGaussian(GaussianNoise):
+    """Gaussian noise that counts the Mills-ratio values it computes."""
+
+    evaluations = 0
+
+    def _mills(self, z):
+        self.evaluations += np.size(z)
+        return super()._mills(z)
+
+
 def _arms_at(policy, valuations):
     """Recommended arm at each valuation: expert (u, 0) under feature e1 has x'theta = u exactly."""
     policy.experts = np.column_stack([valuations, np.zeros_like(valuations)])
@@ -438,6 +458,27 @@ class TestOnsp:
         assert len(outside) == 256
         assert len(validations) == sum(outside) == 4
 
+    def test_prices_from_the_root_table_take_three_mills_evaluations(self, problem, monkeypatch):
+        # the benchmark's ONSP episode (T = 8192, alternating features): the
+        # table start leaves 2-3 Newton steps per price (2.82 on average here),
+        # against 6 from z = 1
+        valuations = []
+
+        def recorded(model, u):
+            valuations.append(u)
+            return greedy_price(model, u)
+
+        monkeypatch.setattr(policies_module, "greedy_price", recorded)
+        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
+        run_episode(policy, AlternatingScenario(problem), 8192, episode_seed(8401, 0))
+        counted = CountingGaussian(problem.model.sigma)
+        greedy_price(counted, 0.0)  # builds the class's root table
+        counted.evaluations = 0
+        for u in valuations:
+            greedy_price(counted, u)
+        assert len(valuations) == 8192
+        assert counted.evaluations <= 3 * len(valuations), counted.evaluations / len(valuations)
+
     def test_exact_projection_keeps_the_adversarial_trace(self, problem):
         # the active projection moves by about 1e-13, so Reg(t) agrees to 1e-11 relative
         policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
@@ -603,6 +644,17 @@ class TestExp4:
         np.testing.assert_array_equal(transcript.prices, want_transcript.prices)
         np.testing.assert_array_equal(played.weights, reference.weights)
         assert played.clip_events == reference.clip_events
+        np.testing.assert_array_equal(trace.cumulative, want_trace.cumulative)
+
+    def test_arm_draw_matches_generator_choice(self, problem):
+        played, reference = (
+            cls(problem.model, problem.region, 1.0, horizon=10_000) for cls in (Exp4Policy, ChoiceExp4)
+        )
+        transcript, trace = run_episode(played, StochasticScenario(problem), 10_000, episode_seed(9003, 0))
+        want_transcript, want_trace = run_episode(reference, StochasticScenario(problem), 10_000, episode_seed(9003, 0))
+        assert len(np.unique(transcript.prices)) > 1
+        np.testing.assert_array_equal(transcript.prices, want_transcript.prices)
+        assert played.weights.tobytes() == reference.weights.tobytes()
         np.testing.assert_array_equal(trace.cumulative, want_trace.cumulative)
 
     def test_thresholds_need_no_optimizer(self, source_env):

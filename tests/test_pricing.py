@@ -248,12 +248,41 @@ class TestGreedyPrice:
             greedy_price_vec(model, [0.1, 0.3])
 
     def test_iteration_cap_raises(self, gauss1, monkeypatch):
-        # 3 steps converge neither valuation here (6 are needed)
+        # beyond the root table (u/spread > 64) a price starts from z = 1 and
+        # takes 8 steps, so a cap of 3 stops it; inside the table 3 suffice.
+        # The table is built under the default cap first, so the raise comes
+        # from the valuation's own solve.
+        greedy_price(gauss1, 0.3)
         monkeypatch.setattr(pricing, "NEWTON_CAP", 3)
+        assert greedy_price(gauss1, 0.3) == greedy_price_vec(gauss1, [0.3])[0]
         with pytest.raises(InvariantViolation):
-            greedy_price(gauss1, 0.3)
+            greedy_price(gauss1, 80.0)
         with pytest.raises(InvariantViolation):
-            greedy_price_vec(gauss1, [0.1, 0.3])
+            greedy_price_vec(gauss1, [0.3, 100.0])
+
+    def test_beyond_the_table_converges_from_one(self, gauss1):
+        u = np.array([64.0, 65.0, 80.0, 100.0, 1000.0])
+        c = u / gauss1.spread
+        np.testing.assert_array_equal(pricing._table_start(gauss1, c), np.ones_like(c))
+        vec = greedy_price_vec(gauss1, u)
+        np.testing.assert_array_equal(vec, [greedy_price(gauss1, x) for x in u])
+        ref = bisection_price(gauss1, u)
+        assert np.max(np.abs(vec - ref) / price_ulps(gauss1, ref)) <= 4.0
+
+    def test_table_holds_the_roots_from_one(self):
+        # each entry is the root the loop finds from z = 1, and the
+        # interpolated start lies inside the bracket [-c/2, c + 10]
+        for model in (GaussianNoise(1.0), LogisticNoise(1.0)):
+            roots, _ = pricing._root_table(model)
+            c = np.arange(pricing.ROOT_TABLE_POINTS - 1) / 64.0
+            from_one = pricing._newton_array(
+                model, 1.0, c, -0.5 * c, c + 10.0, np.ones_like(c), pricing.PRICE_TOL
+            )
+            np.testing.assert_array_equal(roots, from_one)
+            between = np.linspace(0.0, pricing.ROOT_TABLE_MAX, 100_003)[:-1]
+            start = pricing._table_start(model, between)
+            assert np.all((start > -0.5 * between) & (start < between + 10.0))
+        assert pricing._root_table(GaussianNoise(0.02)) is pricing._root_table(GaussianNoise(0.25))
 
     @given(
         u1=st.floats(min_value=0.0, max_value=1.0),

@@ -41,6 +41,22 @@ class TestEuclideanProjection:
     def test_orthant_clip_then_scale(self, orthant):
         np.testing.assert_allclose(orthant.project(np.array([-1.0, 2.0])), [0.0, 1.0], rtol=1e-14)
 
+    @pytest.mark.parametrize(
+        "region, theta, want",
+        [
+            (OrthantBall(1.0, 2), [1e200, 0.0], [1.0, 0.0]),
+            (OrthantBall(1.0, 2), [1e200, -1e300], [1.0, 0.0]),
+            (OrthantBall(2.0, 2), [1.7e308, 1.7e308], [2.0**0.5, 2.0**0.5]),
+            (Ball(np.array([0.1, 0.0]), 1.0), [1e200, 0.0], [1.1, 0.0]),
+            (Ball(np.zeros(2), 1.0), [-1.7e308, 1.7e308], [-(0.5**0.5), 0.5**0.5]),
+        ],
+    )
+    def test_overflowing_squares_project_onto_the_sphere(self, region, theta, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = region.project(np.array(theta))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
     def test_orthant_against_brute_force(self, orthant, rng):
         # dense enumeration of the feasible set as the distance oracle
         grid_1d = np.linspace(0.0, 1.0, 401)
