@@ -7,7 +7,7 @@ Subcommands:
   pair plus a run-level ``summary.json``.  EMLP pairs record how many MLE
   fits did not converge, and a nonzero count prints a warning line.  Exit 0
   on success, 1 on an aborted run, 2 on an invalid config (with per-key
-  diagnostics).
+  diagnostics) or a ``--workers`` below 1 (one line on stderr).
 * ``verify [--fast]`` - run the invariant suite, one PASS/FAIL line per
   check; exit 1 if anything fails.
 * ``lower-bound-demo --t T --reps R --seed S [--policy ...]`` - run one
@@ -44,23 +44,26 @@ from .harness import (
     write_trace_csv,
 )
 from .noise import GaussianNoise
-from .policies import EmlpPolicy, OnspPolicy, OraclePolicy
 from .pricing import InvariantViolation, compute_constants
 from .verify import run_checks
 
 __all__ = ["main", "run_experiments", "lower_bound_demo"]
 
-DEMO_POLICIES = ("onsp", "emlp", "oracle-sigma1")
+# the demo's policies as config specs, built for the unit-noise market they believe in
+DEMO_POLICIES = {
+    "onsp": {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
+    "emlp": {"kind": "emlp"},
+    "oracle-sigma1": {"kind": "oracle"},
+}
 
 
 def _pair_worker(args: tuple) -> dict:
     """Run one repetition of one (policy, scenario) pair; process-pool safe.
 
-    Returns the regret trace, the repetition index and, for EMLP, the number
-    of MLE fits that did not report convergence.
+    Returns the regret trace and, for EMLP, the number of MLE fits that did
+    not report convergence.
     """
-    raw, policy_index, scenario_name, rep = args
-    config = parse_config(raw)
+    config, policy_index, scenario_name, rep = args
     spec = config.policies[policy_index]
     horizon = config.effective_horizon(spec)
     scenario = build_scenario(scenario_name, config.problem)
@@ -78,8 +81,8 @@ def _pair_worker(args: tuple) -> dict:
         policy = build_policy(spec, config.problem, horizon)
         _, trace = run_episode(policy, scenario, horizon, seed)
         if spec["kind"] == "emlp":
-            return {"trace": trace, "rep": rep, "mle_warnings": policy.mle_warnings}
-    return {"trace": trace, "rep": rep}
+            return {"trace": trace, "mle_warnings": policy.mle_warnings}
+    return {"trace": trace}
 
 
 def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
@@ -91,13 +94,13 @@ def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) ->
     for policy_index, spec in enumerate(config.policies):
         horizon = config.effective_horizon(spec)
         for scenario_name in config.scenarios:
-            jobs = [(config.raw, policy_index, scenario_name, rep) for rep in range(config.repetitions)]
+            # both paths return the repetitions in order
+            jobs = [(config, policy_index, scenario_name, rep) for rep in range(config.repetitions)]
             if workers > 1:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(_pair_worker, jobs))
             else:
                 results = [_pair_worker(job) for job in jobs]
-            results.sort(key=lambda r: r["rep"])
             traces = [r["trace"] for r in results]
             stats = aggregate(traces)
             window = config.fit_window(spec)
@@ -136,25 +139,17 @@ def lower_bound_demo(horizon: int, reps: int, seed: int, policy_kind: str = "ons
     if reps < 1:
         raise ValueError("repetitions must be at least 1")
     if policy_kind not in DEMO_POLICIES:
-        raise ValueError(f"policy must be one of {DEMO_POLICIES}")
+        raise ValueError(f"policy must be one of {tuple(DEMO_POLICIES)}")
     sigma1, sigma2 = lower_bound_pair(horizon)
     scenarios = [FixedValuationScenario.build(sigma=sigma1), FixedValuationScenario.build(sigma=sigma2)]
-    believed = GaussianNoise(sigma1)
-    region = scenarios[0].problem.region
-    theta_star = scenarios[0].problem.theta_star
-
-    def fresh_policy():
-        if policy_kind == "onsp":
-            return OnspPolicy(believed, region, 1.0, gamma=1.0, epsilon=1.0)
-        if policy_kind == "emlp":
-            return EmlpPolicy(believed, region, 1.0)
-        return OraclePolicy(believed, region, 1.0, theta_star)
 
     totals = []
     for scenario in scenarios:
         per_rep = []
         for rep in range(reps):
-            _, trace = run_episode(fresh_policy(), scenario, horizon, episode_seed(seed, rep))
+            # the policy believes the sigma-1 market: its model, region and theta*
+            policy = build_policy(DEMO_POLICIES[policy_kind], scenarios[0].problem, horizon)
+            _, trace = run_episode(policy, scenario, horizon, episode_seed(seed, rep))
             per_rep.append(trace.total)
         totals.append(float(np.mean(per_rep)))
     floor = float(np.sqrt(horizon) / 24000.0)
@@ -201,6 +196,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "run":
+        if args.workers < 1:
+            print("error: workers must be at least 1", file=sys.stderr)
+            return 2
         try:
             config = load_config(args.config) if args.config else default_config()
         except ConfigError as exc:

@@ -13,10 +13,9 @@ row's gradient is slope * x and its Hessian curvature * xx'.  Each noise
 kernel runs only on the rows with its outcome (hazard, log_sf and
 log_sf_curvature on sales; reverse_hazard, log_cdf and log_cdf_curvature on
 misses).  The single round of an online update, a 0-d margin with one bool
-outcome, goes to that outcome's kernel as a scalar, and a batch whose rows
-share one outcome goes to it whole; only a mixed batch is split by a mask
-and its results scattered back.  All scalars come from the stable log-space
-forms in :mod:`pricelab.noise`.
+outcome, goes to that outcome's kernel as a scalar; a batch is split by a
+mask and each kernel's results scattered back.  All scalars come from the
+stable log-space forms in :mod:`pricelab.noise`.
 
 :class:`BatchObjective` averages the rows of a batch and is the one place a
 batch's features and prices are validated.  Its constrained minimizer is
@@ -61,11 +60,6 @@ RIDGE = 1e-12
 def _by_outcome(w: np.ndarray, accepted: np.ndarray, on_sale, on_miss) -> np.ndarray:
     if np.ndim(w) == 0:
         return on_sale(w) if accepted else on_miss(w)
-    sales = np.count_nonzero(accepted)
-    if sales == len(w):
-        return on_sale(w)
-    if sales == 0:
-        return on_miss(w)
     out = np.empty_like(w)
     out[accepted] = on_sale(w[accepted])
     missed = ~accepted

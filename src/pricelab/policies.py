@@ -208,10 +208,6 @@ class EmlpPolicy(PricingPolicy):
 
     name = "emlp"
 
-    def __init__(self, model, region, feature_bound):
-        self._c_exp: float | None = None
-        super().__init__(model, region, feature_bound)
-
     def _reset_state(self) -> None:
         self.epoch = 0  # 0 = bootstrap round not yet played
         self.epoch_length = 1
@@ -226,14 +222,10 @@ class EmlpPolicy(PricingPolicy):
         self._prices = np.empty(self.epoch_length)
         self._accepted = np.empty(self.epoch_length, dtype=bool)
 
-    def _step_bound(self, batch: BatchObjective) -> float:
-        if self._c_exp is None:
-            self._c_exp = squared_hazard_ceiling(self.model, self.valuation_bound)
-        # c_exp over the full window majorizes any sub-batch's curvature
-        return self._c_exp * batch.max_feature_norm**2
-
     def _solve(self, batch: BatchObjective, init: np.ndarray) -> np.ndarray:
-        result = solve_mle(batch, self.region, init, step_bound=self._step_bound(batch))
+        # c_exp over the full window majorizes any sub-batch's curvature
+        step_bound = squared_hazard_ceiling(self.model, self.valuation_bound) * batch.max_feature_norm**2
+        result = solve_mle(batch, self.region, init, step_bound=step_bound)
         if not result.converged:
             self.mle_warnings += 1
         return result.theta

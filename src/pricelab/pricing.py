@@ -33,9 +33,10 @@ it left of the upper end.  J is strictly increasing, so the arm nearest
 J(u) on a grid of spacing D changes only where u crosses one of the
 thresholds J^{-1}((k + 1/2) D).
 
-Also computed here: the curvature/steepness constants of the demand model on
-the working window [-B, B + J(0)] that size regret bounds, solver step sizes
-and Newton-step hyperparameters.
+Also computed here, at the two ends of the working window [-B, B + J(0)]
+where their extrema lie: the curvature/steepness constants of the demand
+model that size regret bounds, solver step sizes and Newton-step
+hyperparameters.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ __all__ = [
 NEWTON_CAP = 60
 # absolute price tolerance: iteration stops once a step moves the price less
 PRICE_TOL = 1e-13
-# even points of the window grid the analysis constants are taken over
-GRID_POINTS = 20001
 # The greedy-price root table: z(c) at c = k/64, k = 0 .. 4096.  The range
 # covers c <= B/spread of every shipped config and tested market (4 at the
 # reference sigma = 0.25, 50 at the smallest spread, 0.02); linear
@@ -288,7 +287,7 @@ def first_order_residual(model: NoiseModel, valuation, price):
 
 @dataclass(frozen=True)
 class AnalysisConstants:
-    """Demand-model constants on the window [-B, B + J(0)].
+    """Demand-model constants on the window [-B, B + J(0)], taken at its ends.
 
     c_quad bounds the pricing regret by a quadratic in the valuation error;
     c_down is the strong-convexity floor of both log-likelihood branches;
@@ -305,49 +304,41 @@ class AnalysisConstants:
     alpha: float
 
 
-def _window_grid(model: NoiseModel, b: float) -> tuple[float, np.ndarray]:
-    """J(0) and the grid of the window [-B, B + J(0)] the constants are taken over."""
+def _window_ends(model: NoiseModel, b: float) -> tuple[float, np.ndarray]:
+    """J(0) and the window's two ends, -B and price_cap's V_max = B + J(0)."""
     if not (math.isfinite(b) and b > 0):
         raise ValueError("valuation bound must be a positive real")
     j0 = greedy_price(model, 0.0)
-    lo, hi = -b, b + j0
-    width = hi - lo
-    base = np.linspace(lo, hi, GRID_POINTS)
-    edge = width * np.geomspace(1e-9, 1e-2, 40)
-    return j0, np.unique(np.concatenate([base, lo + edge, hi - edge]))
-
-
-def _squared_hazard_max(model: NoiseModel, grid: np.ndarray) -> float:
-    steep = np.maximum(np.asarray(model.hazard(grid)), np.asarray(model.reverse_hazard(grid)))
-    return float(np.max(steep) ** 2)
+    return j0, np.array([-b, b + j0])
 
 
 def squared_hazard_ceiling(model: NoiseModel, b: float) -> float:
-    """c_exp alone, on compute_constants' grid and bit-identical to its c_exp.
+    """c_exp: the largest squared hazard or reverse hazard at the window's two ends.
 
-    Solver step bounds need only this ceiling; it never evaluates the
-    strong-convexity floor c_down, which underflows to 0 at small noise.
+    A log-concave law's hazard rises and its reverse hazard falls, so both
+    peak at an end.  Solver step bounds need only this ceiling; it never
+    evaluates c_down, which underflows to 0 at small noise.
     """
-    return _squared_hazard_max(model, _window_grid(model, b)[1])
+    ends = _window_ends(model, b)[1]
+    return float(np.max(np.maximum(model.hazard(ends), model.reverse_hazard(ends))) ** 2)
 
 
 def compute_constants(model: NoiseModel, b: float) -> AnalysisConstants:
-    """Evaluate the analysis constants numerically on a dense grid.
-
-    c_quad has the closed form 2*B_f + (B + J(0))*B_f'; the inf/sup pair has
-    none, so both are taken over a GRID_POINTS grid of the window with
-    geometric refinement clusters at both endpoints (where the extrema of
-    our models actually live).
+    """The analysis constants: c_quad in closed form, 2*B_f + (B + J(0))*B_f',
+    c_exp from squared_hazard_ceiling, and c_down as the smallest curvature of
+    the two log-likelihood branches at the window's two ends, where the floor
+    of both shipped laws lies (the Gaussian's branch curvatures are monotone,
+    the logistic's f/s is unimodal); ``pricelab verify`` holds both against a
+    dense grid.
     """
-    j0, grid = _window_grid(model, b)
-    curv = np.minimum(model.log_sf_curvature(grid), model.log_cdf_curvature(grid))
-    c_down = float(np.min(curv))
+    j0, ends = _window_ends(model, b)
+    c_down = float(np.min(np.minimum(model.log_sf_curvature(ends), model.log_cdf_curvature(ends))))
     if not np.isfinite(c_down) or c_down <= 0.0:
         raise InvariantViolation(
             f"strong-convexity floor must be positive, got {c_down} (log-concavity broken?)"
         )
 
-    c_exp = _squared_hazard_max(model, grid)
+    c_exp = squared_hazard_ceiling(model, b)
     c_quad = 2.0 * model.b_f + (b + j0) * model.b_fprime
     return AnalysisConstants(
         b_f=model.b_f,

@@ -123,14 +123,17 @@ def check_density_consistency(fast: bool) -> CheckResult:
 
 
 def check_hazard_monotone(fast: bool) -> CheckResult:
-    """Hazard strictly increasing on the window and on [-1, 1 + 1.76 spread]."""
+    """Hazard strictly increasing and reverse hazard strictly decreasing on
+    the window and on [-1, 1 + 1.76 spread]."""
     n = 400 if fast else 1000
     detail = []
     for model in _models(fast):
         grids = (_window_grid(model, 1.0, n), np.linspace(-1.0, 1.0 + 1.76 * model.spread, n))
         if not all(np.all(np.diff(model.hazard(grid)) > 0.0) for grid in grids):
             detail.append(f"{type(model).__name__}: hazard not strictly increasing")
-    return CheckResult("noise.hazard-monotone", not detail, "; ".join(detail) or "strictly increasing on both grids")
+        if not all(np.all(np.diff(model.reverse_hazard(grid)) < 0.0) for grid in grids):
+            detail.append(f"{type(model).__name__}: reverse hazard not strictly decreasing")
+    return CheckResult("noise.hazard-monotone", not detail, "; ".join(detail) or "strictly monotone on both grids")
 
 
 def check_hazard_asymptotics(fast: bool) -> CheckResult:
@@ -275,12 +278,26 @@ def check_quadratic_regret_bound(fast: bool) -> CheckResult:
 
 
 def check_constants(fast: bool) -> CheckResult:
-    """Gaussian sigma in {0.25, 1}: c_down > 0, c_exp >= hazard(B + J(0))^2,
+    """compute_constants takes c_exp and c_down at the window's two ends:
+    for each law at B in {0.5, 1, 2}, c_exp is at least and c_down at most
+    its extremum over a dense grid of the window, within 1e-12 relative.
+    Gaussian sigma in {0.25, 1}: c_down > 0, c_exp >= hazard(B + J(0))^2,
     0 < alpha <= 1, and c_exp/c_down grows as sigma shrinks; the logistic
     constants match their closed forms."""
+    n = 2001 if fast else 20001
+    details = []
+    for model in _models(fast):
+        for b in (0.5, 1.0, 2.0):
+            c = compute_constants(model, b)
+            grid = _window_grid(model, b, n)
+            steep = float(np.max(np.maximum(model.hazard(grid), model.reverse_hazard(grid))) ** 2)
+            floor = float(np.min(np.minimum(model.log_sf_curvature(grid), model.log_cdf_curvature(grid))))
+            if c.c_exp < steep * (1.0 - 1e-12) or c.c_down > floor * (1.0 + 1e-12):
+                details.append(
+                    f"{model}, B={b}: c_exp {c.c_exp:.6e} < {steep:.6e} or c_down {c.c_down:.6e} > {floor:.6e}"
+                )
     g = compute_constants(GaussianNoise(0.25), 1.0)
     g1 = compute_constants(GaussianNoise(1.0), 1.0)
-    details = []
     for sigma, c in ((0.25, g), (1.0, g1)):
         if not (c.c_down > 0 and 0 < c.alpha <= 1):
             details.append(f"sigma={sigma}: c_down {c.c_down:.3e}, alpha {c.alpha:.3e}")

@@ -42,6 +42,19 @@ def _mis_scaled_likelihood(init):
     return wrapped
 
 
+def _gaussian_c_down_at_lower_end(f):
+    # the Gaussian curvature floor lies at the window's upper end; the
+    # logistic one is held to its closed form apart from the grid
+    def wrapped(model, b):
+        constants = f(model, b)
+        if not isinstance(model, GaussianNoise):
+            return constants
+        c_down = float(min(model.log_sf_curvature(-b), model.log_cdf_curvature(-b)))
+        return dataclasses.replace(constants, c_down=c_down, alpha=c_down / constants.c_exp)
+
+    return wrapped
+
+
 def _region_faults(check, fault, label):
     return [
         pytest.param(check, region, "project_weighted", fault, id=f"{label}-{region.__name__}")
@@ -71,6 +84,13 @@ _FAULTS = [
         "hazard",
         lambda f: lambda self, w: np.maximum(f(self, w), 1e-3),
         id="hazard-monotone",
+    ),
+    pytest.param(
+        verify_mod.check_hazard_monotone,
+        GaussianNoise,
+        "reverse_hazard",
+        lambda f: lambda self, w: np.maximum(f(self, w), 1e-3),
+        id="reverse-hazard-monotone",
     ),
     pytest.param(
         verify_mod.check_hazard_asymptotics,
@@ -134,6 +154,13 @@ _FAULTS = [
         "compute_constants",
         lambda f: lambda model, b: dataclasses.replace(f(model, b), alpha=2.0),
         id="analysis-constants-alpha",
+    ),
+    pytest.param(
+        verify_mod.check_constants,
+        verify_mod,
+        "compute_constants",
+        _gaussian_c_down_at_lower_end,
+        id="analysis-constants-gaussian-c_down-wrong-end",
     ),
     pytest.param(
         verify_mod.check_gradient_hessian_fd,
@@ -257,6 +284,15 @@ class TestRun:
         p = json.loads((par / "summary.json").read_text())["pairs"]
         assert s == p
         assert (seq / "onsp_stochastic.csv").read_text() == (par / "onsp_stochastic.csv").read_text()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, small_raw, capsys, workers):
+        # these used to run the repetitions serially
+        cfg, out = _write(tmp_path, small_raw), tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: workers must be at least 1\n"
+        assert not out.exists()
 
     def test_exp4_cap_honored(self, tmp_path, small_raw):
         cfg = _write(tmp_path, small_raw)

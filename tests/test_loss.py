@@ -168,8 +168,8 @@ def _masked(w, accepted, on_sale, on_miss):
 
 
 class TestOneOutcomeBatches:
-    """A batch of one outcome skips the mask and the scatter; every row must
-    come out bit-equal to the masked path."""
+    """A batch of one outcome runs one kernel on every row and the other on
+    none; every row must come out bit-equal to the masked path."""
 
     @pytest.mark.parametrize("model", [GaussianNoise(0.25), LogisticNoise(0.3)], ids=["gaussian", "logistic"])
     @pytest.mark.parametrize("outcomes", ["mixed", "all-sale", "all-miss"])

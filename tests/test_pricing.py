@@ -358,7 +358,36 @@ class TestGreedyPriceInverse:
             greedy_price_inverse(gauss1, [0.5, 1.0])
 
 
+def grid_constants(model, b):
+    """Reference c_exp and c_down: the extrema over a dense grid of the
+    window, 20,001 even points of [-B, B + J(0)] and 40 geometric points
+    clustered at each end."""
+    lo, hi = -b, b + greedy_price(model, 0.0)
+    edge = (hi - lo) * np.geomspace(1e-9, 1e-2, 40)
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, 20001), lo + edge, hi - edge]))
+    c_exp = float(np.max(np.maximum(model.hazard(grid), model.reverse_hazard(grid))) ** 2)
+    c_down = float(np.min(np.minimum(model.log_sf_curvature(grid), model.log_cdf_curvature(grid))))
+    return c_exp, c_down
+
+
 class TestAnalysisConstants:
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "model, rtol",
+        [pytest.param(GaussianNoise(s), 0.0, id=f"gaussian-{s}") for s in (0.05, 0.25, 1.0)]
+        + [pytest.param(LogisticNoise(s), 1e-13, id=f"logistic-{s}") for s in (0.02, 0.3, 1.0)],
+    )
+    def test_window_ends_match_the_dense_grid(self, model, rtol, b):
+        # the extrema lie at the window's ends; the logistic grid maximum
+        # picks up reverse-hazard rounding at small scale
+        c_exp, c_down = grid_constants(model, b)
+        assert squared_hazard_ceiling(model, b) == pytest.approx(c_exp, rel=rtol, abs=0.0)
+        if c_down > 0.0:
+            assert compute_constants(model, b).c_down == c_down
+        else:  # Gaussian sigma = 0.05 at B = 2: the floor underflows on both
+            with pytest.raises(InvariantViolation):
+                compute_constants(model, b)
+
     def test_quadratic_constant_closed_form(self, gauss025):
         c = compute_constants(gauss025, 1.0)
         assert c.c_quad == pytest.approx(2 * gauss025.b_f + (1.0 + c.j0) * gauss025.b_fprime, rel=1e-15)
@@ -376,7 +405,7 @@ class TestAnalysisConstants:
         assert 0.0 < squared_hazard_ceiling(GaussianNoise(0.02), 1.0) < math.inf
 
     def test_small_noise_ceiling_is_warning_free(self):
-        # the sigma = 0.02 grid reaches z = -50, where the Mills ratio is +inf and the hazard 0
+        # the window's lower end is z = -50, where the Mills ratio is +inf and the hazard 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert squared_hazard_ceiling(GaussianNoise(0.02), 1.0) > 0.0
