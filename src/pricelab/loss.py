@@ -9,13 +9,13 @@ of its margin w = v - x'theta: a convex, exp-concave function of theta that
 depends on theta only through x'theta.  :func:`row_losses`,
 :func:`row_slopes` and :func:`row_curvatures` give l and its first and
 second derivatives in x'theta for arrays of margins and outcomes, so a
-row's gradient is slope * x and its Hessian curvature * xx'.  Each noise
-kernel runs only on the rows with its outcome (hazard, log_sf and
-log_sf_curvature on sales; reverse_hazard, log_cdf and log_cdf_curvature on
-misses).  The single round of an online update, a 0-d margin with one bool
-outcome, goes to that outcome's kernel as a scalar; a batch is split by a
-mask and each kernel's results scattered back.  All scalars come from the
-stable log-space forms in :mod:`pricelab.noise`.
+row's gradient is slope * x and its Hessian curvature * xx'.  The noise law
+is symmetric, so a miss at w is a sale at -w: log F(w) = log(1 - F(-w)).
+Each row's margin is mirrored to s = w on a sale and -w on a miss, and one
+call of each sale kernel (log_sf, hazard, log_sf_curvature) covers the
+whole batch.  The single round of an online update, a 0-d margin with one
+bool outcome, is mirrored as a scalar.  All scalars come from the stable
+log-space forms in :mod:`pricelab.noise`.
 
 :class:`BatchObjective` averages the rows of a batch and is the one place a
 batch's features and prices are validated.  Its constrained minimizer is
@@ -57,33 +57,30 @@ MLE_MAX_ITER = 100
 RIDGE = 1e-12
 
 
-def _by_outcome(w: np.ndarray, accepted: np.ndarray, on_sale, on_miss) -> np.ndarray:
+def _mirror(w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """w on sales, -w on misses."""
     if np.ndim(w) == 0:
-        return on_sale(w) if accepted else on_miss(w)
-    out = np.empty_like(w)
-    out[accepted] = on_sale(w[accepted])
-    missed = ~accepted
-    out[missed] = on_miss(w[missed])
-    return out
+        return w if accepted else -w
+    return np.where(accepted, w, -w)
 
 
 def row_losses(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """-log(1 - F(w)) on sales, -log F(w) on misses."""
-    return -_by_outcome(w, accepted, model.log_sf, model.log_cdf)
+    """-log(1 - F(s)) at the mirrored margin s: -log(1 - F(w)) on sales, -log F(w) on misses."""
+    return -model.log_sf(_mirror(w, accepted))
 
 
 def row_slopes(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """Derivative of each row's loss in x'theta: -hazard(w) on sales, reverse_hazard(w) on misses.
+    """Derivative of each row's loss in x'theta: -hazard(w) on sales, hazard(-w) on misses.
 
-    Calls the unchecked kernels: margins are built from features and prices
+    Calls the unchecked kernel: margins are built from features and prices
     validated where they entered.
     """
-    return _by_outcome(w, accepted, lambda s: -model._hazard(s)[0], model._reverse_hazard)
+    return _mirror(-model._hazard(_mirror(w, accepted)), accepted)
 
 
 def row_curvatures(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """Second derivative of each row's loss in x'theta: the log-concavity curvatures."""
-    return _by_outcome(w, accepted, model.log_sf_curvature, model.log_cdf_curvature)
+    """Second derivative of each row's loss in x'theta: the sale curvature at the mirrored margin."""
+    return model.log_sf_curvature(_mirror(w, accepted))
 
 
 class BatchObjective:
@@ -148,20 +145,7 @@ class MleResult:
     objective: float
 
 
-def curvature_step_bound(batch: BatchObjective, region: Region) -> float:
-    """Gradient-Lipschitz bound c_exp * (max ||x||)^2 over the batch."""
-    r = batch.max_feature_norm
-    if r == 0.0:
-        return 0.0
-    return squared_hazard_ceiling(batch.model, region.radius * r) * r * r
-
-
-def solve_mle(
-    batch: BatchObjective,
-    region: Region,
-    theta_init,
-    step_bound: float | None = None,
-) -> MleResult:
+def solve_mle(batch: BatchObjective, region: Region, theta_init, valuation_bound: float) -> MleResult:
     """Constrained batch MLE by projected Newton.
 
     At theta, with the batch's gradient g and Hessian H, the trial point is
@@ -172,14 +156,16 @@ def solve_mle(
     along one axis) still give a positive definite metric; g lies in H's
     range there, so the step keeps the warm start's null-space component.
     Each iteration first tests convergence: the gradient-mapping norm
-    ||theta - P(theta - g/L)|| L at the base step 1/L (L = curvature bound
-    over the batch) is at most MLE_TOL.  ``converged`` is True exactly when
+    ||theta - P(theta - g/L)|| L at the base step 1/L is at most MLE_TOL.
+    L bounds the gradient's Lipschitz constant: c_exp on the pricing window
+    of ``valuation_bound`` (:func:`squared_hazard_ceiling`) times the batch's
+    largest squared feature norm.  ``converged`` is True exactly when
     such a test passed; hitting the MLE_MAX_ITER cap, or a line search that
     finds no representable decrease, returns the current iterate with
     ``converged=False``, which callers surface as a warning, not a failure.
     """
     theta = region.project(np.asarray(theta_init, dtype=float))
-    ell = curvature_step_bound(batch, region) if step_bound is None else step_bound
+    ell = squared_hazard_ceiling(batch.model, valuation_bound) * batch.max_feature_norm**2
     if ell <= 0.0:
         # all-zero features: objective is constant in theta
         return MleResult(theta, True, 0, batch.value(theta))

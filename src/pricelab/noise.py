@@ -3,16 +3,17 @@
 Both shipped laws (Gaussian, logistic) are strictly log-concave: the second
 derivatives of log F and log(1-F) are strictly negative everywhere, which is
 what makes the per-round sale likelihood strongly curved along the observed
-feature direction and the whole pricing machinery work.
+feature direction and the whole pricing machinery work.  Both are symmetric
+about 0, so every left-tail quantity is its right-tail twin at -w: F(w) =
+1 - F(-w), the reverse hazard f/F at w is the hazard at -w, and the two
+log-likelihood curvatures agree the same way.  Each pair has one kernel.
 
 Everything tail-sensitive is computed in log space.  The quantities that blow
 up a naive implementation are 1-F(w) (underflows in double precision near 38
 standard units) and the hazard f/(1-F) (0/0 in the right tail); here they go
 through ``log_sf``/``log_pdf`` or, for the Gaussian, through the scaled
-complementary error function, so they stay accurate to ~1e-15 relative error
-over the whole working range |w| <= 40 standard units.  Beyond 45 standard
-units the Gaussian hazard switches to its asymptote w + 1/w and the result is
-flagged as saturated.
+complementary error function, so the hazard keeps ~1e-15 relative error at
+every margin where the Mills ratio is finite, with no asymptotic switch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -29,22 +29,10 @@ __all__ = [
     "NoiseModel",
     "GaussianNoise",
     "LogisticNoise",
-    "HazardResult",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
-
-# Standardized argument beyond which the Gaussian hazard is replaced by its
-# asymptote; 1-F underflows near 38, so exact evaluation is moot out there.
-HAZARD_SATURATION = 45.0
-
-
-class HazardResult(NamedTuple):
-    """Hazard value plus a flag marking saturated (asymptotic) evaluation."""
-
-    value: float | np.ndarray
-    saturated: bool | np.ndarray
 
 
 def _check_finite(omega) -> np.ndarray:
@@ -64,6 +52,11 @@ class NoiseModel(abc.ABC):
     Subclasses provide the scalar kernels; all public methods accept floats
     or arrays and validate finiteness (once per call).  Instances are
     immutable and safe to share; samplers take an explicit Generator.
+
+    The law must be symmetric about 0: ``sf``/``log_sf`` are the CDF at -w,
+    and ``reverse_hazard``/``log_cdf_curvature`` are the hazard and the sale
+    curvature at -w.  ``pricelab verify``'s ``noise.tail-identity`` fails
+    for a law that is not.
     """
 
     # -- primitive kernels -------------------------------------------------
@@ -142,48 +135,30 @@ class NoiseModel(abc.ABC):
         return _like(omega, self.spread * self._mills(arr / self.spread))
 
     def hazard(self, omega):
-        """f(w)/(1 - F(w)); see :meth:`hazard_detail` for the saturation flag."""
-        return self.hazard_detail(omega).value
+        """f(w)/(1 - F(w))."""
+        return _like(omega, self._hazard(_check_finite(omega)))
 
-    def hazard_detail(self, omega) -> HazardResult:
-        value, saturated = self._hazard(_check_finite(omega))
-        return HazardResult(_like(omega, value), _like(omega, saturated) if np.ndim(omega) else bool(saturated))
-
-    def _hazard(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hazard values and the mask of those taken from the asymptote."""
-        z = w / self.spread
-        saturated = z > HAZARD_SATURATION
-        some = saturated.any()
+    def _hazard(self, w: np.ndarray) -> np.ndarray:
         # far left the Mills ratio overflows to +inf, and 1/inf = 0 is the hazard
         with np.errstate(over="ignore"):
-            value = 1.0 / (self.spread * self._mills(np.where(saturated, 0.0, z) if some else z))
-        if some:
-            asym = (z + 1.0 / np.where(saturated, z, 1.0)) / self.spread
-            value = np.where(saturated, asym, value)
-        return value, saturated
+            return 1.0 / (self.spread * self._mills(w / self.spread))
 
     def reverse_hazard(self, omega):
-        """f(w)/F(w)."""
-        return _like(omega, self._reverse_hazard(_check_finite(omega)))
-
-    def _reverse_hazard(self, w: np.ndarray) -> np.ndarray:
-        z = w / self.spread
-        return np.exp(self._log_pdf(z) - math.log(self.spread) - self._log_cdf(z))
+        """f(w)/F(w): the hazard at -w."""
+        return _like(omega, self._hazard(-_check_finite(omega)))
 
     # -- log-concavity curvatures -------------------------------------------
     # -d^2 log(1-F)/dw^2 = h^2 + (f'/f) h       with h = f/(1-F)
-    # -d^2 log F/dw^2    = r^2 - (f'/f) r       with r = f/F
+    # -d^2 log F/dw^2 at w is -d^2 log(1-F)/dw^2 at -w.
     # Both are strictly positive for strictly log-concave F.
 
     def log_sf_curvature(self, omega):
         w = _check_finite(omega)
-        h = self._hazard(w)[0]
+        h = self._hazard(w)
         return _like(omega, h * (h + self._log_pdf_slope(w)))
 
     def log_cdf_curvature(self, omega):
-        w = _check_finite(omega)
-        r = self._reverse_hazard(w)
-        return _like(omega, r * (r - self._log_pdf_slope(w)))
+        return self.log_sf_curvature(-np.asarray(omega, dtype=float))
 
     # -- sampling ------------------------------------------------------------
 
@@ -212,7 +187,9 @@ class GaussianNoise(NoiseModel):
 
     Tails go through scipy's erfc-based ``ndtr``/``log_ndtr`` and the scaled
     complementary error function: (1-Phi(z))/phi(z) = sqrt(pi/2)*erfcx(z/sqrt2),
-    which neither under- nor overflows anywhere we evaluate it.
+    which never underflows and overflows only below z = -37.65.  There the
+    hazard and the sale curvature round to 0; their true values are below
+    1e-300 for sigma >= 1e-3.
     """
 
     sigma: float = 1.0
@@ -263,8 +240,8 @@ class GaussianNoise(NoiseModel):
 class LogisticNoise(NoiseModel):
     """Logistic(0, s) valuation noise; every tail quantity has a closed form.
 
-    Hazard is F(w)/s, bounded and increasing, so it never needs the
-    saturation fallback.
+    The hazard is F(w)/s, bounded and increasing; ``expit`` gives it to the
+    ulp, where the generic 1/(s (1 + e^-z)) differs by a few.
     """
 
     scale: float = 1.0
@@ -311,16 +288,14 @@ class LogisticNoise(NoiseModel):
         return (1.0 - 2.0 * special.expit(w / self.scale)) / self.scale
 
     def _hazard(self, w):
-        return special.expit(w / self.scale) / self.scale, np.zeros(np.shape(w), dtype=bool)
+        return special.expit(w / self.scale) / self.scale
 
-    # Both curvatures equal F(1-F)/s^2 = f/s.  The generic r(r - f'/f) and
-    # h(h + f'/f) cancel in the tails: 0 at |w/s| = 40, where F(1-F) is 4.2e-18.
+    # The curvature is F(1-F)/s^2 = f/s.  The generic h(h + f'/f) cancels in
+    # the right tail: 0 at w/s = 40, where F(1-F) is 4.2e-18.
 
     def log_sf_curvature(self, omega):
         z = _check_finite(omega) / self.scale
         return _like(omega, special.expit(z) * special.expit(-z) / self.scale**2)
-
-    log_cdf_curvature = log_sf_curvature
 
     def sample(self, rng, size=None):
         return rng.logistic(0.0, self.scale, size)

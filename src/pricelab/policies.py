@@ -49,7 +49,6 @@ from .pricing import (
     greedy_price_inverse,
     greedy_price_vec,
     price_cap,
-    squared_hazard_ceiling,
 )
 from .regions import OrthantBall, Region
 
@@ -223,9 +222,7 @@ class EmlpPolicy(PricingPolicy):
         self._accepted = np.empty(self.epoch_length, dtype=bool)
 
     def _solve(self, batch: BatchObjective, init: np.ndarray) -> np.ndarray:
-        # c_exp over the full window majorizes any sub-batch's curvature
-        step_bound = squared_hazard_ceiling(self.model, self.valuation_bound) * batch.max_feature_norm**2
-        result = solve_mle(batch, self.region, init, step_bound=step_bound)
+        result = solve_mle(batch, self.region, init, self.valuation_bound)
         if not result.converged:
             self.mle_warnings += 1
         return result.theta

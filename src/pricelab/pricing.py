@@ -333,7 +333,11 @@ def compute_constants(model: NoiseModel, b: float) -> AnalysisConstants:
     """
     j0, ends = _window_ends(model, b)
     c_down = float(np.min(np.minimum(model.log_sf_curvature(ends), model.log_cdf_curvature(ends))))
-    if not np.isfinite(c_down) or c_down <= 0.0:
+    if c_down == 0.0:
+        raise InvariantViolation(
+            f"strong-convexity floor underflowed to 0.0 at this noise scale ({model}, window [{ends[0]:g}, {ends[1]:g}])"
+        )
+    if not np.isfinite(c_down) or c_down < 0.0:
         raise InvariantViolation(
             f"strong-convexity floor must be positive, got {c_down} (log-concavity broken?)"
         )

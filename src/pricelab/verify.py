@@ -163,6 +163,11 @@ def _log1mexp(a: np.ndarray) -> np.ndarray:
 def check_tail_identity(fast: bool) -> CheckResult:
     """log_cdf and log_sf reconstruct each other through log(1 - exp(.)).
 
+    ``log_sf`` is the CDF at -w, so for a law that is not symmetric about 0
+    the identity fails: this check also holds the symmetry every mirrored
+    kernel relies on (``sf``, ``reverse_hazard``, ``log_cdf_curvature`` and
+    the miss rows of the sale likelihood).
+
     Checked wherever the computation is representable in doubles: the input
     log must be nonzero to machine precision (magnitude >= 1e-290) and its
     exp normal (magnitude <= 700); outside that band one side has rounded

@@ -157,7 +157,7 @@ def test_criterion_5_mle_consistency_rate():
             v = rng.uniform(0.0, problem.price_window, n)
             accepted = v <= x @ problem.theta_star + problem.model.sample(rng, n)
             batch = BatchObjective(x, v, accepted, problem.model)
-            fit = solve_mle(batch, problem.region, problem.region.interior_point())
+            fit = solve_mle(batch, problem.region, problem.region.interior_point(), problem.valuation_bound)
             assert fit.converged, f"solve_mle did not converge at n={n}, seed={seed}"
             errors.append(float(np.linalg.norm(fit.theta - problem.theta_star)))
     medians = np.median(np.reshape(errors, (len(sizes), seeds)), axis=1)

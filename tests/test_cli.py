@@ -555,10 +555,19 @@ class TestConstantsCommand:
         assert captured.out == "" and captured.err == line + "\n"
 
     def test_broken_invariant_exits_1(self, capsys):
-        # c_down underflows to 0 at sigma = 0.02
+        # c_down underflows to 0 at sigma = 0.02: the law is still log-concave
         assert main(["constants", "--sigma", "0.02", "--b", "1.0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invariant violated: strong-convexity floor") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("invariant violated: strong-convexity floor underflowed to 0.0 at this noise scale")
+        assert "log-concavity" not in captured.err
+
+    def test_negative_floor_blames_log_concavity(self, capsys, monkeypatch):
+        monkeypatch.setattr(GaussianNoise, "log_sf_curvature", lambda self, w: -np.ones(np.shape(w)))
+        assert main(["constants", "--sigma", "0.25", "--b", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.endswith("got -1.0 (log-concavity broken?)\n")
 
 
 def test_module_entry_point(source_env):

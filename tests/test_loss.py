@@ -168,15 +168,16 @@ def _masked(w, accepted, on_sale, on_miss):
 
 
 class TestOneOutcomeBatches:
-    """A batch of one outcome runs one kernel on every row and the other on
-    none; every row must come out bit-equal to the masked path."""
+    """The mirrored batch against each outcome's public kernel run on that
+    outcome's rows through a mask: every row must come out bit-equal, with
+    both outcomes in the batch or only one."""
 
     @pytest.mark.parametrize("model", [GaussianNoise(0.25), LogisticNoise(0.3)], ids=["gaussian", "logistic"])
     @pytest.mark.parametrize("outcomes", ["mixed", "all-sale", "all-miss"])
     @pytest.mark.parametrize("rows", [1, 257])
     def test_row_kernels_match_the_masked_path(self, model, outcomes, rows):
         rng = np.random.default_rng(29)
-        # the working window, the saturated right tail, the far left and a signed zero
+        # the working window, the right tail, the far left and a signed zero
         for edge in (0.3, 12.0, -12.0, -0.0):
             w = rng.uniform(-2.0, 2.0, rows)
             w[0] = edge
@@ -185,10 +186,10 @@ class TestOneOutcomeBatches:
                 "all-sale": np.ones(rows, dtype=bool),
                 "all-miss": np.zeros(rows, dtype=bool),
             }[outcomes]
-            neg_hazard = lambda s: -model._hazard(s)[0]
+            neg_hazard = lambda s: -model.hazard(s)
             masked = {
                 loss_module.row_losses: -_masked(w, accepted, model.log_sf, model.log_cdf),
-                loss_module.row_slopes: _masked(w, accepted, neg_hazard, model._reverse_hazard),
+                loss_module.row_slopes: _masked(w, accepted, neg_hazard, model.reverse_hazard),
                 loss_module.row_curvatures: _masked(w, accepted, model.log_sf_curvature, model.log_cdf_curvature),
             }
             for kernel, want in masked.items():
@@ -199,16 +200,16 @@ class TestOneOutcomeBatches:
 
 class TestScalarRound:
     """The round of an online update, a 0-d margin with one bool outcome,
-    goes to its kernel as a scalar; it must come out bit-equal to the
-    one-element batch."""
+    is mirrored as a scalar; it must come out bit-equal to the one-element
+    batch."""
 
     @pytest.mark.parametrize(
         "model", [GaussianNoise(0.25), GaussianNoise(0.02), LogisticNoise(0.1)], ids=["g0.25", "g0.02", "logistic"]
     )
     def test_row_slopes_match_the_one_element_path(self, model):
         rng = np.random.default_rng(31)
-        # standardized margins over the working window, past the hazard's
-        # saturation at z = 45 and into the far left, where erfcx overflows
+        # standardized margins over the working window, far into the right
+        # tail and into the far left, where erfcx overflows
         z = np.concatenate([rng.uniform(-4.0, 4.0, 1500), rng.uniform(-80.0, 80.0, 1500), [45.0, 46.0, -40.0, -0.0]])
         for w in z * model.spread:
             for accepted in (True, False):
@@ -222,13 +223,13 @@ class TestSolveMle:
     def test_zero_feature_returns_init(self, problem):
         batch = BatchObjective(np.zeros((1, 2)), [0.5], [True], problem.model)
         init = np.array([0.25, 0.25])
-        result = solve_mle(batch, problem.region, init)
+        result = solve_mle(batch, problem.region, init, problem.valuation_bound)
         assert result.converged
         np.testing.assert_array_equal(result.theta, init)
 
     def test_result_is_feasible_and_stationary(self, problem):
         batch = _synthetic_batch(problem, 512, seed=2)
-        result = solve_mle(batch, problem.region, problem.region.interior_point())
+        result = solve_mle(batch, problem.region, problem.region.interior_point(), problem.valuation_bound)
         assert result.converged
         assert problem.region.contains(result.theta, tol=1e-9)
         base = 1.0 / (compute_constants(problem.model, problem.valuation_bound).c_exp)
@@ -237,7 +238,7 @@ class TestSolveMle:
 
     def test_consistency_4096(self, problem):
         batch = _synthetic_batch(problem, 4096, seed=3)
-        result = solve_mle(batch, problem.region, problem.region.interior_point())
+        result = solve_mle(batch, problem.region, problem.region.interior_point(), problem.valuation_bound)
         assert np.linalg.norm(result.theta - problem.theta_star) <= 0.1
 
     def test_error_shrinks_with_sample_size(self, problem):
@@ -249,7 +250,7 @@ class TestSolveMle:
         sizes, errors = np.repeat([1024, 4096], 64), []
         for n, s in zip(sizes, np.tile(np.arange(64), 2)):
             batch = _synthetic_batch(problem, int(n), seed=100 + int(s))
-            fit = solve_mle(batch, problem.region, problem.region.interior_point())
+            fit = solve_mle(batch, problem.region, problem.region.interior_point(), problem.valuation_bound)
             assert fit.converged
             errors.append(np.linalg.norm(fit.theta - problem.theta_star))
         rate = fit_slope((sizes, np.array(errors)), (1024, 4096))
@@ -266,7 +267,7 @@ class TestSolveMle:
         accepted = v <= 0.5 + problem.model.sample(rng, n)
         batch = BatchObjective(x, v, accepted, problem.model)
         init = np.array([0.1, 0.3])
-        result = solve_mle(batch, problem.region, init)
+        result = solve_mle(batch, problem.region, init, problem.valuation_bound)
         assert result.theta[1] == pytest.approx(0.3, abs=1e-6)
         assert abs(result.theta[0] - 0.5) < 0.2
         assert problem.region.contains(result.theta)
@@ -275,7 +276,7 @@ class TestSolveMle:
         # independently coded objective: probit regression of the sale
         # indicator on x/sigma with offset -v/sigma, solved by BFGS
         batch = _synthetic_batch(problem, 2048, seed=5)
-        ours = solve_mle(batch, problem.region, problem.region.interior_point())
+        ours = solve_mle(batch, problem.region, problem.region.interior_point(), problem.valuation_bound)
         sigma = problem.model.sigma
         y = batch.accepted.astype(float)
 
@@ -294,7 +295,7 @@ class TestSolveMle:
     def test_iteration_cap_flags(self, problem, monkeypatch):
         monkeypatch.setattr(loss_module, "MLE_MAX_ITER", 3)
         batch = _synthetic_batch(problem, 512, seed=7)
-        result = solve_mle(batch, problem.region, problem.region.interior_point())
+        result = solve_mle(batch, problem.region, problem.region.interior_point(), problem.valuation_bound)
         assert not result.converged
         assert result.iterations == 3
 
@@ -403,7 +404,8 @@ class TestNewtonMle:
     def test_matches_slsqp_fit(self, case):
         model, region, features, prices, accepted, start = _newton_case(case)
         batch = BatchObjective(features, prices, accepted, model)
-        ours = solve_mle(batch, region, start)
+        # EmlpPolicy's valuation bound for features in the unit ball: the region's radius
+        ours = solve_mle(batch, region, start, region.radius)
         assert ours.converged
         assert ours.iterations <= 50, f"{ours.iterations} iterations: a first-order crawl, not Newton"
         assert region.contains(ours.theta, tol=1e-12)

@@ -100,6 +100,45 @@ class TestCurvatures:
                 np.testing.assert_allclose(curvature(w), want, rtol=1e-14, atol=0.0)
 
 
+class TestGaussianKernels:
+    """The hazard and both log-likelihood curvatures against mpmath at 40
+    digits, at the margins each double w = z sigma stands for."""
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.25, 1.0])
+    def test_match_mpmath(self, sigma):
+        mp = pytest.importorskip("mpmath")
+        model = GaussianNoise(sigma)
+        bulk = np.linspace(-40.0, 40.0, 801) * sigma
+        far = np.linspace(40.0, 100.0, 601) * sigma
+        with mp.workdps(40):
+            s = mp.mpf(sigma)
+
+            def exact(w, kernel):
+                return np.array([float(kernel(mp.mpf(x) / s)) for x in w])
+
+            # the hazard and the sale curvature h(h - z/sigma); the miss
+            # curvature r(r + z/sigma) with r = f/F, not mirrored from the sale
+            def hazard(z):
+                return mp.npdf(z) / (s * mp.ncdf(-z))
+
+            def sale(z):
+                return hazard(z) * (hazard(z) - z / s)
+
+            def miss(z):
+                r = mp.npdf(z) / (s * mp.ncdf(z))
+                return r * (r + z / s)
+
+            sale_bulk, miss_bulk = exact(bulk, sale), exact(bulk, miss)
+            sale_far, hazard_far = exact(far, sale), exact(far, hazard)
+        # beyond z = -37.65 the Mills ratio overflows and the sale kernels
+        # round to 0, where their true values are below 1e-300
+        np.testing.assert_allclose(model.log_sf_curvature(bulk), sale_bulk, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(model.log_cdf_curvature(bulk), miss_bulk, rtol=1e-12, atol=1e-300)
+        # 1 - 1/(z m(z)) cancels in the sale curvature, to ~z^2 ulps at z = 100
+        np.testing.assert_allclose(model.log_sf_curvature(far), sale_far, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(model.hazard(far), hazard_far, rtol=1e-14, atol=0.0)
+
+
 class TestHazard:
     def test_value_at_zero(self, gauss1):
         assert gauss1.hazard(0.0) == pytest.approx(HAZARD_0, rel=1e-13)
@@ -115,34 +154,6 @@ class TestHazard:
         value = gauss1.hazard(-10.0)
         assert 0 < value < 1e-20
         assert value == pytest.approx(HAZARD_M10, rel=1e-10)
-
-    def test_saturation_flag(self, gauss025):
-        w = 46.0 * 0.25
-        result = gauss025.hazard_detail(w)
-        assert result.saturated
-        assert result.value == pytest.approx((46.0 + 1.0 / 46.0) / 0.25, rel=1e-12)
-        assert not gauss025.hazard_detail(0.5).saturated
-
-    def test_mixed_saturation_matches_elementwise(self, gauss025):
-        # the asymptote is built only for a batch with a saturated element
-        w = 0.25 * np.array([46.0, 0.5, 45.0, 120.0, -40.0, 44.9, -0.0])
-        value, saturated = gauss025._hazard(w)
-        np.testing.assert_array_equal(saturated, w / 0.25 > 45.0)
-        for i, wi in enumerate(w):
-            alone, flag = gauss025._hazard(w[i : i + 1])
-            assert flag[0] == saturated[i]
-            assert alone[0] == value[i]
-        z = w / 0.25
-        far = z[saturated]
-        np.testing.assert_array_equal(value[saturated], (far + 1.0 / far) / 0.25)
-        with np.errstate(over="ignore"):
-            exact = 1.0 / (0.25 * gauss025._mills(z[~saturated]))
-        np.testing.assert_array_equal(value[~saturated], exact)
-
-    def test_logistic_closed_form_never_saturates(self, logistic1):
-        res = logistic1.hazard_detail(80.0)
-        assert not res.saturated
-        assert res.value == pytest.approx(logistic1.cdf(80.0), rel=1e-12)
 
     def test_matches_pdf_over_sf(self, gauss1, logistic1):
         grid = np.linspace(-5.0, 5.0, 101)
