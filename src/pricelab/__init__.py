@@ -38,7 +38,6 @@ from .pricing import (
     greedy_price,
     greedy_price_vec,
     price_cap,
-    virtual_valuation,
 )
 from .regions import Ball, OrthantBall
 
@@ -81,5 +80,4 @@ __all__ = [
     "run_episode",
     "run_horizon_envelope",
     "solve_mle",
-    "virtual_valuation",
 ]

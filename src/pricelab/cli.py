@@ -6,10 +6,11 @@ Subcommands:
   config (built-in defaults when no path is given), write one CSV trace per
   pair plus a run-level ``summary.json``.  EMLP pairs record how many MLE
   fits did not converge, and a nonzero count prints a warning line.  Exit 0
-  on success, 1 on an aborted run, 2 on an invalid config (with per-key
-  diagnostics) or a ``--workers`` below 1 (one line on stderr).
-* ``verify [--fast]`` - run the invariant suite, one PASS/FAIL line per
-  check; exit 1 if anything fails.
+  on success, 1 on an aborted run, 2 on an invalid config or ``--seed``
+  (with per-key diagnostics) or a ``--workers`` below 1 (one line on
+  stderr).
+* ``verify`` - run the invariant suite, one PASS/FAIL line per check; exit
+  1 if anything fails.
 * ``lower-bound-demo --t T --reps R --seed S [--policy ...]`` - run one
   policy against the two nearly indistinguishable fixed-valuation markets
   and report the summed regret next to the sqrt(T)/24000 floor.  Purely
@@ -177,8 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="master seed override")
     p_run.add_argument("--workers", type=int, default=1, help="parallel repetitions")
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--fast", action="store_true", help="reduced grid densities")
+    sub.add_parser("verify", help="run the invariant suite")
 
     p_demo = sub.add_parser("lower-bound-demo", help="two-market indistinguishability demo")
     p_demo.add_argument("--t", type=int, required=True, help="horizon T")
@@ -201,14 +201,12 @@ def main(argv=None) -> int:
             return 2
         try:
             config = load_config(args.config) if args.config else default_config()
+            if args.seed is not None:
+                config = parse_config({**config.raw, "master_seed": args.seed})
         except ConfigError as exc:
             for line in exc.problems:
                 print(f"config error: {line}", file=sys.stderr)
             return 2
-        if args.seed is not None:
-            raw = dict(config.raw)
-            raw["master_seed"] = args.seed
-            config = parse_config(raw)
         try:
             summary = run_experiments(config, out_dir=args.out, workers=args.workers)
         except EpisodeAbort as exc:
@@ -229,7 +227,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        results = run_checks(fast=args.fast)
+        results = run_checks()
         for res in results:
             print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
         failed = [r for r in results if not r.passed]

@@ -20,7 +20,8 @@ errors are reported together with their JSON path:
         {"kind": "emlp"},
         {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
         {"kind": "exp4", "horizon_cap": 4096}
-      ],                                # exp4 also takes "exploration" in [0, 1], "learning_rate" > 0
+      ],                                # each kind at most once; exp4 also takes
+                                        # "exploration" in [0, 1], "learning_rate" > 0
       "slope_window": [1024, 65536],
       "output_dir": "results"
     }
@@ -218,11 +219,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append("policies must be a nonempty list")
         policies = []
     else:
+        first_of_kind: dict[str, int] = {}
         for i, spec in enumerate(policies):
             if not isinstance(spec, dict) or spec.get("kind") not in POLICY_KINDS:
                 problems.append(f"policies[{i}].kind must be one of {POLICY_KINDS}")
                 continue
-            if spec.get("kind") == "onsp":
+            # each pair's trace is <kind>_<scenario>.csv, so a second spec of a kind would overwrite the first's
+            kind = spec["kind"]
+            if kind in first_of_kind:
+                problems.append(f"policies[{i}].kind {kind!r} repeats policies[{first_of_kind[kind]}]")
+            first_of_kind.setdefault(kind, i)
+            if kind == "onsp":
                 has_g, has_e = "gamma" in spec, "epsilon" in spec
                 if has_g != has_e:
                     problems.append(f"policies[{i}]: override gamma and epsilon together")

@@ -14,11 +14,10 @@ episode seed derived from SeedSequence([m, r]).  Everything downstream is a
 pure function of those integers, so repetitions can run in any order or in
 parallel without changing results.
 
-One loop plays every policy: it asks the policy how many rounds it can
-price without feedback (``frozen_rounds``), takes the prices of those rounds
-as one block and hands back the block's sale outcomes.  ``run_episode``
-draws the outcomes from the sale rule, a sale when the price is at most
-x'theta* + noise, and ``replay_prices`` reads them from a transcript.
+One loop, in ``run_episode``, plays every policy: it asks the policy how
+many rounds it can price without feedback (``frozen_rounds``), takes the
+prices of those rounds as one block and hands back the block's sale
+outcomes, a sale when the price is at most x'theta* + noise.
 
 Inputs are validated where they enter: ``PricingPolicy.propose_block``
 checks each block of features and raises on a price outside [0, V_max],
@@ -51,7 +50,6 @@ __all__ = [
     "episode_seed",
     "run_episode",
     "run_horizon_envelope",
-    "replay_prices",
     "aggregate",
     "fit_slope",
     "emlp_epoch_gaps",
@@ -71,9 +69,6 @@ class Transcript:
     features: np.ndarray
     prices: np.ndarray
     accepted: np.ndarray
-
-    def __len__(self) -> int:
-        return self.prices.shape[0]
 
 
 @dataclass
@@ -140,33 +135,6 @@ def _spawn(seed, n: int = 2) -> list[np.random.SeedSequence]:
     ]
 
 
-def _play(policy: PricingPolicy, policy_stream, features: np.ndarray, sales) -> tuple[np.ndarray, np.ndarray]:
-    """The block loop: prices and outcomes of every round of ``features``.
-
-    The policy is reset with ``policy_stream``; ``sales(rows, prices)`` gives
-    the outcomes of the block of rounds ``rows`` at the posted prices.
-    """
-    horizon = len(features)
-    policy.reset(policy_stream)
-    prices = np.empty(horizon)
-    accepted = np.empty(horizon, dtype=bool)
-    t = 0
-    while t < horizon:
-        rows = slice(t, t + min(policy.frozen_rounds(), horizon - t))
-        try:
-            block = policy.propose_block(features[rows])
-        except PriceWindowError as exc:
-            raise EpisodeAbort(f"round {t + exc.row + 1}: {exc}") from exc
-        except RuntimeError as exc:
-            raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
-        sold = sales(rows, block)
-        policy.feedback_block(sold)
-        prices[rows] = block
-        accepted[rows] = sold
-        t = rows.stop
-    return prices, accepted
-
-
 def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -> tuple[Transcript, RegretTrace]:
     """Play the four-step protocol for ``horizon`` rounds.
 
@@ -183,7 +151,24 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
     noise = np.asarray(problem.model.sample(env_rng, horizon))
     u_star = features @ problem.theta_star
     reservation = u_star + noise
-    prices, accepted = _play(policy, policy_stream, features, lambda rows, v: v <= reservation[rows])
+
+    policy.reset(policy_stream)
+    prices = np.empty(horizon)
+    accepted = np.empty(horizon, dtype=bool)
+    t = 0
+    while t < horizon:
+        rows = slice(t, t + min(policy.frozen_rounds(), horizon - t))
+        try:
+            block = policy.propose_block(features[rows])
+        except PriceWindowError as exc:
+            raise EpisodeAbort(f"round {t + exc.row + 1}: {exc}") from exc
+        except RuntimeError as exc:
+            raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
+        sold = block <= reservation[rows]
+        policy.feedback_block(sold)
+        prices[rows] = block
+        accepted[rows] = sold
+        t = rows.stop
 
     best_prices = greedy_price_vec(problem.model, np.clip(u_star, 0.0, None))
     best = expected_reward(problem.model, best_prices, u_star)
@@ -226,13 +211,6 @@ def run_horizon_envelope(
     with np.errstate(divide="ignore", invalid="ignore"):
         over_log = np.where(horizons >= 2, finals / np.log(horizons), np.nan)
     return RegretTrace(None, horizons, finals, over_log)
-
-
-def replay_prices(policy: PricingPolicy, transcript: Transcript, seed) -> np.ndarray:
-    """Drive a fresh policy through a recorded transcript; returns its prices."""
-    _, policy_stream = _spawn(seed)
-    prices, _ = _play(policy, policy_stream, transcript.features, lambda rows, v: transcript.accepted[rows])
-    return prices
 
 
 def aggregate(traces: list[RegretTrace]) -> AggregateStats:

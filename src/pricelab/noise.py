@@ -11,9 +11,10 @@ log-likelihood curvatures agree the same way.  Each pair has one kernel.
 Everything tail-sensitive is computed in log space.  The quantities that blow
 up a naive implementation are 1-F(w) (underflows in double precision near 38
 standard units) and the hazard f/(1-F) (0/0 in the right tail); here they go
-through ``log_sf``/``log_pdf`` or, for the Gaussian, through the scaled
-complementary error function, so the hazard keeps ~1e-15 relative error at
-every margin where the Mills ratio is finite, with no asymptotic switch.
+through ``log_sf`` and the log density or, for the Gaussian, through the
+scaled complementary error function, so the hazard keeps ~1e-15 relative
+error at every margin where the Mills ratio is finite, with no asymptotic
+switch.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class NoiseModel(abc.ABC):
         -4.48 and m'(z) ~ z*m(z) as z -> -inf).
         """
 
+    @abc.abstractmethod
+    def _log_pdf_slope(self, w: np.ndarray) -> np.ndarray:
+        """f'(w)/f(w), the derivative of log f, on the unstandardized scale."""
+
     @property
     @abc.abstractmethod
     def spread(self) -> float:
@@ -110,10 +115,6 @@ class NoiseModel(abc.ABC):
         arr = _check_finite(omega)
         return _like(omega, self._log_cdf(-arr / self.spread))
 
-    def log_pdf(self, omega):
-        arr = _check_finite(omega)
-        return _like(omega, self._log_pdf(arr / self.spread) - math.log(self.spread))
-
     def pdf(self, omega):
         arr = _check_finite(omega)
         return _like(omega, np.exp(self._log_pdf(arr / self.spread)) / self.spread)
@@ -121,18 +122,6 @@ class NoiseModel(abc.ABC):
     def pdf_derivative(self, omega):
         arr = _check_finite(omega)
         return _like(omega, np.exp(self._log_pdf(arr / self.spread)) / self.spread * self._log_pdf_slope(arr))
-
-    def log_pdf_slope(self, omega):
-        """f'(w)/f(w), the derivative of log f."""
-        return _like(omega, self._log_pdf_slope(_check_finite(omega)))
-
-    @abc.abstractmethod
-    def _log_pdf_slope(self, w: np.ndarray) -> np.ndarray: ...
-
-    def mills_ratio(self, omega):
-        """(1 - F(w))/f(w), stable in both tails (may overflow to inf far left)."""
-        arr = _check_finite(omega)
-        return _like(omega, self.spread * self._mills(arr / self.spread))
 
     def hazard(self, omega):
         """f(w)/(1 - F(w))."""

@@ -131,8 +131,8 @@ class PricingPolicy(abc.ABC):
         if self._pending is not None:
             raise RuntimeError("propose called twice without feedback")
         x = np.asarray(features, dtype=float)
-        if x.ndim != 2 or np.count_nonzero(np.isfinite(x)) < x.size:
-            raise ValueError("features must be a finite (rounds, d) array")
+        if x.ndim != 2 or x.shape[1] != self.region.dim or np.count_nonzero(np.isfinite(x)) < x.size:
+            raise ValueError(f"features must be a finite (rounds, {self.region.dim}) array")
         if not 1 <= len(x) <= self.frozen_rounds():
             raise ValueError(f"a block of {len(x)} rounds, where {self.frozen_rounds()} can be priced")
         prices = self._propose_block(x)

@@ -52,8 +52,6 @@ __all__ = [
     "AnalysisConstants",
     "InvariantViolation",
     "expected_reward",
-    "virtual_valuation",
-    "virtual_valuation_slope",
     "greedy_price",
     "greedy_price_vec",
     "greedy_price_inverse",
@@ -93,19 +91,6 @@ def expected_reward(model: NoiseModel, price, valuation):
         raise ValueError("price must be nonnegative")
     out = v * np.exp(model.log_sf(v - np.asarray(valuation, dtype=float)))
     return float(out) if np.ndim(price) == 0 and np.ndim(valuation) == 0 else out
-
-
-def virtual_valuation(model: NoiseModel, omega):
-    """phi(w) = (1 - F(w))/f(w) - w, strictly decreasing with phi' < -1."""
-    out = np.asarray(model.mills_ratio(omega)) - np.asarray(omega, dtype=float)
-    return float(out) if np.ndim(omega) == 0 else out
-
-
-def virtual_valuation_slope(model: NoiseModel, omega):
-    """phi'(w) = -2 - (f'/f)(w) * mills(w); always < -1."""
-    m = np.asarray(model.mills_ratio(omega))
-    out = -2.0 - np.asarray(model.log_pdf_slope(omega)) * m
-    return float(out) if np.ndim(omega) == 0 else out
 
 
 # One table per noise class: the standardized Mills ratio m is a function of

@@ -2,12 +2,12 @@
 as one batch (CLI ``verify``).
 
 This suite is the one home of each structural invariant: the tests do not
-assert these properties again, and the acceptance gate runs every check at
-full density.  Each check returns a :class:`CheckResult`; a failing check
-carries the offending values in ``detail``.  ``fast=True`` shrinks grids and
-sample counts to finish in seconds.  The ONSP check plays real episodes
-through :func:`pricelab.harness.run_episode` and reads the policy's matrix
-floor.
+assert these properties again, and the acceptance gate runs every check.
+Each check has one grid and sample count, so the density the gate runs is
+the one the fault-injection tests break.  Each check returns a
+:class:`CheckResult`; a failing check carries the offending values in
+``detail``.  The ONSP check plays real episodes through
+:func:`pricelab.harness.run_episode` and reads the policy's matrix floor.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ class CheckResult:
     detail: str
 
 
-def _models(fast: bool):
-    models = [GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(1.0)]
-    return models[:2] if fast else models
+_MODELS = (GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(1.0))
 
 
 def _window_grid(model, b: float, n: int) -> np.ndarray:
@@ -80,13 +78,13 @@ def _random_rounds(rng, problem, count) -> list[BatchObjective]:
 # -- noise ----------------------------------------------------------------
 
 
-def check_log_concavity(fast: bool) -> CheckResult:
+def check_log_concavity() -> CheckResult:
     """Central-difference d2 of log F and log(1-F) <= -1e-12 on the window
     and on [-1, 1 + 0.76 spread]."""
-    n = 400 if fast else 1000
+    n = 1000
     h = 1e-4
     worst = -np.inf
-    for model in _models(fast):
+    for model in _MODELS:
         grid = np.concatenate([_window_grid(model, 1.0, n), np.linspace(-1.0, 1.0 + 0.76 * model.spread, n)])
         for fn in (model.log_cdf, model.log_sf):
             second = (fn(grid + h) - 2.0 * fn(grid) + fn(grid - h)) / h**2
@@ -94,7 +92,7 @@ def check_log_concavity(fast: bool) -> CheckResult:
     return CheckResult("noise.log-concavity", worst <= -1e-12, f"max second derivative {worst:.3e}")
 
 
-def check_density_consistency(fast: bool) -> CheckResult:
+def check_density_consistency() -> CheckResult:
     """cdf' matches pdf to rel 1e-6; pdf' matches pdf_derivative to within
     min(1e-6 max(|f'|, 1e-3 B_f'), 1e-9 + 2e-5 |f'|).  On the window and on
     [-0.9, 0.9] spread.
@@ -103,10 +101,10 @@ def check_density_consistency(fast: bool) -> CheckResult:
     (cdf left of 0, sf right of 0); differencing the saturated side would
     hit 1.0-cancellation noise that has nothing to do with the identity.
     """
-    n = 400 if fast else 1000
+    n = 1000
     h = 1e-6
     worst = 0.0
-    for model in _models(fast):
+    for model in _MODELS:
         grid = np.concatenate([_window_grid(model, 1.0, n), np.linspace(-0.9, 0.9, n // 2) * model.spread])
         fd_pdf = np.where(
             grid <= 0.0,
@@ -122,12 +120,12 @@ def check_density_consistency(fast: bool) -> CheckResult:
     return CheckResult("noise.derivative-consistency", worst <= 1.0, f"max error over its bound {worst:.3e}")
 
 
-def check_hazard_monotone(fast: bool) -> CheckResult:
+def check_hazard_monotone() -> CheckResult:
     """Hazard strictly increasing and reverse hazard strictly decreasing on
     the window and on [-1, 1 + 1.76 spread]."""
-    n = 400 if fast else 1000
+    n = 1000
     detail = []
-    for model in _models(fast):
+    for model in _MODELS:
         grids = (_window_grid(model, 1.0, n), np.linspace(-1.0, 1.0 + 1.76 * model.spread, n))
         if not all(np.all(np.diff(model.hazard(grid)) > 0.0) for grid in grids):
             detail.append(f"{type(model).__name__}: hazard not strictly increasing")
@@ -136,7 +134,7 @@ def check_hazard_monotone(fast: bool) -> CheckResult:
     return CheckResult("noise.hazard-monotone", not detail, "; ".join(detail) or "strictly monotone on both grids")
 
 
-def check_hazard_asymptotics(fast: bool) -> CheckResult:
+def check_hazard_asymptotics() -> CheckResult:
     """Left tail vanishes faster than any power; right tail is w + 1/w + O(1/w^3)."""
     model = GaussianNoise(1.0)
     left = abs(8.0**3 * model.hazard(-8.0))
@@ -160,7 +158,7 @@ def _log1mexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_tail_identity(fast: bool) -> CheckResult:
+def check_tail_identity() -> CheckResult:
     """log_cdf and log_sf reconstruct each other through log(1 - exp(.)).
 
     ``log_sf`` is the CDF at -w, so for a law that is not symmetric about 0
@@ -173,10 +171,9 @@ def check_tail_identity(fast: bool) -> CheckResult:
     exp normal (magnitude <= 700); outside that band one side has rounded
     away and no finite-precision identity can recover it.
     """
-    n = 2001 if fast else 8001
     worst = 0.0
-    for model in _models(fast):
-        grid = np.linspace(-40.0, 40.0, n) * model.spread
+    for model in _MODELS:
+        grid = np.linspace(-40.0, 40.0, 8001) * model.spread
         for src, ref in ((model.log_sf, model.log_cdf), (model.log_cdf, model.log_sf)):
             a = np.asarray(src(grid))
             mask = (np.abs(a) >= 1e-290) & (np.abs(a) <= 700.0)
@@ -192,11 +189,11 @@ def check_tail_identity(fast: bool) -> CheckResult:
 # -- pricing ---------------------------------------------------------------
 
 
-def check_reward_unimodal(fast: bool) -> CheckResult:
+def check_reward_unimodal() -> CheckResult:
     """g(., u) has exactly one interior local max, at the greedy price."""
     rng = np.random.default_rng(11)
-    n_u = 50 if fast else 200
-    n_v = 2000 if fast else 10_000
+    n_u = 200
+    n_v = 10_000
     for model in (GaussianNoise(0.25), GaussianNoise(1.0)):
         cap = 1.0 + greedy_price(model, 0.0)
         grid = np.linspace(0.0, cap, n_v)
@@ -216,12 +213,11 @@ def check_reward_unimodal(fast: bool) -> CheckResult:
     return CheckResult("pricing.reward-unimodal", True, "one interior max at the greedy price")
 
 
-def check_price_contraction(fast: bool) -> CheckResult:
+def check_price_contraction() -> CheckResult:
     """0 < J(u2) - J(u1) < u2 - u1 for every ordered pair tested."""
     rng = np.random.default_rng(5)
-    n = 100 if fast else 400
     for model in (GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(0.7), LogisticNoise(1.0)):
-        u = np.sort(rng.uniform(0.0, 1.0, n))
+        u = np.sort(rng.uniform(0.0, 1.0, 400))
         j = greedy_price_vec(model, u)
         du, dj = np.diff(u), np.diff(j)
         keep = du > 1e-9
@@ -230,14 +226,13 @@ def check_price_contraction(fast: bool) -> CheckResult:
     return CheckResult("pricing.contraction", True, "greedy price is a strict contraction")
 
 
-def check_fixed_point_and_scaling(fast: bool) -> CheckResult:
+def check_fixed_point_and_scaling() -> CheckResult:
     """J at the unit-noise fixed point; Gaussian scale identity J_s(u) = s*J_1(u/s)."""
     fp_err = abs(greedy_price(GaussianNoise(1.0), FIXED_VALUATION) - FIXED_VALUATION)
     rng = np.random.default_rng(23)
-    n = 30 if fast else 100
     worst = 0.0
     unit = GaussianNoise(1.0)
-    for _ in range(n):
+    for _ in range(100):
         s = rng.uniform(0.1, 1.0)
         u = rng.uniform(0.0, 1.0)
         worst = max(worst, abs(greedy_price(GaussianNoise(s), u) - s * greedy_price(unit, u / s)))
@@ -247,16 +242,15 @@ def check_fixed_point_and_scaling(fast: bool) -> CheckResult:
     )
 
 
-def check_first_order_residual(fast: bool) -> CheckResult:
+def check_first_order_residual() -> CheckResult:
     """|1 - F(J-u) - J f(J-u)| <= 1e-10 on u in [0, 1], and on u in [0, 2] at
     small noise, where u/spread reaches 2000; plus sigma = 0.01 at u = 0.384."""
     rng = np.random.default_rng(3)
-    n = 100 if fast else 500
     worst = 0.0
     cases = [(model, 1.0) for model in (GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(1.0))]
     cases += [(model, 2.0) for model in (GaussianNoise(0.01), GaussianNoise(0.05), LogisticNoise(0.001))]
     for model, u_hi in cases:
-        u = rng.uniform(0.0, u_hi, n)
+        u = rng.uniform(0.0, u_hi, 500)
         j = np.array([greedy_price(model, x) for x in u])
         worst = max(worst, float(np.max(first_order_residual(model, u, j))))
     # u/sigma = 38.4, where Newton on m(z) - z - c (not its log) crawls
@@ -264,14 +258,13 @@ def check_first_order_residual(fast: bool) -> CheckResult:
     return CheckResult("pricing.first-order-residual", worst <= 1e-10, f"max residual {worst:.3e}")
 
 
-def check_quadratic_regret_bound(fast: bool) -> CheckResult:
+def check_quadratic_regret_bound() -> CheckResult:
     """Pricing under a wrong parameter loses at most C*(x'(theta-theta*))^2."""
     rng = np.random.default_rng(7)
-    n = 200 if fast else 1000
     model = GaussianNoise(0.25)
     consts = compute_constants(model, 1.0)
     worst = -np.inf
-    for _ in range(n):
+    for _ in range(1000):
         u_true = rng.uniform(0.0, 1.0)
         u_est = rng.uniform(0.0, 1.0)
         loss_val = expected_reward(model, greedy_price(model, u_true), u_true) - expected_reward(
@@ -282,19 +275,18 @@ def check_quadratic_regret_bound(fast: bool) -> CheckResult:
     return CheckResult("pricing.quadratic-regret-bound", worst <= 1e-12, f"max bound violation {worst:.3e}")
 
 
-def check_constants(fast: bool) -> CheckResult:
+def check_constants() -> CheckResult:
     """compute_constants takes c_exp and c_down at the window's two ends:
     for each law at B in {0.5, 1, 2}, c_exp is at least and c_down at most
     its extremum over a dense grid of the window, within 1e-12 relative.
     Gaussian sigma in {0.25, 1}: c_down > 0, c_exp >= hazard(B + J(0))^2,
     0 < alpha <= 1, and c_exp/c_down grows as sigma shrinks; the logistic
     constants match their closed forms."""
-    n = 2001 if fast else 20001
     details = []
-    for model in _models(fast):
+    for model in _MODELS:
         for b in (0.5, 1.0, 2.0):
             c = compute_constants(model, b)
-            grid = _window_grid(model, b, n)
+            grid = _window_grid(model, b, 20001)
             steep = float(np.max(np.maximum(model.hazard(grid), model.reverse_hazard(grid))) ** 2)
             floor = float(np.min(np.minimum(model.log_sf_curvature(grid), model.log_cdf_curvature(grid))))
             if c.c_exp < steep * (1.0 - 1e-12) or c.c_down > floor * (1.0 + 1e-12):
@@ -327,17 +319,16 @@ def check_constants(fast: bool) -> CheckResult:
 # -- loss ------------------------------------------------------------------
 
 
-def check_gradient_hessian_fd(fast: bool) -> CheckResult:
+def check_gradient_hessian_fd() -> CheckResult:
     """Central differences of the value match the gradient entrywise, and
     central differences of the gradient match the Hessian relative to its
     largest entry; both to rel 1e-6 with a 1e-4 scale floor."""
     rng = np.random.default_rng(29)
     problem = _default_problem()
-    n = 100 if fast else 400
     h = 1e-6
     steps = h * np.eye(2)
     worst_grad = worst_hess = 0.0
-    for row in _random_rounds(rng, problem, n):
+    for row in _random_rounds(rng, problem, 400):
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
         grad, hess = row.gradient(theta), row.hessian(theta)
         fd_grad = np.array([row.value(theta + e) - row.value(theta - e) for e in steps]) / (2 * h)
@@ -351,7 +342,7 @@ def check_gradient_hessian_fd(fast: bool) -> CheckResult:
     )
 
 
-def check_psd_sandwich(fast: bool) -> CheckResult:
+def check_psd_sandwich() -> CheckResult:
     """Full curvature chain: Hessian >= c_down xx' >= alpha grad grad' >= 0,
     plus grad grad' <= c_exp xx'.  The first two links give exp-concavity,
     Hessian >= alpha grad grad'."""
@@ -359,7 +350,7 @@ def check_psd_sandwich(fast: bool) -> CheckResult:
     problem = _default_problem()
     c = compute_constants(problem.model, problem.valuation_bound)
     worst = 0.0
-    for row in _random_rounds(rng, problem, 300 if fast else 1000):
+    for row in _random_rounds(rng, problem, 1000):
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
         xx, grad = np.outer(row.features[0], row.features[0]), row.gradient(theta)
         gg = np.outer(grad, grad)
@@ -368,16 +359,15 @@ def check_psd_sandwich(fast: bool) -> CheckResult:
     return CheckResult("loss.psd-sandwich", worst <= 1e-10, f"max eigenvalue violation {worst:.3e}")
 
 
-def check_truth_is_stationary(fast: bool) -> CheckResult:
+def check_truth_is_stationary() -> CheckResult:
     """Averaging the gradient over the sale indicator at theta* gives ~0,
     and the expected loss gap dominates (c_down/2)(x'(theta-theta*))^2."""
     rng = np.random.default_rng(41)
     problem = _default_problem()
     model = problem.model
     consts = compute_constants(model, problem.valuation_bound)
-    n = 60 if fast else 200
     worst_grad, worst_gap = 0.0, -np.inf
-    for x in _features(rng, problem, n):
+    for x in _features(rng, problem, 200):
         v = rng.uniform(0.0, problem.price_window)
         u = float(x @ problem.theta_star)
         p_sale = model.sf(v - u)
@@ -402,13 +392,22 @@ def check_truth_is_stationary(fast: bool) -> CheckResult:
 # -- regions / policies -----------------------------------------------------
 
 
-def check_weighted_projection(fast: bool) -> CheckResult:
+def _least_linear_value(region, g: np.ndarray) -> float:
+    """min of g'z over z in the region, at Frank-Wolfe's linear minimizer
+    (Jaggi 2013): z = c - r g/||g|| on a ball, and z = -r g-/||g-|| with
+    g- = min(g, 0) on the orthant-ball."""
+    if isinstance(region, Ball):
+        return float(g @ region.center) - region.radius * float(np.linalg.norm(g))
+    return -region.radius * float(np.linalg.norm(np.minimum(g, 0.0)))
+
+
+def check_weighted_projection() -> CheckResult:
     """Membership within 1e-12 and the variational inequality
-    (theta-y)'A(z-theta) >= -1e-8 for z in H.  A is rotated with cond(A)
-    from 1 to 1e8, MM' + 0.2I for Gaussian M, or [[3, 0.5], [0.5, 1]]."""
+    g'(z-theta) >= -1e-8 for every z in H, with g = A(theta-y), taken at its
+    exact minimum over H.  A is rotated with cond(A) from 1 to 1e8,
+    MM' + 0.2I for Gaussian M, or [[3, 0.5], [0.5, 1]]."""
     rng = np.random.default_rng(43)
-    n = 30 if fast else 100
-    samples = 60 if fast else 200
+    n = 100
     worst = -np.inf
     for region in (Ball(np.zeros(2), 1.0), OrthantBall(1.0, 2)):
         weights = []
@@ -422,9 +421,8 @@ def check_weighted_projection(fast: bool) -> CheckResult:
             theta = region.project_weighted(y, a)
             if not region.contains(theta, tol=1e-12):
                 return CheckResult("regions.weighted-projection-vi", False, f"output {theta} left the region")
-            others = np.array([region.project(rng.uniform(-1.5, 1.5, 2)) for _ in range(samples)])
-            vals = (others - theta) @ (a @ (theta - y))
-            worst = max(worst, -float(np.min(vals)))
+            g = a @ (theta - y)
+            worst = max(worst, float(g @ theta) - _least_linear_value(region, g))
     return CheckResult("regions.weighted-projection-vi", worst <= 1e-8, f"max VI violation {worst:.3e}")
 
 
@@ -441,7 +439,7 @@ class _RecordedOnsp(OnspPolicy):
         super()._feedback_block(x, prices, accepted)
 
 
-def check_onsp_state(fast: bool) -> CheckResult:
+def check_onsp_state() -> CheckResult:
     """Adversarial episodes (epsilon 1 for 256 rounds, 0.7 for 200): every
     price in the window, A - sum g g' >= epsilon I for the rounds' likelihood
     gradients g, and A >= epsilon I."""
@@ -465,23 +463,21 @@ def check_onsp_state(fast: bool) -> CheckResult:
 # -- environments / harness ---------------------------------------------------
 
 
-def check_scenario_contract(fast: bool) -> CheckResult:
+def check_scenario_contract() -> CheckResult:
     problem = _default_problem()
     rng = np.random.default_rng(59)
-    n = 2000 if fast else 20_000
     try:
         for scen in (StochasticScenario(problem), AlternatingScenario(problem)):
-            scen.check_features(scen.features(n, rng))
+            scen.check_features(scen.features(20_000, rng))
     except AssertionError as exc:
         return CheckResult("environments.feature-contract", False, str(exc))
     return CheckResult("environments.feature-contract", True, "norms, signs and valuations in range")
 
 
-def check_lower_bound_geometry(fast: bool) -> CheckResult:
+def check_lower_bound_geometry() -> CheckResult:
     """At the unit-noise fixed point, smaller noise prices strictly below,
     with a linear-in-(1-s) gap and a quadratic revenue margin."""
     u_star = FIXED_VALUATION
-    n_v = 200 if fast else 1000
     details = []
     ok = True
     for s in (0.6, 0.75, 0.9):
@@ -495,7 +491,7 @@ def check_lower_bound_geometry(fast: bool) -> CheckResult:
         if gap < 0.4 * (1.0 - s) - 1e-9:
             ok = False
             details.append(f"s={s}: gap {gap:.4f} below 0.4*(1-s)")
-        grid = np.linspace(1e-9, u_star - 1e-9, n_v)
+        grid = np.linspace(1e-9, u_star - 1e-9, 1000)
         margin = expected_reward(model, v_best, u_star) - expected_reward(model, grid, u_star)
         slack = margin - (v_best - grid) ** 2 / 60.0
         if float(np.min(slack)) < -1e-9:
@@ -504,7 +500,7 @@ def check_lower_bound_geometry(fast: bool) -> CheckResult:
     return CheckResult("environments.lower-bound-geometry", ok, "; ".join(details) or "all three inequalities hold")
 
 
-def check_slope_recovery(fast: bool) -> CheckResult:
+def check_slope_recovery() -> CheckResult:
     """Slopes 1 and 2/3 to 1e-12 from t = 1 or 2 up to 2^16; a log curve fits at most 0.2."""
     t = 2 ** np.arange(0, 17).astype(float)
     lin = fit_slope((t[1:], 3.0 * t[1:]), (2, 2**16)).slope
@@ -518,7 +514,7 @@ def check_slope_recovery(fast: bool) -> CheckResult:
     )
 
 
-_CHECKS: list[tuple[str, Callable[[bool], CheckResult]]] = [
+_CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
     ("noise.log-concavity", check_log_concavity),
     ("noise.derivative-consistency", check_density_consistency),
     ("noise.hazard-monotone", check_hazard_monotone),
@@ -543,6 +539,6 @@ _CHECKS: list[tuple[str, Callable[[bool], CheckResult]]] = [
 CHECK_NAMES = [name for name, _ in _CHECKS]
 
 
-def run_checks(fast: bool = False) -> list[CheckResult]:
+def run_checks() -> list[CheckResult]:
     """Run every invariant check; order is fixed and names are stable."""
-    return [check(fast) for _, check in _CHECKS]
+    return [check() for _, check in _CHECKS]

@@ -136,7 +136,7 @@ def test_criterion_3_exp4_scaling():
 
 def test_criterion_4_invariant_suite():
     start = time.perf_counter()
-    results = run_checks(fast=False)
+    results = run_checks()
     elapsed = time.perf_counter() - start
     failures = [r for r in results if not r.passed]
     assert not failures, "; ".join(f"{r.name}: {r.detail}" for r in failures)
@@ -202,7 +202,7 @@ def test_criterion_6_per_epoch_surrogate_bound():
 
 
 def test_criterion_7_lower_bound_geometry():
-    result = check_lower_bound_geometry(fast=False)
+    result = check_lower_bound_geometry()
     assert result.passed, result.detail
     print(
         "ACCEPTANCE 7 PASS: for sigma in {0.6, 0.75, 0.9} the mismatched greedy price sits below "

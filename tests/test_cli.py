@@ -294,6 +294,21 @@ class TestRun:
         assert captured.out == "" and captured.err == "error: workers must be at least 1\n"
         assert not out.exists()
 
+    def test_negative_seed_override_exits_2(self, tmp_path, small_raw, capsys):
+        cfg, out = _write(tmp_path, small_raw), tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "config error: master_seed must be a nonnegative integer\n"
+        assert not out.exists()
+
+    def test_repeated_policy_kind_exits_2(self, tmp_path, small_raw, capsys):
+        # two onsp specs would write one onsp_stochastic.csv
+        small_raw["policies"].append({"kind": "onsp", "gamma": 0.5, "epsilon": 0.5})
+        cfg, out = _write(tmp_path, small_raw), tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: policies[3].kind 'onsp' repeats policies[1]\n"
+        assert not out.exists()
+
     def test_exp4_cap_honored(self, tmp_path, small_raw):
         cfg = _write(tmp_path, small_raw)
         out = tmp_path / "out"
@@ -444,8 +459,8 @@ class TestConfigValidation:
 
 
 class TestVerifyCommand:
-    def test_fast_suite_passes(self, capsys):
-        assert main(["verify", "--fast"]) == 0
+    def test_suite_passes(self, capsys):
+        assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS  noise.log-concavity" in out
         assert "FAIL" not in out
@@ -466,7 +481,7 @@ class TestVerifyCommand:
             )
 
         monkeypatch.setattr(verify_mod, "compute_constants", corrupted)
-        assert main(["verify", "--fast"]) == 1
+        assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  loss.psd-sandwich" in out
 
@@ -479,7 +494,7 @@ class TestVerifyCommand:
             self.matrix = 0.5 * self.matrix
 
         monkeypatch.setattr(policies_module.OnspPolicy, "_reset_state", half_floor)
-        result = verify_mod.check_onsp_state(fast=True)
+        result = verify_mod.check_onsp_state()
         assert not result.passed
         assert "floor eigenvalue" in result.detail
 
@@ -487,7 +502,7 @@ class TestVerifyCommand:
     def test_check_catches_fault(self, monkeypatch, check, owner, attr, fault):
         # each structural invariant lives only in its check, so each check must fail on a broken program
         monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
-        result = check(fast=True)
+        result = check()
         assert not result.passed, result.detail
 
 

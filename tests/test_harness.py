@@ -23,7 +23,7 @@ from pricelab import (
     run_episode,
     run_horizon_envelope,
 )
-from pricelab.harness import EpisodeAbort, emlp_epoch_gaps, replay_prices, write_trace_csv
+from pricelab.harness import EpisodeAbort, emlp_epoch_gaps, write_trace_csv
 from pricelab.policies import PricingPolicy
 
 
@@ -230,15 +230,6 @@ class TestSeeding:
         # and it is the episode a fresh object gives
         t3, _ = run_episode(EmlpPolicy(problem.model, problem.region, 1.0), scen, 64, episode_seed(3, 0))
         np.testing.assert_array_equal(t1.prices, t3.prices)
-
-    def test_replay_with_the_runs_own_seed_object(self, problem):
-        # EMLP's bootstrap price is drawn from the policy stream, so a replay
-        # on another stream prices differently from round 1 on
-        seed = episode_seed(3, 0)
-        make = lambda: EmlpPolicy(problem.model, problem.region, 1.0)
-        transcript, _ = run_episode(make(), StochasticScenario(problem), 64, seed)
-        replayed = replay_prices(make(), transcript, seed)
-        np.testing.assert_array_equal(replayed, transcript.prices)
 
     def test_envelope_with_a_reused_seed_object(self, problem):
         scen = StochasticScenario(problem)

@@ -32,7 +32,7 @@ from pricelab import (
 import pricelab.policies as policies_module
 import pricelab.regions as regions_module
 from pricelab.environments import FIXED_VALUATION
-from pricelab.harness import episode_seed, replay_prices
+from pricelab.harness import episode_seed
 from test_pricing import INVERSE_MODELS, THRESHOLD_BAND, mpmath_threshold, threshold_ulps
 
 # Reg(t) at t = 1, 2, 4, ..., 16384 of the EMLP episode SeedSequence([3717387332, 0])
@@ -217,6 +217,22 @@ class TestBlockProtocol:
         assert policy.frozen_rounds() == 1  # the bootstrap round
         with pytest.raises(ValueError):
             policy.propose_block(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("kind", ["emlp", "onsp", "exp4", "oracle"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_block_of_another_width_than_the_region_rejected(self, problem, kind, width):
+        # emlp and the oracle would broadcast a (1, 1) block against theta
+        make = {
+            "emlp": lambda p: EmlpPolicy(p.model, p.region, 1.0),
+            "onsp": lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=1.0, epsilon=1.0),
+            "exp4": lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=64),
+            "oracle": lambda p: OraclePolicy(p.model, p.region, 1.0, p.theta_star),
+        }[kind]
+        policy = make(problem)
+        policy.reset(0)
+        with pytest.raises(ValueError, match=r"finite \(rounds, 2\) array"):
+            policy.propose_block(np.full((1, width), 0.5))
+        assert policy.propose_block(np.full((1, 2), 0.5)).shape == (1,)
 
     def test_outcomes_must_match_the_block(self, problem):
         policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
@@ -684,19 +700,3 @@ class TestOracle:
         v = policy.propose_block(np.array([[1.0, 0.0]]))[0]
         assert v > 0.0
         assert expected_reward(problem.model, v, 0.0) > 0.0
-
-
-class TestReplay:
-    @pytest.mark.parametrize("kind", ["emlp", "onsp", "exp4"])
-    def test_transcript_replay_reproduces_prices(self, problem, kind):
-        scen = StochasticScenario(problem)
-        horizon = 128
-        if kind == "emlp":
-            make = lambda: EmlpPolicy(problem.model, problem.region, 1.0)
-        elif kind == "onsp":
-            make = lambda: OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
-        else:
-            make = lambda: Exp4Policy(problem.model, problem.region, 1.0, horizon=horizon)
-        transcript, _ = run_episode(make(), scen, horizon, 17)
-        replayed = replay_prices(make(), transcript, 17)
-        np.testing.assert_array_equal(replayed, transcript.prices)

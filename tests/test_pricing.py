@@ -27,21 +27,18 @@ from pricelab import (
     greedy_price,
     greedy_price_vec,
     price_cap,
-    virtual_valuation,
 )
 from pricelab import pricing
 from pricelab.pricing import (
     InvariantViolation,
     greedy_price_inverse,
     squared_hazard_ceiling,
-    virtual_valuation_slope,
 )
 
 U_STAR = math.sqrt(math.pi / 2.0)
 J1_AT_0 = 0.7517915246935645  # root of (1-Phi(w))/phi(w) = w, mpmath
 JLOG_AT_0 = 1.2784645427610738  # root of 1 + exp(-w) = w, mpmath
 J1_AT_2 = 1.668312064745777
-PHI_VIRT_3 = -2.6954097012898967
 
 # small noise scales: u/spread reaches 2000, where the root sits deep in the
 # left tail of the Mills ratio; valuations are drawn from [0, 2]
@@ -156,28 +153,6 @@ class TestExpectedReward:
             [expected_reward(gauss1, a, b) for a, b in zip(v, u)],
             rtol=1e-14,
         )
-
-
-class TestVirtualValuation:
-    def test_value_at_zero(self, gauss1):
-        assert virtual_valuation(gauss1, 0.0) == pytest.approx(math.sqrt(2 * math.pi) / 2, rel=1e-13)
-
-    def test_oracle_value_at_three(self, gauss1):
-        assert virtual_valuation(gauss1, 3.0) == pytest.approx(PHI_VIRT_3, rel=1e-11)
-
-    def test_inverse_round_trip(self, gauss1):
-        for u in (0.0, 0.3, U_STAR, 1.0):
-            w = greedy_price(gauss1, u) - u  # = phi^{-1}(u)
-            assert virtual_valuation(gauss1, w) == pytest.approx(u, abs=1e-10)
-
-    def test_slope_below_minus_one(self, gauss025, logistic1):
-        h = 1e-6
-        for model in (gauss025, logistic1):
-            grid = np.linspace(-3.0, 3.0, 301) * model.spread
-            slope = virtual_valuation_slope(model, grid)
-            assert np.all(slope < -1.0)
-            fd = (virtual_valuation(model, grid + h) - virtual_valuation(model, grid - h)) / (2 * h)
-            np.testing.assert_allclose(slope, fd, rtol=1e-5)
 
 
 class TestGreedyPrice:
