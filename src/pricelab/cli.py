@@ -139,6 +139,8 @@ def lower_bound_demo(horizon: int, reps: int, seed: int, policy_kind: str = "ons
         raise ValueError("horizon must exceed 16 for a meaningful pair")
     if reps < 1:
         raise ValueError("repetitions must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     if policy_kind not in DEMO_POLICIES:
         raise ValueError(f"policy must be one of {tuple(DEMO_POLICIES)}")
     sigma1, sigma2 = lower_bound_pair(horizon)

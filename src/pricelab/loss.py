@@ -12,13 +12,18 @@ second derivatives in x'theta for arrays of margins and outcomes, so a
 row's gradient is slope * x and its Hessian curvature * xx'.  The noise law
 is symmetric, so a miss at w is a sale at -w: log F(w) = log(1 - F(-w)).
 Each row's margin is mirrored to s = w on a sale and -w on a miss, and one
-call of each sale kernel (log_sf, hazard, log_sf_curvature) covers the
-whole batch.  The single round of an online update, a 0-d margin with one
-bool outcome, is mirrored as a scalar.  All scalars come from the stable
-log-space forms in :mod:`pricelab.noise`.
+call of a sale kernel covers the whole batch: log_sf for the losses, the
+hazard for the slopes and the sale curvature for the curvatures.  The single
+round of an online update, a 0-d margin with one bool outcome, is mirrored
+as a scalar.  All scalars come from the stable log-space forms in
+:mod:`pricelab.noise`.
 
 :class:`BatchObjective` averages the rows of a batch and is the one place a
-batch's features and prices are validated.  Its constrained minimizer is
+batch's features and prices are validated; theta is checked where it enters,
+in ``margins``.  A batch mirrors by multiplying with its rows' +-1 signs,
+bit-equal to the row functions' negation, and its ``gradient_hessian``
+takes every row's slope and curvature from one hazard evaluation.  Its
+constrained minimizer is
 found by projected Newton (Bertsekas 1982): each step minimizes the local
 quadratic model exactly over the feasible set with the region's weighted
 projection, and Armijo backtracking runs along the segment to that point.
@@ -100,6 +105,8 @@ class BatchObjective:
             raise ValueError("features and prices must be finite")
         if np.any(self.prices < 0.0):
             raise ValueError("prices must be nonnegative")
+        # a row's margin times its sign is its mirrored margin
+        self._sign = np.where(self.accepted, 1.0, -1.0)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -113,27 +120,28 @@ class BatchObjective:
         return float(np.max(np.linalg.norm(self.features, axis=1)))
 
     def margins(self, theta) -> np.ndarray:
-        return self.prices - self.features @ np.asarray(theta, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        if not np.isfinite(theta).all():
+            raise ValueError("theta must be finite")
+        return self.prices - self.features @ theta
 
     def value(self, theta) -> float:
-        return float(np.mean(row_losses(self.model, self.margins(theta), self.accepted)))
+        # row_losses' -log(1 - F(s)) = -log F(-s), negated after the mean
+        s = self.margins(theta) * self._sign
+        return -float(np.mean(self.model._log_cdf(-s / self.model.spread)))
 
     def gradient(self, theta) -> np.ndarray:
-        return self._gradient(self.margins(theta))
+        return (row_slopes(self.model, self.margins(theta), self.accepted) @ self.features) / len(self)
 
     def hessian(self, theta) -> np.ndarray:
-        return self._hessian(self.margins(theta))
+        return self._weighted_gram(row_curvatures(self.model, self.margins(theta), self.accepted))
 
     def gradient_hessian(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian from one margin computation."""
-        w = self.margins(theta)
-        return self._gradient(w), self._hessian(w)
+        """gradient and hessian, bit-equal, from one margin and one hazard evaluation."""
+        hazard, curvatures = self.model._hazard_curvature(self.margins(theta) * self._sign)
+        return ((-hazard * self._sign) @ self.features) / len(self), self._weighted_gram(curvatures)
 
-    def _gradient(self, w: np.ndarray) -> np.ndarray:
-        return (row_slopes(self.model, w, self.accepted) @ self.features) / len(self)
-
-    def _hessian(self, w: np.ndarray) -> np.ndarray:
-        curvatures = row_curvatures(self.model, w, self.accepted)
+    def _weighted_gram(self, curvatures: np.ndarray) -> np.ndarray:
         return (self.features.T * curvatures) @ self.features / len(self)
 
 

@@ -141,10 +141,13 @@ class NoiseModel(abc.ABC):
     # -d^2 log F/dw^2 at w is -d^2 log(1-F)/dw^2 at -w.
     # Both are strictly positive for strictly log-concave F.
 
-    def log_sf_curvature(self, omega):
-        w = _check_finite(omega)
+    def _hazard_curvature(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The hazard and the sale curvature -d^2 log(1-F)/dw^2, from one hazard evaluation."""
         h = self._hazard(w)
-        return _like(omega, h * (h + self._log_pdf_slope(w)))
+        return h, h * (h + self._log_pdf_slope(w))
+
+    def log_sf_curvature(self, omega):
+        return _like(omega, self._hazard_curvature(_check_finite(omega))[1])
 
     def log_cdf_curvature(self, omega):
         return self.log_sf_curvature(-np.asarray(omega, dtype=float))
@@ -282,9 +285,10 @@ class LogisticNoise(NoiseModel):
     # The curvature is F(1-F)/s^2 = f/s.  The generic h(h + f'/f) cancels in
     # the right tail: 0 at w/s = 40, where F(1-F) is 4.2e-18.
 
-    def log_sf_curvature(self, omega):
-        z = _check_finite(omega) / self.scale
-        return _like(omega, special.expit(z) * special.expit(-z) / self.scale**2)
+    def _hazard_curvature(self, w):
+        z = w / self.scale
+        cdf = special.expit(z)
+        return cdf / self.scale, cdf * special.expit(-z) / self.scale**2
 
     def sample(self, rng, size=None):
         return rng.logistic(0.0, self.scale, size)

@@ -540,6 +540,7 @@ class TestLowerBoundDemo:
         [
             (["--t", "10"], "error: horizon must exceed 16 for a meaningful pair"),
             (["--t", "64", "--reps", "0"], "error: repetitions must be at least 1"),
+            (["--t", "64", "--seed", "-1"], "error: seed must be a nonnegative integer"),
         ],
     )
     def test_invalid_arguments_exit_2(self, capsys, argv, line):

@@ -219,6 +219,43 @@ class TestScalarRound:
                 assert np.float64(scalar).tobytes() == row.tobytes(), (w, accepted)
 
 
+class TestFusedPass:
+    """gradient_hessian takes slopes and curvatures from one hazard evaluation
+    and mirrors by multiplying with +-1; it must come out bit-equal to
+    gradient and hessian, which run the row functions."""
+
+    @pytest.mark.parametrize(
+        "model", [GaussianNoise(0.25), GaussianNoise(0.02), LogisticNoise(0.1)], ids=["g0.25", "g0.02", "logistic"]
+    )
+    def test_gradient_hessian_is_gradient_and_hessian(self, model, monkeypatch):
+        rng = np.random.default_rng(37)
+        n = 4000
+        theta = np.array([0.5, 0.5])
+        x = rng.uniform(0.0, 30.0, (n, 2))
+        # standardized margins over the working window and beyond |z| = 37.65,
+        # where the Gaussian hazard rounds to 0 on one side
+        z = np.concatenate([rng.uniform(-4.0, 4.0, n // 2), rng.uniform(-80.0, 80.0, n // 2)])
+        prices = np.maximum(x @ theta + model.spread * z, 0.0)
+        accepted = rng.random(n) < 0.5
+        batches = [BatchObjective(x, prices, accepted, model)]
+        # one-row batches at z = -40 for a sale and z = 40 for a miss, where
+        # the Gaussian slope is a signed zero
+        row = np.array([20.0, 20.0])
+        batches += [BatchObjective(row, 20.0 + far * model.spread, far < 0, model) for far in (-40.0, 40.0)]
+        calls = []
+        mills = type(model)._mills
+        monkeypatch.setattr(type(model), "_mills", lambda self, z: calls.append(1) or mills(self, z))
+        for batch in batches:
+            want = batch.gradient(theta), batch.hessian(theta)
+            calls.clear()
+            got = batch.gradient_hessian(theta)
+            assert len(calls) == (1 if isinstance(model, GaussianNoise) else 0)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        if isinstance(model, GaussianNoise):
+            assert [batch.gradient(theta)[0] for batch in batches[1:]] == [0.0, 0.0]
+
+
 class TestSolveMle:
     def test_zero_feature_returns_init(self, problem):
         batch = BatchObjective(np.zeros((1, 2)), [0.5], [True], problem.model)

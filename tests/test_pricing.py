@@ -224,7 +224,7 @@ class TestGreedyPrice:
 
     def test_iteration_cap_raises(self, gauss1, monkeypatch):
         # beyond the root table (u/spread > 64) a price starts from z = 1 and
-        # takes 8 steps, so a cap of 3 stops it; inside the table 3 suffice.
+        # takes 8 steps, so a cap of 3 stops it; inside the table one suffices.
         # The table is built under the default cap first, so the raise comes
         # from the valuation's own solve.
         greedy_price(gauss1, 0.3)
@@ -245,19 +245,35 @@ class TestGreedyPrice:
         assert np.max(np.abs(vec - ref) / price_ulps(gauss1, ref)) <= 4.0
 
     def test_table_holds_the_roots_from_one(self):
-        # each entry is the root the loop finds from z = 1, and the
+        # row k is the cubic on [c_k, c_k+1]: its constant term is the root the
+        # loop finds from z = 1 and its value at t = 1 the next one; the
         # interpolated start lies inside the bracket [-c/2, c + 10]
         for model in (GaussianNoise(1.0), LogisticNoise(1.0)):
-            roots, _ = pricing._root_table(model)
-            c = np.arange(pricing.ROOT_TABLE_POINTS - 1) / 64.0
+            table = pricing._root_table(model)
+            c = np.arange(pricing.ROOT_TABLE_POINTS) / 256.0
             from_one = pricing._newton_array(
                 model, 1.0, c, -0.5 * c, c + 10.0, np.ones_like(c), pricing.PRICE_TOL
             )
-            np.testing.assert_array_equal(roots, from_one)
+            assert table.shape == (pricing.ROOT_TABLE_POINTS - 1, 4)
+            np.testing.assert_array_equal(table[:, 0], from_one[:-1])
+            np.testing.assert_allclose(table.sum(axis=1), from_one[1:], rtol=0.0, atol=1e-15)
             between = np.linspace(0.0, pricing.ROOT_TABLE_MAX, 100_003)[:-1]
             start = pricing._table_start(model, between)
             assert np.all((start > -0.5 * between) & (start < between + 10.0))
         assert pricing._root_table(GaussianNoise(0.02)) is pricing._root_table(GaussianNoise(0.25))
+
+    @pytest.mark.parametrize("model", [GaussianNoise(1.0), LogisticNoise(1.0)], ids=["gaussian", "logistic"])
+    def test_table_start_within_its_stated_error(self, model):
+        # against the root the loop reaches from the start at a tolerance of
+        # 1e-16, where it stops on the Mills kernel's rounding; the largest
+        # errors are 3.5e-14 (Gaussian, c near 0.68) and 2.9e-14 (logistic, c
+        # near 0.53), under the 4e-13 that PRICE_TOL asks at sigma = 0.25, so
+        # the first Newton step stops there
+        c = np.linspace(0.0, pricing.ROOT_TABLE_MAX, 100_003)[:-1]
+        start = pricing._table_start(model, c)
+        root = pricing._newton_array(model, 1.0, c, -0.5 * c, c + 10.0, start.copy(), 1e-16)
+        assert np.max(np.abs(start - root)) <= pricing.ROOT_TABLE_START_ERROR
+        assert pricing.ROOT_TABLE_START_ERROR < pricing.PRICE_TOL / 0.25
 
     @given(
         u1=st.floats(min_value=0.0, max_value=1.0),
