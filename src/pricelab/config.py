@@ -1,7 +1,8 @@
 """Experiment configuration: JSON schema, validation, policy construction.
 
-A config file is one JSON object; every key below is validated at load and
-errors are reported together with their JSON path:
+A config file is one JSON object; every key below is validated at load, a
+key not shown is rejected, and errors are reported together with their JSON
+path:
 
     {
       "problem": {
@@ -20,7 +21,8 @@ errors are reported together with their JSON path:
         {"kind": "emlp"},
         {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
         {"kind": "exp4", "horizon_cap": 4096}
-      ],                                # each kind at most once; exp4 also takes
+      ],                                # each kind at most once; each kind takes
+                                        # "horizon_cap", and exp4 also takes
                                         # "exploration" in [0, 1], "learning_rate" > 0
       "slope_window": [1024, 65536],
       "output_dir": "results"
@@ -48,7 +50,20 @@ from .regions import Ball, OrthantBall
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "default_config", "build_policy", "build_scenario"]
 
 SCENARIO_NAMES = ("stochastic", "adversarial")
-POLICY_KINDS = ("emlp", "onsp", "exp4", "oracle")
+
+# the keys each level of a config may hold; any other key is an error, so a
+# misspelt option cannot silently fall back to its default
+TOP_KEYS = ("problem", "horizon", "repetitions", "master_seed", "scenarios", "policies", "slope_window", "output_dir")
+PROBLEM_KEYS = ("dimension", "parameter_radius", "feature_bound", "region", "noise", "theta_star")
+NOISE_KEYS = {"gaussian": ("kind", "sigma"), "logistic": ("kind", "scale")}
+# every kind takes horizon_cap: _effective_horizon honours it for all of them
+POLICY_KEYS = {
+    "emlp": ("kind", "horizon_cap"),
+    "onsp": ("kind", "horizon_cap", "gamma", "epsilon"),
+    "exp4": ("kind", "horizon_cap", "exploration", "learning_rate"),
+    "oracle": ("kind", "horizon_cap"),
+}
+POLICY_KINDS = tuple(POLICY_KEYS)
 
 # empirically tuned Newton-step hyperparameters for the reference experiment;
 # the theory values freeze the iterate at desk-scale horizons
@@ -156,11 +171,19 @@ def _positive_real(value, path, problems):
     return float(value)
 
 
+def _reject_unknown(raw: dict, known, path: str, problems) -> None:
+    for key in raw:
+        if key not in known:
+            problems.append(f"{path}{key} is not a known key; expected one of {', '.join(known)}")
+
+
 def _parse_noise(raw, problems):
     if not isinstance(raw, dict):
         problems.append("problem.noise must be an object")
         return None
     kind = raw.get("kind")
+    if kind in NOISE_KEYS:
+        _reject_unknown(raw, NOISE_KEYS[kind], "problem.noise.", problems)
     if kind == "gaussian":
         sigma = _positive_real(raw.get("sigma"), "problem.noise.sigma", problems)
         return GaussianNoise(sigma) if sigma else None
@@ -175,12 +198,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["top-level config must be a JSON object"])
+    _reject_unknown(raw, TOP_KEYS, "", problems)
 
     prob_raw = raw.get("problem")
     problem = None
     if not isinstance(prob_raw, dict):
         problems.append("problem must be an object")
     else:
+        _reject_unknown(prob_raw, PROBLEM_KEYS, "problem.", problems)
         dim = _positive_int(prob_raw.get("dimension", 2), "problem.dimension", problems, default=2)
         b1 = _positive_real(prob_raw.get("parameter_radius", 1.0), "problem.parameter_radius", problems)
         b2 = _positive_real(prob_raw.get("feature_bound", 1.0), "problem.feature_bound", problems)
@@ -229,6 +254,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if kind in first_of_kind:
                 problems.append(f"policies[{i}].kind {kind!r} repeats policies[{first_of_kind[kind]}]")
             first_of_kind.setdefault(kind, i)
+            _reject_unknown(spec, POLICY_KEYS[kind], f"policies[{i}].", problems)
             if kind == "onsp":
                 has_g, has_e = "gamma" in spec, "epsilon" in spec
                 if has_g != has_e:
@@ -236,11 +262,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 if has_g:
                     _positive_real(spec.get("gamma"), f"policies[{i}].gamma", problems)
                     _positive_real(spec.get("epsilon"), f"policies[{i}].epsilon", problems)
-            exploration = spec.get("exploration")
-            if exploration is not None and not (_is_real(exploration) and 0 <= exploration <= 1):
-                problems.append(f"policies[{i}].exploration must be a real in [0, 1]")
-            if spec.get("learning_rate") is not None:
-                _positive_real(spec["learning_rate"], f"policies[{i}].learning_rate", problems)
+            if kind == "exp4":
+                exploration = spec.get("exploration")
+                if exploration is not None and not (_is_real(exploration) and 0 <= exploration <= 1):
+                    problems.append(f"policies[{i}].exploration must be a real in [0, 1]")
+                if spec.get("learning_rate") is not None:
+                    _positive_real(spec["learning_rate"], f"policies[{i}].learning_rate", problems)
             if spec.get("horizon_cap") is not None:
                 _positive_int(spec["horizon_cap"], f"policies[{i}].horizon_cap", problems)
 

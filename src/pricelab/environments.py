@@ -59,8 +59,8 @@ class PricingProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
-        if self.feature_bound <= 0:
-            raise ValueError("feature bound must be positive")
+        if not 0.0 < self.feature_bound < math.inf:
+            raise ValueError("feature bound must be positive and finite")
         if self.theta_star.shape != (self.region.dim,):
             raise ValueError("theta_star dimension does not match the region")
         if not self.region.contains(self.theta_star, tol=1e-9):

@@ -236,16 +236,14 @@ def aggregate(traces: list[RegretTrace]) -> AggregateStats:
 def fit_slope(source, window: tuple[float, float]) -> SlopeFit:
     """OLS slope of log2 value on log2 x over the points with x inside ``window``.
 
-    ``source`` is a RegretTrace or AggregateStats (x is the checkpoint t,
-    value the cumulative or mean regret), or an ``(x, values)`` pair holding
-    any positive series, such as estimation error against sample size.
+    ``source`` is an AggregateStats (x is the checkpoint t, value the mean
+    regret), or an ``(x, values)`` pair holding any positive series, such as
+    estimation error against sample size.
     Abscissae may repeat: each (x, value) pair is one observation.  Points
     with nonpositive value are excluded with a warning.  ``stderr`` is the
     usual OLS standard error of the slope, with n - 2 degrees of freedom.
     """
-    if isinstance(source, RegretTrace):
-        cps, values = source.checkpoints, source.cumulative
-    elif isinstance(source, AggregateStats):
+    if isinstance(source, AggregateStats):
         cps, values = source.checkpoints, source.mean
     else:
         cps, values = source

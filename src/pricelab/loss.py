@@ -1,4 +1,4 @@
-"""Sale likelihood: per-row loss, slope and curvature, and the batch MLE.
+"""Sale likelihood: the batch loss, its slope and curvature, and the batch MLE.
 
 One observed round (x, v, accepted) contributes the negative log-likelihood
 
@@ -6,24 +6,20 @@ One observed round (x, v, accepted) contributes the negative log-likelihood
                -log F(w)        otherwise,
 
 of its margin w = v - x'theta: a convex, exp-concave function of theta that
-depends on theta only through x'theta.  :func:`row_losses`,
-:func:`row_slopes` and :func:`row_curvatures` give l and its first and
-second derivatives in x'theta for arrays of margins and outcomes, so a
-row's gradient is slope * x and its Hessian curvature * xx'.  The noise law
-is symmetric, so a miss at w is a sale at -w: log F(w) = log(1 - F(-w)).
-Each row's margin is mirrored to s = w on a sale and -w on a miss, and one
-call of a sale kernel covers the whole batch: log_sf for the losses, the
-hazard for the slopes and the sale curvature for the curvatures.  The single
-round of an online update, a 0-d margin with one bool outcome, is mirrored
-as a scalar.  All scalars come from the stable log-space forms in
+depends on theta only through x'theta, so a row's gradient is its slope
+times x and its Hessian its curvature times xx'.  The noise law is
+symmetric, so a miss at w is a sale at -w: log F(w) = log(1 - F(-w)).  Each
+row's margin is mirrored to s = w on a sale and -w on a miss, by multiplying
+with the row's +-1 sign, and one call of a sale kernel covers the whole
+batch.  All scalars come from the stable log-space forms in
 :mod:`pricelab.noise`.
 
-:class:`BatchObjective` averages the rows of a batch and is the one place a
-batch's features and prices are validated; theta is checked where it enters,
-in ``margins``.  A batch mirrors by multiplying with its rows' +-1 signs,
-bit-equal to the row functions' negation, and its ``gradient_hessian``
-takes every row's slope and curvature from one hazard evaluation.  Its
-constrained minimizer is
+:class:`BatchObjective` is the one implementation of the likelihood: its
+``value`` averages the rows' losses, and its ``gradient_hessian`` takes every
+row's slope and curvature from one hazard evaluation.  It is the one place a
+batch's features and prices are validated; theta is checked where it
+enters, in ``margins``.  :func:`round_slope` is the slope of the single
+round of an online update, on scalars.  The batch's constrained minimizer is
 found by projected Newton (Bertsekas 1982): each step minimizes the local
 quadratic model exactly over the feasible set with the region's weighted
 projection, and Armijo backtracking runs along the segment to that point.
@@ -46,9 +42,7 @@ from .regions import Region
 __all__ = [
     "BatchObjective",
     "MleResult",
-    "row_losses",
-    "row_slopes",
-    "row_curvatures",
+    "round_slope",
     "solve_mle",
 ]
 
@@ -62,30 +56,13 @@ MLE_MAX_ITER = 100
 RIDGE = 1e-12
 
 
-def _mirror(w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """w on sales, -w on misses."""
-    if np.ndim(w) == 0:
-        return w if accepted else -w
-    return np.where(accepted, w, -w)
+def round_slope(model: NoiseModel, w: float, accepted: bool) -> float:
+    """Derivative of one round's loss in x'theta: -hazard(w) on a sale, hazard(-w) on a miss.
 
-
-def row_losses(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """-log(1 - F(s)) at the mirrored margin s: -log(1 - F(w)) on sales, -log F(w) on misses."""
-    return -model.log_sf(_mirror(w, accepted))
-
-
-def row_slopes(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """Derivative of each row's loss in x'theta: -hazard(w) on sales, hazard(-w) on misses.
-
-    Calls the unchecked kernel: margins are built from features and prices
-    validated where they entered.
+    Calls the unchecked kernel: the margin is built from a feature and a
+    price validated where they entered.
     """
-    return _mirror(-model._hazard(_mirror(w, accepted)), accepted)
-
-
-def row_curvatures(model: NoiseModel, w: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """Second derivative of each row's loss in x'theta: the sale curvature at the mirrored margin."""
-    return model.log_sf_curvature(_mirror(w, accepted))
+    return -model._hazard(w) if accepted else model._hazard(-w)
 
 
 class BatchObjective:
@@ -126,23 +103,15 @@ class BatchObjective:
         return self.prices - self.features @ theta
 
     def value(self, theta) -> float:
-        # row_losses' -log(1 - F(s)) = -log F(-s), negated after the mean
+        # the rows' -log(1 - F(s)) = -log F(-s), negated after the mean
         s = self.margins(theta) * self._sign
         return -float(np.mean(self.model._log_cdf(-s / self.model.spread)))
 
-    def gradient(self, theta) -> np.ndarray:
-        return (row_slopes(self.model, self.margins(theta), self.accepted) @ self.features) / len(self)
-
-    def hessian(self, theta) -> np.ndarray:
-        return self._weighted_gram(row_curvatures(self.model, self.margins(theta), self.accepted))
-
     def gradient_hessian(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """gradient and hessian, bit-equal, from one margin and one hazard evaluation."""
+        """Gradient and Hessian of ``value``, from one margin and one hazard evaluation."""
         hazard, curvatures = self.model._hazard_curvature(self.margins(theta) * self._sign)
-        return ((-hazard * self._sign) @ self.features) / len(self), self._weighted_gram(curvatures)
-
-    def _weighted_gram(self, curvatures: np.ndarray) -> np.ndarray:
-        return (self.features.T * curvatures) @ self.features / len(self)
+        n = len(self)
+        return ((-hazard * self._sign) @ self.features) / n, (self.features.T * curvatures) @ self.features / n
 
 
 @dataclass

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loss import BatchObjective, row_slopes, solve_mle
+from .loss import BatchObjective, round_slope, solve_mle
 from .noise import NoiseModel
 from .pricing import (
     AnalysisConstants,
@@ -265,9 +265,10 @@ class OnspPolicy(PricingPolicy):
     """Online Newton-step pricing on the sale likelihood.
 
     Per round: price J(x'theta_t); after the outcome, take the gradient g
-    of the round's sale likelihood (its row slope times x), rank-one update
-    A += g g', Newton step theta - (1/gamma) A^{-1} g with A^{-1} g from one
-    linear solve, and A-weighted projection back onto the feasible set.
+    of the round's sale likelihood (its ``round_slope`` times x), rank-one
+    update A += g g', Newton step theta - (1/gamma) A^{-1} g with A^{-1} g
+    from one linear solve, and A-weighted projection back onto the feasible
+    set.
     The state is theta and A alone; between a round's price and its outcome
     the policy also keeps that round's x'theta, which both use.
     """
@@ -287,7 +288,7 @@ class OnspPolicy(PricingPolicy):
         super().__init__(model, region, feature_bound)
 
     def _reset_state(self) -> None:
-        self.theta = self.region.project(self.region.interior_point())
+        self.theta = self.region.interior_point()
         self.matrix = self.epsilon * np.eye(self.region.dim)
         self._xtheta = 0.0  # x'theta of the pending round
 
@@ -298,7 +299,7 @@ class OnspPolicy(PricingPolicy):
         return np.array([greedy_price(self.model, u)])
 
     def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
-        slope = row_slopes(self.model, prices[0] - self._xtheta, accepted[0])
+        slope = round_slope(self.model, prices[0] - self._xtheta, accepted[0])
         grad = slope * x[0]
         self.matrix = self.matrix + grad[:, None] * grad
         newton = self.theta - np.linalg.solve(self.matrix, grad) / self.gamma

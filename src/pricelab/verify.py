@@ -320,9 +320,10 @@ def check_constants() -> CheckResult:
 
 
 def check_gradient_hessian_fd() -> CheckResult:
-    """Central differences of the value match the gradient entrywise, and
-    central differences of the gradient match the Hessian relative to its
-    largest entry; both to rel 1e-6 with a 1e-4 scale floor."""
+    """Central differences of ``value`` match the gradient of
+    ``gradient_hessian`` entrywise, and central differences of that gradient
+    match its Hessian relative to the Hessian's largest entry; both to rel
+    1e-6 with a 1e-4 scale floor."""
     rng = np.random.default_rng(29)
     problem = _default_problem()
     h = 1e-6
@@ -330,9 +331,10 @@ def check_gradient_hessian_fd() -> CheckResult:
     worst_grad = worst_hess = 0.0
     for row in _random_rounds(rng, problem, 400):
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
-        grad, hess = row.gradient(theta), row.hessian(theta)
+        grad, hess = row.gradient_hessian(theta)
         fd_grad = np.array([row.value(theta + e) - row.value(theta - e) for e in steps]) / (2 * h)
-        fd_hess = np.column_stack([row.gradient(theta + e) - row.gradient(theta - e) for e in steps]) / (2 * h)
+        fd_cols = [row.gradient_hessian(theta + e)[0] - row.gradient_hessian(theta - e)[0] for e in steps]
+        fd_hess = np.column_stack(fd_cols) / (2 * h)
         worst_grad = max(worst_grad, float(np.max(np.abs(fd_grad - grad) / np.maximum(np.abs(grad), 1e-4))))
         worst_hess = max(worst_hess, float(np.max(np.abs(fd_hess - hess))) / max(float(np.max(np.abs(hess))), 1e-4))
     return CheckResult(
@@ -343,8 +345,9 @@ def check_gradient_hessian_fd() -> CheckResult:
 
 
 def check_psd_sandwich() -> CheckResult:
-    """Full curvature chain: Hessian >= c_down xx' >= alpha grad grad' >= 0,
-    plus grad grad' <= c_exp xx'.  The first two links give exp-concavity,
+    """Full curvature chain on ``gradient_hessian`` of single rounds:
+    Hessian >= c_down xx' >= alpha grad grad' >= 0, plus
+    grad grad' <= c_exp xx'.  The first two links give exp-concavity,
     Hessian >= alpha grad grad'."""
     rng = np.random.default_rng(31)
     problem = _default_problem()
@@ -352,9 +355,9 @@ def check_psd_sandwich() -> CheckResult:
     worst = 0.0
     for row in _random_rounds(rng, problem, 1000):
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
-        xx, grad = np.outer(row.features[0], row.features[0]), row.gradient(theta)
+        xx, (grad, hess) = np.outer(row.features[0], row.features[0]), row.gradient_hessian(theta)
         gg = np.outer(grad, grad)
-        for link in (row.hessian(theta) - c.c_down * xx, c.c_down * xx - c.alpha * gg, c.alpha * gg, c.c_exp * xx - gg):
+        for link in (hess - c.c_down * xx, c.c_down * xx - c.alpha * gg, c.alpha * gg, c.c_exp * xx - gg):
             worst = max(worst, -float(np.min(np.linalg.eigvalsh(link))))
     return CheckResult("loss.psd-sandwich", worst <= 1e-10, f"max eigenvalue violation {worst:.3e}")
 
@@ -373,7 +376,8 @@ def check_truth_is_stationary() -> CheckResult:
         p_sale = model.sf(v - u)
         yes = BatchObjective(x, v, True, model)
         no = BatchObjective(x, v, False, model)
-        grad = p_sale * yes.gradient(problem.theta_star) + (1 - p_sale) * no.gradient(problem.theta_star)
+        g_sale, g_miss = (batch.gradient_hessian(problem.theta_star)[0] for batch in (yes, no))
+        grad = p_sale * g_sale + (1 - p_sale) * g_miss
         worst_grad = max(worst_grad, float(np.linalg.norm(grad)))
         theta = problem.region.project(rng.uniform(0.0, 1.0, 2))
         gap = p_sale * (yes.value(theta) - yes.value(problem.theta_star)) + (1 - p_sale) * (
@@ -435,7 +439,7 @@ class _RecordedOnsp(OnspPolicy):
         self.gradients: list[np.ndarray] = []
 
     def _feedback_block(self, x, prices, accepted) -> None:
-        self.gradients.append(BatchObjective(x, prices, accepted, self.model).gradient(self.theta))
+        self.gradients.append(BatchObjective(x, prices, accepted, self.model).gradient_hessian(self.theta)[0])
         super()._feedback_block(x, prices, accepted)
 
 

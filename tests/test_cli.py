@@ -12,7 +12,7 @@ import pricelab.loss as loss_module
 import pricelab.policies as policies_module
 import pricelab.verify as verify_mod
 from pricelab.cli import lower_bound_demo, main
-from pricelab.config import ConfigError, default_raw, load_config, parse_config
+from pricelab.config import POLICY_KINDS, ConfigError, default_raw, load_config, parse_config
 from pricelab.environments import StochasticScenario
 from pricelab.loss import BatchObjective
 from pricelab.noise import GaussianNoise, LogisticNoise
@@ -53,6 +53,18 @@ def _gaussian_c_down_at_lower_end(f):
         return dataclasses.replace(constants, c_down=c_down, alpha=c_down / constants.c_exp)
 
     return wrapped
+
+
+def _scaled(grad_factor, hess_factor):
+    # gradient_hessian with its gradient and its Hessian each scaled
+    def fault(f):
+        def wrapped(self, theta):
+            grad, hess = f(self, theta)
+            return grad_factor * grad, hess_factor * hess
+
+        return wrapped
+
+    return fault
 
 
 def _region_faults(check, fault, label):
@@ -165,36 +177,36 @@ _FAULTS = [
     pytest.param(
         verify_mod.check_gradient_hessian_fd,
         BatchObjective,
-        "gradient",
-        lambda f: lambda self, theta: f(self, theta) * (1.0 + 1e-5),
+        "gradient_hessian",
+        _scaled(1.0 + 1e-5, 1.0),
         id="gradient-finite-difference",
     ),
     pytest.param(
         verify_mod.check_gradient_hessian_fd,
         BatchObjective,
-        "hessian",
-        lambda f: lambda self, theta: 0.5 * f(self, theta),
+        "gradient_hessian",
+        _scaled(1.0, 0.5),
         id="hessian-finite-difference",
     ),
     pytest.param(
         verify_mod.check_gradient_hessian_fd,
         BatchObjective,
-        "hessian",
-        lambda f: lambda self, theta: 0.1 * f(self, theta),
+        "gradient_hessian",
+        _scaled(1.0, 0.1),
         id="hessian-finite-difference-tenth",
     ),
     pytest.param(
         verify_mod.check_psd_sandwich,
         BatchObjective,
-        "gradient",
-        lambda f: lambda self, theta: 2.0 * f(self, theta),
+        "gradient_hessian",
+        _scaled(2.0, 1.0),
         id="psd-sandwich-gradient-ceiling",
     ),
     pytest.param(
         verify_mod.check_psd_sandwich,
         BatchObjective,
-        "hessian",
-        lambda f: lambda self, theta: -f(self, theta),
+        "gradient_hessian",
+        _scaled(1.0, -1.0),
         id="psd-sandwich-negated-hessian",
     ),
     pytest.param(
@@ -379,6 +391,28 @@ class TestRun:
         assert line in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "path, line",
+        [
+            (("horizn",), "config error: horizn is not a known key"),
+            (("problem", "sigma"), "config error: problem.sigma is not a known key"),
+            (("problem", "noise", "scale"), "config error: problem.noise.scale is not a known key"),
+            (("policies", 1, "gama"), "config error: policies[1].gama is not a known key"),
+            (("policies", 0, "exploration"), "config error: policies[0].exploration is not a known key"),
+        ],
+        ids=["top", "problem", "noise", "policy", "policy-of-another-kind"],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, small_raw, capsys, path, line):
+        # each used to be ignored, and the run went on with the key's default
+        target = small_raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 0.5
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert line in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_exp4_rates_in_range_parse(self, small_raw):
         small_raw["policies"][2].update(exploration=1, learning_rate=0.05)
         assert parse_config(small_raw).policies[2]["exploration"] == 1
@@ -427,6 +461,12 @@ class TestConfigValidation:
         assert config.horizon == 2**16
         assert config.repetitions == 5
         assert config.effective_horizon({"kind": "exp4", "horizon_cap": 2**12}) == 2**12
+
+    def test_every_kind_takes_a_horizon_cap(self):
+        raw = default_raw()
+        raw["policies"] = [{"kind": kind, "horizon_cap": 2**12} for kind in POLICY_KINDS]
+        config = parse_config(raw)
+        assert [config.effective_horizon(spec) for spec in config.policies] == [2**12] * len(POLICY_KINDS)
 
     def test_bad_fields_all_reported(self):
         raw = default_raw()

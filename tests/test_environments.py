@@ -148,6 +148,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             PricingProblem(GaussianNoise(0.25), OrthantBall(1.0, 2), np.array([0.5, 0.5, 0.5]), 1.0)
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
+    def test_feature_bound_must_be_positive_and_finite(self, bound):
+        # nan and inf used to pass and give rows of nan features
+        with pytest.raises(ValueError, match="feature bound must be positive and finite"):
+            PricingProblem(GaussianNoise(0.25), OrthantBall(1.0, 2), np.array([0.5, 0.5]), bound)
+
     def test_price_window(self, problem):
         j0 = greedy_price(problem.model, 0.0)
         assert problem.price_window == pytest.approx(1.0 + j0, rel=1e-12)

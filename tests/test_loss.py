@@ -38,15 +38,6 @@ def _random_round(problem, rng):
     return BatchObjective(x, rng.uniform(0, problem.price_window), rng.random() < 0.5, problem.model)
 
 
-def _two_branch_reference(batch, theta):
-    """Value and gradient with both kernels evaluated on every row, then selected per outcome."""
-    w = batch.margins(theta)
-    model = batch.model
-    value = float(np.mean(np.where(batch.accepted, -model.log_sf(w), -model.log_cdf(w))))
-    slopes = np.where(batch.accepted, -np.asarray(model.hazard(w)), np.asarray(model.reverse_hazard(w)))
-    return value, (slopes @ batch.features) / len(batch)
-
-
 class TestPointLoss:
     def test_margin_zero_gives_log_two(self, gauss1):
         x = np.array([1.0, 0.0])
@@ -83,19 +74,19 @@ class TestPointLoss:
 class TestGradient:
     def test_zero_feature_zero_gradient(self, gauss1):
         row = BatchObjective(np.zeros(2), 0.7, True, gauss1)
-        np.testing.assert_array_equal(row.gradient(np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(row.gradient_hessian(np.zeros(2))[0], np.zeros(2))
 
     def test_margin_zero_scalar_is_hazard(self, gauss1):
         x = np.array([0.6, 0.8])
         row = BatchObjective(x, 0.5, True, gauss1)
         theta = np.array([0.3, 0.4])  # x @ theta = 0.5, margin 0
         want = -2.0 / math.sqrt(2 * math.pi)
-        np.testing.assert_allclose(row.gradient(theta), want * x, rtol=1e-13)
+        np.testing.assert_allclose(row.gradient_hessian(theta)[0], want * x, rtol=1e-13)
 
 class TestHessian:
     def test_zero_feature_zero_matrix(self, gauss1):
         row = BatchObjective(np.zeros(2), 0.7, False, gauss1)
-        np.testing.assert_array_equal(row.hessian(np.zeros(2)), np.zeros((2, 2)))
+        np.testing.assert_array_equal(row.gradient_hessian(np.zeros(2))[1], np.zeros((2, 2)))
 
     def test_convexity_inequality(self, problem, rng):
         for _ in range(100):
@@ -111,50 +102,12 @@ class TestHessian:
         batch = _synthetic_batch(problem, 64, seed=9)
         for _ in range(20):
             theta = problem.region.project(rng.uniform(0, 1, 2))
-            hess = batch.hessian(theta)
+            hess = batch.gradient_hessian(theta)[1]
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (batch.gradient(theta + e) - batch.gradient(theta - e)) / (2 * h)
+                fd = (batch.gradient_hessian(theta + e)[0] - batch.gradient_hessian(theta - e)[0]) / (2 * h)
                 np.testing.assert_allclose(fd, hess[:, i], rtol=1e-6, atol=1e-7)
-
-
-class TestOneImplementation:
-    """The batch evaluates each kernel only on the rows with its outcome;
-    that gives exactly the two-branch form that evaluates both on every row."""
-
-    @pytest.mark.parametrize("model", [GaussianNoise(0.25), LogisticNoise(0.3)], ids=["gaussian", "logistic"])
-    @pytest.mark.parametrize("outcomes", ["mixed", "all-sale", "all-miss"])
-    def test_matches_two_branch_reference(self, problem, model, outcomes):
-        rng = np.random.default_rng(17)
-        for n in (1, 4, 64, 8192):
-            x = StochasticScenario(problem).features(n, rng)
-            v = rng.uniform(0.0, problem.price_window, n)
-            accepted = {
-                "mixed": v <= x @ problem.theta_star + model.sample(rng, n),
-                "all-sale": np.ones(n, dtype=bool),
-                "all-miss": np.zeros(n, dtype=bool),
-            }[outcomes]
-            batch = BatchObjective(x, v, accepted, model)
-            theta = problem.region.project(rng.uniform(0, 1, 2))
-            value, gradient = _two_branch_reference(batch, theta)
-            assert batch.value(theta) == value
-            np.testing.assert_array_equal(batch.gradient(theta), gradient)
-
-    def test_batch_is_mean_of_batches_of_one(self, problem, rng):
-        rows = [_random_round(problem, rng) for _ in range(16)]
-        batch = BatchObjective(
-            np.concatenate([r.features for r in rows]),
-            np.concatenate([r.prices for r in rows]),
-            np.concatenate([r.accepted for r in rows]),
-            problem.model,
-        )
-        theta = np.array([0.3, 0.2])
-        assert batch.value(theta) == pytest.approx(np.mean([r.value(theta) for r in rows]), rel=1e-12)
-        want_grad = np.mean([r.gradient(theta) for r in rows], axis=0)
-        np.testing.assert_allclose(batch.gradient(theta), want_grad, rtol=1e-12)
-        want_hess = np.mean([r.hessian(theta) for r in rows], axis=0)
-        np.testing.assert_allclose(batch.hessian(theta), want_hess, rtol=1e-12)
 
 
 def _masked(w, accepted, on_sale, on_miss):
@@ -167,93 +120,97 @@ def _masked(w, accepted, on_sale, on_miss):
     return out
 
 
-class TestOneOutcomeBatches:
-    """The mirrored batch against each outcome's public kernel run on that
-    outcome's rows through a mask: every row must come out bit-equal, with
-    both outcomes in the batch or only one."""
+def _two_branch_reference(batch, theta):
+    """Value, gradient and Hessian with each outcome's public kernels run on
+    that outcome's rows through a mask, combined by the batch's expressions."""
+    w, accepted, model, n = batch.margins(theta), batch.accepted, batch.model, len(batch)
+    value = -float(np.mean(_masked(w, accepted, model.log_sf, model.log_cdf)))
+    slopes = _masked(w, accepted, lambda s: -model.hazard(s), model.reverse_hazard)
+    curvatures = _masked(w, accepted, model.log_sf_curvature, model.log_cdf_curvature)
+    return value, (slopes @ batch.features) / n, (batch.features.T * curvatures) @ batch.features / n
 
-    @pytest.mark.parametrize("model", [GaussianNoise(0.25), LogisticNoise(0.3)], ids=["gaussian", "logistic"])
+
+_MODELS = [GaussianNoise(0.25), GaussianNoise(0.02), LogisticNoise(0.3), LogisticNoise(0.1)]
+_MODEL_IDS = ["g0.25", "g0.02", "l0.3", "l0.1"]
+
+
+class TestOneImplementation:
+    """value and gradient_hessian mirror each row by its +-1 sign and run one
+    sale kernel over the whole batch; they must come out bit-equal to the
+    two-branch reference, with both outcomes in the batch or only one, and
+    gradient_hessian must take every row from one hazard evaluation."""
+
+    @pytest.mark.parametrize("model", _MODELS, ids=_MODEL_IDS)
     @pytest.mark.parametrize("outcomes", ["mixed", "all-sale", "all-miss"])
-    @pytest.mark.parametrize("rows", [1, 257])
-    def test_row_kernels_match_the_masked_path(self, model, outcomes, rows):
-        rng = np.random.default_rng(29)
-        # the working window, the right tail, the far left and a signed zero
-        for edge in (0.3, 12.0, -12.0, -0.0):
-            w = rng.uniform(-2.0, 2.0, rows)
-            w[0] = edge
-            accepted = {
-                "mixed": rng.random(rows) < 0.5,
-                "all-sale": np.ones(rows, dtype=bool),
-                "all-miss": np.zeros(rows, dtype=bool),
-            }[outcomes]
-            neg_hazard = lambda s: -model.hazard(s)
-            masked = {
-                loss_module.row_losses: -_masked(w, accepted, model.log_sf, model.log_cdf),
-                loss_module.row_slopes: _masked(w, accepted, neg_hazard, model.reverse_hazard),
-                loss_module.row_curvatures: _masked(w, accepted, model.log_sf_curvature, model.log_cdf_curvature),
-            }
-            for kernel, want in masked.items():
-                got = kernel(model, w, accepted)
-                assert got.shape == w.shape
-                assert got.tobytes() == want.tobytes(), (kernel.__name__, edge)
+    def test_matches_two_branch_reference(self, model, outcomes, monkeypatch):
+        rng = np.random.default_rng(37)
+        theta, spread = np.array([0.5, 0.5]), model.spread
+        gaussian = isinstance(model, GaussianNoise)
+        # row 0's margin: the working window, the tails at +-12, a signed zero,
+        # and 40 and 80 standard units each side; past |z| = 37.65 the
+        # Gaussian hazard rounds to 0 on one side
+        edges = (0.3, 12.0, -12.0, -0.0) + tuple(spread * z for z in (40.0, -40.0, 80.0, -80.0))
+        calls = []
+        mills = type(model)._mills
+        monkeypatch.setattr(type(model), "_mills", lambda self, z: calls.append(1) or mills(self, z))
+        for n in (1, 4, 64, 257, 4000, 8192):
+            for edge in edges:
+                x = rng.uniform(0.0, 30.0, (n, 2))
+                # standardized margins over the working window and out to +-80
+                z = np.concatenate([rng.uniform(-4.0, 4.0, n // 2), rng.uniform(-80.0, 80.0, n - n // 2)])
+                prices = np.maximum(x @ theta + spread * z, 0.0)
+                # x'theta = 40 keeps every edge's price nonnegative; the price
+                # -0.0 at x = 0 gives the margin -0.0
+                x[0], prices[0] = (0.0, -0.0) if edge == 0.0 else (40.0, 40.0 + edge)
+                accepted = {
+                    "mixed": rng.random(n) < 0.5,
+                    "all-sale": np.ones(n, dtype=bool),
+                    "all-miss": np.zeros(n, dtype=bool),
+                }[outcomes]
+                batch = BatchObjective(x, prices, accepted, model)
+                value, *want = _two_branch_reference(batch, theta)
+                calls.clear()
+                got = batch.gradient_hessian(theta)
+                assert len(calls) == (1 if gaussian else 0)
+                assert batch.value(theta) == value, (n, edge)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (n, edge)
+                if gaussian and n == 1 and edge == (-40.0 if accepted[0] else 40.0) * spread:
+                    # a sale 40 units left or a miss 40 right: the slope is a signed zero
+                    assert got[0].tolist() == [0.0, 0.0]
+
+    def test_batch_is_mean_of_batches_of_one(self, problem, rng):
+        rows = [_random_round(problem, rng) for _ in range(16)]
+        batch = BatchObjective(
+            np.concatenate([r.features for r in rows]),
+            np.concatenate([r.prices for r in rows]),
+            np.concatenate([r.accepted for r in rows]),
+            problem.model,
+        )
+        theta = np.array([0.3, 0.2])
+        assert batch.value(theta) == pytest.approx(np.mean([r.value(theta) for r in rows]), rel=1e-12)
+        grad, hess = batch.gradient_hessian(theta)
+        want_grad, want_hess = (np.mean(parts, axis=0) for parts in zip(*(r.gradient_hessian(theta) for r in rows)))
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12)
+        np.testing.assert_allclose(hess, want_hess, rtol=1e-12)
 
 
 class TestScalarRound:
-    """The round of an online update, a 0-d margin with one bool outcome,
-    is mirrored as a scalar; it must come out bit-equal to the one-element
-    batch."""
+    """round_slope, ONSP's slope of one round on scalars, must come out
+    bit-equal to the public kernels: -hazard on a sale, reverse_hazard on a
+    miss."""
 
-    @pytest.mark.parametrize(
-        "model", [GaussianNoise(0.25), GaussianNoise(0.02), LogisticNoise(0.1)], ids=["g0.25", "g0.02", "logistic"]
-    )
-    def test_row_slopes_match_the_one_element_path(self, model):
+    @pytest.mark.parametrize("model", _MODELS, ids=_MODEL_IDS)
+    def test_round_slope_is_the_public_kernel(self, model):
         rng = np.random.default_rng(31)
         # standardized margins over the working window, far into the right
         # tail and into the far left, where erfcx overflows
         z = np.concatenate([rng.uniform(-4.0, 4.0, 1500), rng.uniform(-80.0, 80.0, 1500), [45.0, 46.0, -40.0, -0.0]])
         for w in z * model.spread:
-            for accepted in (True, False):
-                scalar = loss_module.row_slopes(model, np.float64(w), np.bool_(accepted))
-                row = loss_module.row_slopes(model, np.array([w]), np.array([accepted]))
-                assert np.ndim(scalar) == 0
-                assert np.float64(scalar).tobytes() == row.tobytes(), (w, accepted)
-
-
-class TestFusedPass:
-    """gradient_hessian takes slopes and curvatures from one hazard evaluation
-    and mirrors by multiplying with +-1; it must come out bit-equal to
-    gradient and hessian, which run the row functions."""
-
-    @pytest.mark.parametrize(
-        "model", [GaussianNoise(0.25), GaussianNoise(0.02), LogisticNoise(0.1)], ids=["g0.25", "g0.02", "logistic"]
-    )
-    def test_gradient_hessian_is_gradient_and_hessian(self, model, monkeypatch):
-        rng = np.random.default_rng(37)
-        n = 4000
-        theta = np.array([0.5, 0.5])
-        x = rng.uniform(0.0, 30.0, (n, 2))
-        # standardized margins over the working window and beyond |z| = 37.65,
-        # where the Gaussian hazard rounds to 0 on one side
-        z = np.concatenate([rng.uniform(-4.0, 4.0, n // 2), rng.uniform(-80.0, 80.0, n // 2)])
-        prices = np.maximum(x @ theta + model.spread * z, 0.0)
-        accepted = rng.random(n) < 0.5
-        batches = [BatchObjective(x, prices, accepted, model)]
-        # one-row batches at z = -40 for a sale and z = 40 for a miss, where
-        # the Gaussian slope is a signed zero
-        row = np.array([20.0, 20.0])
-        batches += [BatchObjective(row, 20.0 + far * model.spread, far < 0, model) for far in (-40.0, 40.0)]
-        calls = []
-        mills = type(model)._mills
-        monkeypatch.setattr(type(model), "_mills", lambda self, z: calls.append(1) or mills(self, z))
-        for batch in batches:
-            want = batch.gradient(theta), batch.hessian(theta)
-            calls.clear()
-            got = batch.gradient_hessian(theta)
-            assert len(calls) == (1 if isinstance(model, GaussianNoise) else 0)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
-        if isinstance(model, GaussianNoise):
-            assert [batch.gradient(theta)[0] for batch in batches[1:]] == [0.0, 0.0]
+            for accepted, want in ((True, -model.hazard(w)), (False, model.reverse_hazard(w))):
+                got = loss_module.round_slope(model, np.float64(w), np.bool_(accepted))
+                assert np.ndim(got) == 0
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (w, accepted)
 
 
 class TestSolveMle:
@@ -270,7 +227,7 @@ class TestSolveMle:
         assert result.converged
         assert problem.region.contains(result.theta, tol=1e-9)
         base = 1.0 / (compute_constants(problem.model, problem.valuation_bound).c_exp)
-        image = problem.region.project(result.theta - base * batch.gradient(result.theta))
+        image = problem.region.project(result.theta - base * batch.gradient_hessian(result.theta)[0])
         assert np.linalg.norm(result.theta - image) / base <= 1e-9
 
     def test_consistency_4096(self, problem):

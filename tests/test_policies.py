@@ -435,7 +435,7 @@ class TestOnsp:
             theta = policy.theta.copy()
             v = policy.propose_block(x[None])[0]
             policy.feedback_block([accepted])
-            grads.append(BatchObjective(x, v, accepted, model).gradient(theta))
+            grads.append(BatchObjective(x, v, accepted, model).gradient_hessian(theta)[0])
         a = np.eye(2) + sum(np.outer(g, g) for g in grads)
         adjugate = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
         expected = theta - adjugate @ grads[1] / (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
@@ -450,7 +450,7 @@ class TestOnsp:
         x = np.array([0.6, 0.7])
         v = policy.propose_block(x[None])[0]
         policy.feedback_block([accepted])
-        g = BatchObjective(x, v, accepted, problem.model).gradient(theta0)
+        g = BatchObjective(x, v, accepted, problem.model).gradient_hessian(theta0)[0]
         np.testing.assert_array_equal(policy.matrix, np.eye(2) + np.outer(g, g))
 
     def test_weight_checked_only_on_active_projections(self, problem, monkeypatch):
