@@ -6,9 +6,10 @@ Subcommands:
   config (built-in defaults when no path is given), write one CSV trace per
   pair plus a run-level ``summary.json``.  EMLP pairs record how many MLE
   fits did not converge, and a nonzero count prints a warning line.  Exit 0
-  on success, 1 on an aborted run, 2 on an invalid config or ``--seed``
-  (with per-key diagnostics) or a ``--workers`` below 1 (one line on
-  stderr).
+  on success; 1 on an aborted episode or a policy that cannot be built,
+  such as ONSP whose theory defaults break an invariant (one line on
+  stderr); 2 on an invalid config or ``--seed`` (with per-key diagnostics)
+  or a ``--workers`` below 1 (one line on stderr).
 * ``verify`` - run the invariant suite, one PASS/FAIL line per check; exit
   1 if anything fails.
 * ``lower-bound-demo --t T --reps R --seed S [--policy ...]`` - run one
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
             return 2
         try:
             summary = run_experiments(config, out_dir=args.out, workers=args.workers)
-        except EpisodeAbort as exc:
+        except (EpisodeAbort, InvariantViolation) as exc:
             print(f"run aborted: {exc}", file=sys.stderr)
             return 1
         for pair in summary["pairs"]:
@@ -245,19 +246,17 @@ def main(argv=None) -> int:
         print(json.dumps(report, indent=2))
         return 0
 
-    if args.command == "constants":
-        try:
-            constants = compute_constants(GaussianNoise(args.sigma), args.b)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except InvariantViolation as exc:
-            print(f"invariant violated: {exc}", file=sys.stderr)
-            return 1
-        print(json.dumps(constants.__dict__, indent=2))
-        return 0
-
-    return 2  # unreachable with required=True
+    # argparse requires a subcommand, so this is "constants"
+    try:
+        constants = compute_constants(GaussianNoise(args.sigma), args.b)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
+    print(json.dumps(constants.__dict__, indent=2))
+    return 0
 
 
 if __name__ == "__main__":

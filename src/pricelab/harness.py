@@ -22,7 +22,9 @@ outcomes, a sale when the price is at most x'theta* + noise.
 Inputs are validated where they enter: ``PricingPolicy.propose_block``
 checks each block of features and raises on a price outside [0, V_max],
 which aborts the episode at that price's round; the runner does not check
-either again.
+either again.  Any other RuntimeError of the policy's propose or feedback,
+such as a solver's InvariantViolation, aborts the episode at the first
+round of its block.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = [
 
 
 class EpisodeAbort(RuntimeError):
-    """A policy violated the episode contract (e.g. priced outside [0, V_max])."""
+    """A policy violated the episode contract (e.g. priced outside [0, V_max]) or failed in a round."""
 
 
 @dataclass
@@ -82,11 +84,16 @@ class RegretTrace:
     increments: np.ndarray | None
     checkpoints: np.ndarray
     cumulative: np.ndarray
-    over_log: np.ndarray  # Reg(t)/ln t, NaN at t=1
 
     @property
     def total(self) -> float:
         return float(self.cumulative[-1])
+
+    @property
+    def over_log(self) -> np.ndarray:
+        """Reg(t)/ln t at each checkpoint, NaN at t=1."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.checkpoints >= 2, self.cumulative / np.log(self.checkpoints), np.nan)
 
 
 @dataclass
@@ -160,12 +167,12 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
         rows = slice(t, t + min(policy.frozen_rounds(), horizon - t))
         try:
             block = policy.propose_block(features[rows])
+            sold = block <= reservation[rows]
+            policy.feedback_block(sold)
         except PriceWindowError as exc:
             raise EpisodeAbort(f"round {t + exc.row + 1}: {exc}") from exc
         except RuntimeError as exc:
             raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
-        sold = block <= reservation[rows]
-        policy.feedback_block(sold)
         prices[rows] = block
         accepted[rows] = sold
         t = rows.stop
@@ -178,11 +185,7 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
         raise EpisodeAbort("negative regret increment: comparator not optimal")
 
     cps = dyadic_checkpoints(horizon)
-    cum = np.cumsum(rho)[cps - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over_log = np.where(cps >= 2, cum / np.log(cps), np.nan)
-    transcript = Transcript(features, prices, accepted)
-    return transcript, RegretTrace(rho, cps, cum, over_log)
+    return Transcript(features, prices, accepted), RegretTrace(rho, cps, np.cumsum(rho)[cps - 1])
 
 
 def run_horizon_envelope(
@@ -208,9 +211,7 @@ def run_horizon_envelope(
         policy = policy_builder(int(horizon))
         _, trace = run_episode(policy, scenario, int(horizon), streams[i])
         finals[i] = trace.total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over_log = np.where(horizons >= 2, finals / np.log(horizons), np.nan)
-    return RegretTrace(None, horizons, finals, over_log)
+    return RegretTrace(None, horizons, finals)
 
 
 def aggregate(traces: list[RegretTrace]) -> AggregateStats:
@@ -300,12 +301,13 @@ def write_trace_csv(path, traces: list[RegretTrace], stats: AggregateStats) -> N
         writer = csv.writer(fh)
         writer.writerow(header)
         for rep, trace in enumerate(traces):
+            normalized = trace.over_log
             for i, t in enumerate(trace.checkpoints):
                 row = [
                     rep,
                     int(t),
                     f"{trace.cumulative[i]:.10g}",
-                    "" if np.isnan(trace.over_log[i]) else f"{trace.over_log[i]:.10g}",
+                    "" if np.isnan(normalized[i]) else f"{normalized[i]:.10g}",
                 ]
                 if with_interval:
                     row += [f"{stats.mean[i]:.10g}", f"{stats.halfwidth[i]:.10g}"]

@@ -160,10 +160,6 @@ class NoiseModel(abc.ABC):
 
     @property
     @abc.abstractmethod
-    def variance(self) -> float: ...
-
-    @property
-    @abc.abstractmethod
     def b_f(self) -> float:
         """sup of the density."""
 
@@ -193,10 +189,6 @@ class GaussianNoise(NoiseModel):
     @property
     def spread(self) -> float:
         return self.sigma
-
-    @property
-    def variance(self) -> float:
-        return self.sigma**2
 
     @property
     def b_f(self) -> float:
@@ -245,10 +237,6 @@ class LogisticNoise(NoiseModel):
     @property
     def spread(self) -> float:
         return self.scale
-
-    @property
-    def variance(self) -> float:
-        return math.pi**2 * self.scale**2 / 3.0
 
     @property
     def b_f(self) -> float:

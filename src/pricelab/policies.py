@@ -44,6 +44,7 @@ from .loss import BatchObjective, round_slope, solve_mle
 from .noise import NoiseModel
 from .pricing import (
     AnalysisConstants,
+    InvariantViolation,
     compute_constants,
     greedy_price,
     greedy_price_inverse,
@@ -70,12 +71,19 @@ def onsp_default_hyperparams(constants: AnalysisConstants, b1: float, b2: float)
     gamma = 0.5*min{1/(4GD), alpha} and epsilon = 1/(gamma^2 D^2) with
     D = 2*B1 (diameter) and G = sqrt(c_exp)*B2 (gradient bound).  At small
     noise scales these are far too conservative for desk-scale horizons;
-    experiment configs override them.
+    experiment configs override them.  InvariantViolation when epsilon
+    overflows, for alpha below about 7e-155 when D = 2 (the Gaussian at
+    sigma = 0.03 with B = 1 has 6e-255).
     """
     diameter = 2.0 * b1
     grad_bound = math.sqrt(constants.c_exp) * b2
     gamma = 0.5 * min(1.0 / (4.0 * grad_bound * diameter), constants.alpha)
-    epsilon = 1.0 / (gamma**2 * diameter**2)
+    squared = gamma**2 * diameter**2
+    epsilon = 1.0 / squared if squared else math.inf
+    if epsilon == math.inf:
+        raise InvariantViolation(
+            f"theory-default epsilon = 1/(gamma D)^2 overflows at gamma {gamma:.3e}, D {diameter:g}"
+        )
     return gamma, epsilon
 
 
@@ -341,24 +349,22 @@ class Exp4Policy(PricingPolicy):
         if exploration is not None and not 0.0 <= exploration <= 1.0:
             raise ValueError("exploration must lie in [0, 1]")
         self.horizon = int(horizon)
-        # the grids exist before the base constructor resets the weights over them
-        cap = price_cap(model, region.radius * feature_bound)
+        # at least 2 per axis for every T >= 1
         per_axis = int(math.floor(self.horizon ** (1.0 / 3.0) + 1e-9)) + 1
+        # the experts exist before the base constructor resets the weights over them
         self.experts = self._parameter_grid(region, per_axis)
-        self.arms = np.linspace(0.0, cap, per_axis)
-        self.arm_spacing = self.arms[1] - self.arms[0] if per_axis > 1 else cap
+        super().__init__(model, region, feature_bound)
+        self.arms = np.linspace(0.0, self.price_cap, per_axis)
+        self.arm_spacing = self.arms[1] - self.arms[0]
         # J(u) is nearest arm k + 1 rather than arm k once u passes J^{-1}((k + 1/2) spacing)
         self.thresholds = greedy_price_inverse(model, (np.arange(per_axis - 1) + 0.5) * self.arm_spacing)
         n, k = len(self.experts), len(self.arms)
         self.learning_rate = (
-            math.sqrt(2.0 * math.log(max(n, 2)) / (self.horizon * k))
-            if learning_rate is None
-            else float(learning_rate)
+            math.sqrt(2.0 * math.log(n) / (self.horizon * k)) if learning_rate is None else float(learning_rate)
         )
         self.exploration = (
             min(1.0, k * self.learning_rate) if exploration is None else float(exploration)
         )
-        super().__init__(model, region, feature_bound)
 
     def _reset_state(self) -> None:
         self.weights = np.full(len(self.experts), 1.0 / len(self.experts))
@@ -374,15 +380,11 @@ class Exp4Policy(PricingPolicy):
             center = np.asarray(region.center, dtype=float)
             axes = [center[i] + span for i in range(region.dim)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.dim)
-        points = [p for p in mesh if region.contains(p, tol=1e-9)]
-        if not points:
-            points.append(region.interior_point())
-        return np.asarray(points)
+        # holds the origin (orthant-ball) or the centre (ball), and at least one more point
+        return np.asarray([p for p in mesh if region.contains(p, tol=1e-9)])
 
     def recommendations(self, x: np.ndarray) -> np.ndarray:
         """Arm index each expert recommends for feature x: the number of thresholds below x'theta_e."""
-        if len(self.arms) == 1:
-            return np.zeros(len(self.experts), dtype=int)
         return self.thresholds.searchsorted(self.clipped_valuation(self.experts, x))
 
     def arm_distribution(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

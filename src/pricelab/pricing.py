@@ -269,10 +269,8 @@ def greedy_price_inverse(model: NoiseModel, prices) -> np.ndarray:
 
 
 def price_cap(model: NoiseModel, b: float) -> float:
-    """Price search window V_max = B + J(0); every policy prices inside [0, V_max]."""
-    if not 0.0 < b < math.inf:
-        raise ValueError("valuation bound must be positive and finite")
-    return b + greedy_price(model, 0.0)
+    """Price search window V_max = B + J(0), the window's upper end; every policy prices inside [0, V_max]."""
+    return float(_window_ends(model, b)[1][1])
 
 
 def first_order_residual(model: NoiseModel, valuation, price):
@@ -302,7 +300,7 @@ class AnalysisConstants:
 
 
 def _window_ends(model: NoiseModel, b: float) -> tuple[float, np.ndarray]:
-    """J(0) and the window's two ends, -B and price_cap's V_max = B + J(0)."""
+    """J(0) and the window's two ends, -B and V_max = B + J(0): where B is validated and J(0) solved."""
     if not (math.isfinite(b) and b > 0):
         raise ValueError("valuation bound must be a positive real")
     j0 = greedy_price(model, 0.0)

@@ -1,10 +1,13 @@
 """Invariant suite: every structural property the package relies on, runnable
 as one batch (CLI ``verify``).
 
-This suite is the one home of each structural invariant: the tests do not
-assert these properties again, and the acceptance gate runs every check.
+This suite is the home of each structural invariant, and the acceptance
+gate runs every check; three unit tests each assert one of them again (the
+contraction, the gradient's finite differences, the projection's
+variational inequality).
 Each check has one grid and sample count, so the density the gate runs is
 the one the fault-injection tests break.  Each check returns a
+``(passed, detail)`` pair, and :func:`run_checks` names it as a
 :class:`CheckResult`; a failing check carries the offending values in
 ``detail``.  The ONSP check plays real episodes through
 :func:`pricelab.harness.run_episode` and reads the policy's matrix floor.
@@ -29,6 +32,7 @@ from .pricing import (
     first_order_residual,
     greedy_price,
     greedy_price_vec,
+    price_cap,
 )
 from .regions import Ball, OrthantBall
 
@@ -42,12 +46,13 @@ class CheckResult:
     detail: str
 
 
+Outcome = tuple[bool, str]  # what a check returns: (passed, detail)
+
 _MODELS = (GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(1.0))
 
 
 def _window_grid(model, b: float, n: int) -> np.ndarray:
-    j0 = greedy_price(model, 0.0)
-    return np.linspace(-b, b + j0, n)
+    return np.linspace(-b, price_cap(model, b), n)
 
 
 def _default_problem() -> PricingProblem:
@@ -78,7 +83,7 @@ def _random_rounds(rng, problem, count) -> list[BatchObjective]:
 # -- noise ----------------------------------------------------------------
 
 
-def check_log_concavity() -> CheckResult:
+def check_log_concavity() -> Outcome:
     """Central-difference d2 of log F and log(1-F) <= -1e-12 on the window
     and on [-1, 1 + 0.76 spread]."""
     n = 1000
@@ -89,10 +94,10 @@ def check_log_concavity() -> CheckResult:
         for fn in (model.log_cdf, model.log_sf):
             second = (fn(grid + h) - 2.0 * fn(grid) + fn(grid - h)) / h**2
             worst = max(worst, float(np.max(second)))
-    return CheckResult("noise.log-concavity", worst <= -1e-12, f"max second derivative {worst:.3e}")
+    return worst <= -1e-12, f"max second derivative {worst:.3e}"
 
 
-def check_density_consistency() -> CheckResult:
+def check_density_consistency() -> Outcome:
     """cdf' matches pdf to rel 1e-6; pdf' matches pdf_derivative to within
     min(1e-6 max(|f'|, 1e-3 B_f'), 1e-9 + 2e-5 |f'|).  On the window and on
     [-0.9, 0.9] spread.
@@ -117,10 +122,10 @@ def check_density_consistency() -> CheckResult:
         bound = np.minimum(1e-6 * np.maximum(dpdf, 1e-3 * model.b_fprime), 1e-9 + 2e-5 * dpdf)
         over = np.max(np.abs(fd_dpdf - model.pdf_derivative(grid)) / bound)
         worst = max(worst, float(rel1) / 1e-6, float(over))
-    return CheckResult("noise.derivative-consistency", worst <= 1.0, f"max error over its bound {worst:.3e}")
+    return worst <= 1.0, f"max error over its bound {worst:.3e}"
 
 
-def check_hazard_monotone() -> CheckResult:
+def check_hazard_monotone() -> Outcome:
     """Hazard strictly increasing and reverse hazard strictly decreasing on
     the window and on [-1, 1 + 1.76 spread]."""
     n = 1000
@@ -131,10 +136,10 @@ def check_hazard_monotone() -> CheckResult:
             detail.append(f"{type(model).__name__}: hazard not strictly increasing")
         if not all(np.all(np.diff(model.reverse_hazard(grid)) < 0.0) for grid in grids):
             detail.append(f"{type(model).__name__}: reverse hazard not strictly decreasing")
-    return CheckResult("noise.hazard-monotone", not detail, "; ".join(detail) or "strictly monotone on both grids")
+    return not detail, "; ".join(detail) or "strictly monotone on both grids"
 
 
-def check_hazard_asymptotics() -> CheckResult:
+def check_hazard_asymptotics() -> Outcome:
     """Left tail vanishes faster than any power; right tail is w + 1/w + O(1/w^3)."""
     model = GaussianNoise(1.0)
     left = abs(8.0**3 * model.hazard(-8.0))
@@ -145,7 +150,7 @@ def check_hazard_asymptotics() -> CheckResult:
         bound = 3.0 / w**3
         details.append(f"w={w:g}: |hazard-w-1/w|={err:.3e} bound={bound:.3e}")
         ok = ok and err <= bound
-    return CheckResult("noise.hazard-asymptotics", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 def _log1mexp(a: np.ndarray) -> np.ndarray:
@@ -158,7 +163,7 @@ def _log1mexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_tail_identity() -> CheckResult:
+def check_tail_identity() -> Outcome:
     """log_cdf and log_sf reconstruct each other through log(1 - exp(.)).
 
     ``log_sf`` is the CDF at -w, so for a law that is not symmetric about 0
@@ -183,37 +188,33 @@ def check_tail_identity() -> CheckResult:
             rel = rel[np.abs(want) > 0]
             if rel.size:
                 worst = max(worst, float(np.max(rel)))
-    return CheckResult("noise.tail-identity", worst <= 1e-10, f"max relative error {worst:.3e}")
+    return worst <= 1e-10, f"max relative error {worst:.3e}"
 
 
 # -- pricing ---------------------------------------------------------------
 
 
-def check_reward_unimodal() -> CheckResult:
+def check_reward_unimodal() -> Outcome:
     """g(., u) has exactly one interior local max, at the greedy price."""
     rng = np.random.default_rng(11)
     n_u = 200
     n_v = 10_000
     for model in (GaussianNoise(0.25), GaussianNoise(1.0)):
-        cap = 1.0 + greedy_price(model, 0.0)
+        cap = price_cap(model, 1.0)
         grid = np.linspace(0.0, cap, n_v)
         for u in rng.uniform(0.0, 1.0, n_u):
             vals = expected_reward(model, grid, u)
             inner = np.diff(vals)
             flips = np.flatnonzero(np.sign(inner[:-1]) > np.sign(inner[1:]))
             if flips.size != 1:
-                return CheckResult(
-                    "pricing.reward-unimodal", False, f"u={u:.4f}: {flips.size} local maxima"
-                )
+                return False, f"u={u:.4f}: {flips.size} local maxima"
             peak = grid[flips[0] + 1]
             if abs(peak - greedy_price(model, float(u))) > cap / (n_v - 1) + 1e-12:
-                return CheckResult(
-                    "pricing.reward-unimodal", False, f"u={u:.4f}: argmax off the greedy price"
-                )
-    return CheckResult("pricing.reward-unimodal", True, "one interior max at the greedy price")
+                return False, f"u={u:.4f}: argmax off the greedy price"
+    return True, "one interior max at the greedy price"
 
 
-def check_price_contraction() -> CheckResult:
+def check_price_contraction() -> Outcome:
     """0 < J(u2) - J(u1) < u2 - u1 for every ordered pair tested."""
     rng = np.random.default_rng(5)
     for model in (GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(0.7), LogisticNoise(1.0)):
@@ -222,11 +223,11 @@ def check_price_contraction() -> CheckResult:
         du, dj = np.diff(u), np.diff(j)
         keep = du > 1e-9
         if not np.all((dj[keep] > 0.0) & (dj[keep] < du[keep])):
-            return CheckResult("pricing.contraction", False, f"{type(model).__name__} violates 0 < dJ < du")
-    return CheckResult("pricing.contraction", True, "greedy price is a strict contraction")
+            return False, f"{type(model).__name__} violates 0 < dJ < du"
+    return True, "greedy price is a strict contraction"
 
 
-def check_fixed_point_and_scaling() -> CheckResult:
+def check_fixed_point_and_scaling() -> Outcome:
     """J at the unit-noise fixed point; Gaussian scale identity J_s(u) = s*J_1(u/s)."""
     fp_err = abs(greedy_price(GaussianNoise(1.0), FIXED_VALUATION) - FIXED_VALUATION)
     rng = np.random.default_rng(23)
@@ -237,12 +238,10 @@ def check_fixed_point_and_scaling() -> CheckResult:
         u = rng.uniform(0.0, 1.0)
         worst = max(worst, abs(greedy_price(GaussianNoise(s), u) - s * greedy_price(unit, u / s)))
     ok = fp_err <= 1e-9 and worst <= 1e-9
-    return CheckResult(
-        "pricing.fixed-point-and-scaling", ok, f"fixed point err {fp_err:.2e}; scaling err {worst:.2e}"
-    )
+    return ok, f"fixed point err {fp_err:.2e}; scaling err {worst:.2e}"
 
 
-def check_first_order_residual() -> CheckResult:
+def check_first_order_residual() -> Outcome:
     """|1 - F(J-u) - J f(J-u)| <= 1e-10 on u in [0, 1], and on u in [0, 2] at
     small noise, where u/spread reaches 2000; plus sigma = 0.01 at u = 0.384."""
     rng = np.random.default_rng(3)
@@ -255,10 +254,10 @@ def check_first_order_residual() -> CheckResult:
         worst = max(worst, float(np.max(first_order_residual(model, u, j))))
     # u/sigma = 38.4, where Newton on m(z) - z - c (not its log) crawls
     worst = max(worst, first_order_residual(GaussianNoise(0.01), 0.384, greedy_price(GaussianNoise(0.01), 0.384)))
-    return CheckResult("pricing.first-order-residual", worst <= 1e-10, f"max residual {worst:.3e}")
+    return worst <= 1e-10, f"max residual {worst:.3e}"
 
 
-def check_quadratic_regret_bound() -> CheckResult:
+def check_quadratic_regret_bound() -> Outcome:
     """Pricing under a wrong parameter loses at most C*(x'(theta-theta*))^2."""
     rng = np.random.default_rng(7)
     model = GaussianNoise(0.25)
@@ -272,10 +271,10 @@ def check_quadratic_regret_bound() -> CheckResult:
         )
         slack = consts.c_quad * (u_true - u_est) ** 2 - loss_val
         worst = max(worst, -slack)
-    return CheckResult("pricing.quadratic-regret-bound", worst <= 1e-12, f"max bound violation {worst:.3e}")
+    return worst <= 1e-12, f"max bound violation {worst:.3e}"
 
 
-def check_constants() -> CheckResult:
+def check_constants() -> Outcome:
     """compute_constants takes c_exp and c_down at the window's two ends:
     for each law at B in {0.5, 1, 2}, c_exp is at least and c_down at most
     its extremum over a dense grid of the window, within 1e-12 relative.
@@ -313,13 +312,13 @@ def check_constants() -> CheckResult:
             f"logistic grid vs closed form: {lc.c_down:.3e} vs {c_down_exact:.3e}, "
             f"{lc.c_exp:.3e} vs {c_exp_exact:.3e}"
         )
-    return CheckResult("pricing.analysis-constants", not details, "; ".join(details) or "floors/ceilings consistent")
+    return not details, "; ".join(details) or "floors/ceilings consistent"
 
 
 # -- loss ------------------------------------------------------------------
 
 
-def check_gradient_hessian_fd() -> CheckResult:
+def check_gradient_hessian_fd() -> Outcome:
     """Central differences of ``value`` match the gradient of
     ``gradient_hessian`` entrywise, and central differences of that gradient
     match its Hessian relative to the Hessian's largest entry; both to rel
@@ -337,14 +336,11 @@ def check_gradient_hessian_fd() -> CheckResult:
         fd_hess = np.column_stack(fd_cols) / (2 * h)
         worst_grad = max(worst_grad, float(np.max(np.abs(fd_grad - grad) / np.maximum(np.abs(grad), 1e-4))))
         worst_hess = max(worst_hess, float(np.max(np.abs(fd_hess - hess))) / max(float(np.max(np.abs(hess))), 1e-4))
-    return CheckResult(
-        "loss.gradient-finite-difference",
-        max(worst_grad, worst_hess) <= 1e-6,
-        f"max relative error: gradient {worst_grad:.3e}, Hessian {worst_hess:.3e}",
-    )
+    detail = f"max relative error: gradient {worst_grad:.3e}, Hessian {worst_hess:.3e}"
+    return max(worst_grad, worst_hess) <= 1e-6, detail
 
 
-def check_psd_sandwich() -> CheckResult:
+def check_psd_sandwich() -> Outcome:
     """Full curvature chain on ``gradient_hessian`` of single rounds:
     Hessian >= c_down xx' >= alpha grad grad' >= 0, plus
     grad grad' <= c_exp xx'.  The first two links give exp-concavity,
@@ -359,10 +355,10 @@ def check_psd_sandwich() -> CheckResult:
         gg = np.outer(grad, grad)
         for link in (hess - c.c_down * xx, c.c_down * xx - c.alpha * gg, c.alpha * gg, c.c_exp * xx - gg):
             worst = max(worst, -float(np.min(np.linalg.eigvalsh(link))))
-    return CheckResult("loss.psd-sandwich", worst <= 1e-10, f"max eigenvalue violation {worst:.3e}")
+    return worst <= 1e-10, f"max eigenvalue violation {worst:.3e}"
 
 
-def check_truth_is_stationary() -> CheckResult:
+def check_truth_is_stationary() -> Outcome:
     """Averaging the gradient over the sale indicator at theta* gives ~0,
     and the expected loss gap dominates (c_down/2)(x'(theta-theta*))^2."""
     rng = np.random.default_rng(41)
@@ -386,11 +382,7 @@ def check_truth_is_stationary() -> CheckResult:
         quad = 0.5 * consts.c_down * float(x @ (theta - problem.theta_star)) ** 2
         worst_gap = max(worst_gap, quad - gap)
     ok = worst_grad <= 1e-6 and worst_gap <= 1e-10
-    return CheckResult(
-        "loss.truth-stationary",
-        ok,
-        f"max expected-gradient norm {worst_grad:.3e}; max quadratic-bound violation {worst_gap:.3e}",
-    )
+    return ok, f"max expected-gradient norm {worst_grad:.3e}; max quadratic-bound violation {worst_gap:.3e}"
 
 
 # -- regions / policies -----------------------------------------------------
@@ -405,7 +397,7 @@ def _least_linear_value(region, g: np.ndarray) -> float:
     return -region.radius * float(np.linalg.norm(np.minimum(g, 0.0)))
 
 
-def check_weighted_projection() -> CheckResult:
+def check_weighted_projection() -> Outcome:
     """Membership within 1e-12 and the variational inequality
     g'(z-theta) >= -1e-8 for every z in H, with g = A(theta-y), taken at its
     exact minimum over H.  A is rotated with cond(A) from 1 to 1e8,
@@ -424,10 +416,10 @@ def check_weighted_projection() -> CheckResult:
             y = rng.uniform(-2.0, 2.0, 2)
             theta = region.project_weighted(y, a)
             if not region.contains(theta, tol=1e-12):
-                return CheckResult("regions.weighted-projection-vi", False, f"output {theta} left the region")
+                return False, f"output {theta} left the region"
             g = a @ (theta - y)
             worst = max(worst, float(g @ theta) - _least_linear_value(region, g))
-    return CheckResult("regions.weighted-projection-vi", worst <= 1e-8, f"max VI violation {worst:.3e}")
+    return worst <= 1e-8, f"max VI violation {worst:.3e}"
 
 
 class _RecordedOnsp(OnspPolicy):
@@ -443,7 +435,7 @@ class _RecordedOnsp(OnspPolicy):
         super()._feedback_block(x, prices, accepted)
 
 
-def check_onsp_state() -> CheckResult:
+def check_onsp_state() -> Outcome:
     """Adversarial episodes (epsilon 1 for 256 rounds, 0.7 for 200): every
     price in the window, A - sum g g' >= epsilon I for the rounds' likelihood
     gradients g, and A >= epsilon I."""
@@ -461,24 +453,24 @@ def check_onsp_state() -> CheckResult:
         ev = float(np.min(np.linalg.eigvalsh(policy.matrix)))
         if min(floor, ev) < epsilon - 1e-9:
             details.append(f"epsilon={epsilon}: floor eigenvalue {floor}, matrix eigenvalue {ev}")
-    return CheckResult("policies.onsp-state", not details, "; ".join(details) or "window and floor hold")
+    return not details, "; ".join(details) or "window and floor hold"
 
 
 # -- environments / harness ---------------------------------------------------
 
 
-def check_scenario_contract() -> CheckResult:
+def check_scenario_contract() -> Outcome:
     problem = _default_problem()
     rng = np.random.default_rng(59)
     try:
         for scen in (StochasticScenario(problem), AlternatingScenario(problem)):
             scen.check_features(scen.features(20_000, rng))
     except AssertionError as exc:
-        return CheckResult("environments.feature-contract", False, str(exc))
-    return CheckResult("environments.feature-contract", True, "norms, signs and valuations in range")
+        return False, str(exc)
+    return True, "norms, signs and valuations in range"
 
 
-def check_lower_bound_geometry() -> CheckResult:
+def check_lower_bound_geometry() -> Outcome:
     """At the unit-noise fixed point, smaller noise prices strictly below,
     with a linear-in-(1-s) gap and a quadratic revenue margin."""
     u_star = FIXED_VALUATION
@@ -501,10 +493,10 @@ def check_lower_bound_geometry() -> CheckResult:
         if float(np.min(slack)) < -1e-9:
             ok = False
             details.append(f"s={s}: quadratic revenue margin violated by {-float(np.min(slack)):.2e}")
-    return CheckResult("environments.lower-bound-geometry", ok, "; ".join(details) or "all three inequalities hold")
+    return ok, "; ".join(details) or "all three inequalities hold"
 
 
-def check_slope_recovery() -> CheckResult:
+def check_slope_recovery() -> Outcome:
     """Slopes 1 and 2/3 to 1e-12 from t = 1 or 2 up to 2^16; a log curve fits at most 0.2."""
     t = 2 ** np.arange(0, 17).astype(float)
     lin = fit_slope((t[1:], 3.0 * t[1:]), (2, 2**16)).slope
@@ -513,12 +505,10 @@ def check_slope_recovery() -> CheckResult:
     )
     logc = max(fit_slope((t[1:], c * np.log(t[1:])), (2**10, 2**16)).slope for c in (2.0, 4.0))
     ok = abs(lin - 1.0) <= 1e-12 and twothirds <= 1e-12 and logc <= 0.2
-    return CheckResult(
-        "harness.slope-recovery", ok, f"linear {lin:.4f}, power error {twothirds:.1e}, log curve {logc:.4f}"
-    )
+    return ok, f"linear {lin:.4f}, power error {twothirds:.1e}, log curve {logc:.4f}"
 
 
-_CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
+_CHECKS: list[tuple[str, Callable[[], Outcome]]] = [
     ("noise.log-concavity", check_log_concavity),
     ("noise.derivative-consistency", check_density_consistency),
     ("noise.hazard-monotone", check_hazard_monotone),
@@ -545,4 +535,4 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 
 def run_checks() -> list[CheckResult]:
     """Run every invariant check; order is fixed and names are stable."""
-    return [check() for _, check in _CHECKS]
+    return [CheckResult(name, *check()) for name, check in _CHECKS]

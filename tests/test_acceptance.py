@@ -202,8 +202,8 @@ def test_criterion_6_per_epoch_surrogate_bound():
 
 
 def test_criterion_7_lower_bound_geometry():
-    result = check_lower_bound_geometry()
-    assert result.passed, result.detail
+    passed, detail = check_lower_bound_geometry()
+    assert passed, detail
     print(
         "ACCEPTANCE 7 PASS: for sigma in {0.6, 0.75, 0.9} the mismatched greedy price sits below "
         "the fixed point by >= (2/5)(1-sigma) with a 1/60-quadratic revenue margin"

@@ -329,6 +329,25 @@ class TestRun:
         exp4 = [p for p in summary["pairs"] if p["policy"]["kind"] == "exp4"]
         assert all(p["horizon"] == 64 for p in exp4)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "sigma, line",
+        [
+            # c_down underflows to 0
+            (0.02, "run aborted: strong-convexity floor underflowed to 0.0 at this noise scale"),
+            # alpha is 6e-255, so 1/(gamma D)^2 has no double
+            (0.03, "run aborted: theory-default epsilon = 1/(gamma D)^2 overflows at gamma 3.0"),
+        ],
+    )
+    def test_uncomputable_onsp_defaults_exit_1(self, tmp_path, small_raw, capsys, workers, sigma, line):
+        small_raw["problem"]["noise"]["sigma"] = sigma
+        small_raw["policies"] = [{"kind": "onsp"}]
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(line)
+
     def test_missing_theta_star_exits_2(self, tmp_path, small_raw, capsys):
         del small_raw["problem"]["theta_star"]
         cfg = _write(tmp_path, small_raw)
@@ -534,16 +553,16 @@ class TestVerifyCommand:
             self.matrix = 0.5 * self.matrix
 
         monkeypatch.setattr(policies_module.OnspPolicy, "_reset_state", half_floor)
-        result = verify_mod.check_onsp_state()
-        assert not result.passed
-        assert "floor eigenvalue" in result.detail
+        passed, detail = verify_mod.check_onsp_state()
+        assert not passed
+        assert "floor eigenvalue" in detail
 
     @pytest.mark.parametrize("check, owner, attr, fault", _FAULTS)
     def test_check_catches_fault(self, monkeypatch, check, owner, attr, fault):
         # each structural invariant lives only in its check, so each check must fail on a broken program
         monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
-        result = check()
-        assert not result.passed, result.detail
+        passed, detail = check()
+        assert not passed, detail
 
 
 class TestLowerBoundDemo:

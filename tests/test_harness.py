@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
+import pricelab.regions as regions_module
 from pricelab import (
+    AlternatingScenario,
     EmlpPolicy,
     Exp4Policy,
     OnspPolicy,
@@ -25,6 +27,7 @@ from pricelab import (
 )
 from pricelab.harness import EpisodeAbort, emlp_epoch_gaps, write_trace_csv
 from pricelab.policies import PricingPolicy
+from pricelab.pricing import InvariantViolation
 
 
 class ConstantPricePolicy(PricingPolicy):
@@ -67,6 +70,22 @@ class WindowBreakingPolicy(PricingPolicy):
 
     def _feedback_block(self, x, prices, accepted):
         self.played += len(prices)
+
+
+class FeedbackFailingPolicy(ConstantPricePolicy):
+    """Posts 0.5, and its update breaks an invariant in round ``bad``'s feedback."""
+
+    def __init__(self, model, region, feature_bound, bad):
+        self.bad = bad
+        super().__init__(model, region, feature_bound, 0.5)
+
+    def _reset_state(self):
+        self.played = 0
+
+    def _feedback_block(self, x, prices, accepted):
+        self.played += 1
+        if self.played == self.bad:
+            raise InvariantViolation("update diverged")
 
 
 class TestCheckpoints:
@@ -125,6 +144,20 @@ class TestRunEpisode:
         with pytest.raises(EpisodeAbort, match=rf"^round {bad}: window-breaking priced"):
             run_episode(policy, StochasticScenario(problem), 16, 0)
 
+    @pytest.mark.parametrize("bad", [1, 6])
+    def test_abort_names_the_round_whose_feedback_failed(self, problem, bad):
+        policy = FeedbackFailingPolicy(problem.model, problem.region, 1.0, bad)
+        with pytest.raises(EpisodeAbort, match=rf"^round {bad}: update diverged$"):
+            run_episode(policy, StochasticScenario(problem), 16, 0)
+
+    def test_projection_failure_aborts_the_episode(self, problem, monkeypatch):
+        # no Newton step allowed: ONSP's first projection onto the sphere fails in its round's feedback
+        monkeypatch.setattr(regions_module, "SECULAR_CAP", 0)
+        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
+        with pytest.raises(EpisodeAbort, match=r"^round \d+: secular equation unsolved after 0 Newton steps$") as err:
+            run_episode(policy, AlternatingScenario(problem), 512, 3)
+        assert isinstance(err.value.__cause__, InvariantViolation)
+
     def test_cumulative_nondecreasing(self, problem):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         _, trace = run_episode(policy, StochasticScenario(problem), 256, 5)
@@ -133,11 +166,7 @@ class TestRunEpisode:
 
 class TestAggregate:
     def _trace(self, cps, values):
-        cps = np.asarray(cps)
-        values = np.asarray(values, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            over = np.where(cps >= 2, values / np.log(cps), np.nan)
-        return RegretTrace(None, cps, values, over)
+        return RegretTrace(None, np.asarray(cps), np.asarray(values, dtype=float))
 
     def test_identical_traces_zero_width(self):
         cps = np.array([1, 2, 4, 8])

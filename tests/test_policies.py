@@ -571,15 +571,6 @@ class TestExp4:
         policy.feedback_block([False])  # reward v * 0 = 0
         np.testing.assert_allclose(policy.weights, before, rtol=1e-12)
 
-    def test_single_arm_degenerates(self, problem):
-        policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=64)
-        policy.arms = np.array([0.7])
-        policy.arm_spacing = policy.price_cap
-        policy.reset(3)
-        for _ in range(5):
-            assert policy.propose_block(np.array([[1.0, 0.0]]))[0] == 0.7
-            policy.feedback_block([True])
-
     def test_correct_expert_takes_over(self, problem):
         # two experts, deterministic accept rule: prices at or below 0.5
         # always sell, higher prices never do

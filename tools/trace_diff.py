@@ -1,0 +1,182 @@
+"""Compare pricelab's outputs in the working tree with those of a git revision.
+
+    python tools/trace_diff.py REV
+
+Extracts ``git archive REV`` into a temporary directory and plays the same
+fixed set on both sides, each in its own subprocess with that side's
+``src`` on PYTHONPATH and one BLAS thread:
+
+* episodes of EMLP, tuned ONSP (gamma = epsilon = 1), theory-default ONSP,
+  Exp4 and the oracle on both scenarios of the reference market, T = 8192,
+  repetitions 0 and 1 of the default master seed: features, prices,
+  outcomes, regret increments, Reg(t) and Reg(t)/ln t at the dyadic
+  checkpoints;
+* Exp4's horizon envelope up to 4096 on both scenarios, repetitions 0 and
+  1: Reg(T) and Reg(T)/ln T per horizon;
+* ``pricelab run`` on a four-policy config (T = 4096, R = 2): its stdout,
+  each trace CSV and ``summary.json``;
+* ``pricelab verify``: its stdout.
+
+Prints one line per array or output, "identical" when its bytes agree and
+otherwise the largest relative difference (or the first differing line),
+and exits 1 when anything differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+HORIZON = 8192
+ENVELOPE_CAP = 4096
+REPETITIONS = (0, 1)
+EPISODE_POLICIES = {
+    "emlp": {"kind": "emlp"},
+    "onsp-tuned": {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
+    "onsp-default": {"kind": "onsp"},
+    "exp4": {"kind": "exp4"},
+    "oracle": {"kind": "oracle"},
+}
+RUN_HORIZON = 4096
+RUN_POLICIES = [
+    {"kind": "emlp"},
+    {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
+    {"kind": "exp4", "horizon_cap": 1024},
+    {"kind": "oracle"},
+]
+
+
+def play(out: Path) -> None:
+    """One side: write every array to ``arrays.npz`` and every text output under ``out``."""
+    import pricelab
+    from pricelab.cli import main
+    from pricelab.config import build_policy, build_scenario, default_raw, parse_config
+    from pricelab.harness import dyadic_checkpoints, episode_seed, run_episode, run_horizon_envelope
+
+    print(f"pricelab from {Path(pricelab.__file__).parent}", file=sys.stderr)
+    config = parse_config(default_raw())
+    arrays = {}
+    for scenario_name in config.scenarios:
+        scenario = build_scenario(scenario_name, config.problem)
+        for rep in REPETITIONS:
+            seed = episode_seed(config.master_seed, rep)
+            for label, spec in EPISODE_POLICIES.items():
+                policy = build_policy(spec, config.problem, HORIZON)
+                transcript, trace = run_episode(policy, scenario, HORIZON, seed)
+                key = f"{label}/{scenario_name}/rep{rep}"
+                arrays[f"{key}/features"] = transcript.features
+                arrays[f"{key}/prices"] = transcript.prices
+                arrays[f"{key}/accepted"] = transcript.accepted
+                arrays[f"{key}/increments"] = trace.increments
+                arrays[f"{key}/regret"] = trace.cumulative
+                arrays[f"{key}/regret_over_log"] = trace.over_log
+            envelope = run_horizon_envelope(
+                lambda t: build_policy({"kind": "exp4"}, config.problem, t),
+                scenario,
+                dyadic_checkpoints(ENVELOPE_CAP),
+                seed,
+            )
+            key = f"exp4-envelope/{scenario_name}/rep{rep}"
+            arrays[f"{key}/regret"] = envelope.cumulative
+            arrays[f"{key}/regret_over_log"] = envelope.over_log
+    np.savez(out / "arrays.npz", **arrays)
+
+    raw = {**default_raw(), "horizon": RUN_HORIZON, "repetitions": 2, "policies": RUN_POLICIES}
+    raw["slope_window"] = [64, RUN_HORIZON]
+    (out / "run.json").write_text(json.dumps(raw))
+    for name, argv in (("run", ["run", str(out / "run.json"), "--out", str(out / "run")]), ("verify", ["verify"])):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            status = main(argv)
+        (out / f"{name}.stdout").write_text(f"{buffer.getvalue()}exit {status}\n")
+
+
+def _array_line(name: str, a: np.ndarray, b: np.ndarray) -> tuple[bool, str]:
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False, f"{name}: {a.dtype}{a.shape} against {b.dtype}{b.shape}"
+    if a.tobytes() == b.tobytes():
+        return True, f"{name}: identical"
+    if a.dtype == bool:
+        return False, f"{name}: {int(np.count_nonzero(a != b))} of {a.size} differ"
+    both_nan = np.isnan(a) & np.isnan(b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(both_nan | (a == b), 0.0, np.abs(a - b) / scale)
+    moved = int(np.count_nonzero(rel))
+    return False, f"{name}: largest relative difference {float(np.nanmax(rel)):.3e} ({moved} of {a.size} differ)"
+
+
+def _text_line(name: str, a: bytes, b: bytes) -> tuple[bool, str]:
+    if a == b:
+        return True, f"{name}: identical"
+    lines = zip(a.decode().splitlines(), b.decode().splitlines())
+    first = next((i for i, (x, y) in enumerate(lines) if x != y), None)
+    where = "in length" if first is None else f"first at line {first + 1}"
+    return False, f"{name}: differs {where}"
+
+
+def compare(here: Path, there: Path) -> list[tuple[bool, str]]:
+    """One (same, line) per array and text output; ``there`` is the revision's side."""
+    out = []
+    with np.load(here / "arrays.npz") as a, np.load(there / "arrays.npz") as b:
+        for name in sorted(set(a.files) | set(b.files)):
+            if name not in a.files or name not in b.files:
+                out.append((False, f"{name}: only on one side"))
+            else:
+                out.append(_array_line(name, a[name], b[name]))
+    texts = ["run.stdout", "verify.stdout"]
+    texts += sorted({p.relative_to(side).as_posix() for side in (here, there) for p in (side / "run").iterdir()})
+    for name in texts:
+        files = [side / name for side in (here, there)]
+        if not all(f.is_file() for f in files):
+            out.append((False, f"{name}: only on one side"))
+        else:
+            out.append(_text_line(name, files[0].read_bytes(), files[1].read_bytes()))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree with")
+    parser.add_argument("--play", metavar="DIR", help=argparse.SUPPRESS)  # one side, run in a subprocess
+    args = parser.parse_args()
+    if args.play:
+        play(Path(args.play))
+        return 0
+
+    with tempfile.TemporaryDirectory(prefix="trace_diff_") as tmp:
+        tmp = Path(tmp)
+        (tmp / "rev").mkdir()
+        archive = subprocess.run(["git", "archive", args.rev], cwd=REPO, capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
+        threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        sides = {"tree": REPO, "rev": tmp / "rev"}
+        procs = []
+        for name, root in sides.items():
+            (tmp / f"out-{name}").mkdir()
+            env = {**os.environ, **threads, "PYTHONPATH": str(root / "src")}
+            cmd = [sys.executable, __file__, args.rev, "--play", str(tmp / f"out-{name}")]
+            procs.append(subprocess.Popen(cmd, env=env, cwd=tmp))
+        if any([proc.wait() != 0 for proc in procs]):  # a list: wait for both
+            print("a side failed to play", file=sys.stderr)
+            return 2
+        results = compare(tmp / "out-tree", tmp / "out-rev")
+    for _, line in results:
+        print(line)
+    differ = sum(not same for same, _ in results)
+    print(f"{len(results) - differ}/{len(results)} identical against {args.rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
