@@ -36,6 +36,7 @@ baseline capped at T=2^12, log-log fits over [2^10, 2^16].
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,13 +154,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and bool(np.isfinite(value))
+def _is_real(value) -> bool:  # a finite float; JSON 10**400 loads as an int that no float holds
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _positive_int(value, path, problems, default=None):
-    if not _is_int(value) or value < 1:
-        problems.append(f"{path} must be a positive integer")
+    if not _is_int(value) or not 1 <= value < 2**63:  # counts and checkpoints are int64
+        problems.append(f"{path} must be a positive integer below 2**63")
         return default
     return value
 

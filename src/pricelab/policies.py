@@ -167,13 +167,8 @@ class PricingPolicy(abc.ABC):
         self._pending = None
         self._feedback_block(x, prices, accepted)
 
-    def clipped_valuation(self, x, theta):
-        # x'theta lies in [0, B] for theta in H by assumption; clamp is a
-        # numerical guard only.
-        return (x @ theta).clip(0.0, self.valuation_bound)
-
     def clipped_valuations(self, x: np.ndarray, theta) -> np.ndarray:
-        """``clipped_valuation`` of each row of a block, summed row by row.
+        """x'theta of each row of a block, summed row by row and clipped to [0, B] (a numerical guard).
 
         A BLAS matrix-vector product rounds a row differently in a block of
         one and in a longer block; a row's price must not depend on its block.
@@ -302,7 +297,7 @@ class OnspPolicy(PricingPolicy):
 
     def _propose_block(self, x: np.ndarray) -> np.ndarray:
         self._xtheta = float(x[0] @ self.theta)
-        # clipped_valuation on a Python float: max(0.0, -0.0) is 0.0, as np.clip gives
+        # the clip to [0, B] on a Python float: max(0.0, -0.0) is 0.0, as np.clip gives
         u = min(max(0.0, self._xtheta), self.valuation_bound)
         return np.array([greedy_price(self.model, u)])
 
@@ -319,14 +314,16 @@ class Exp4Policy(PricingPolicy):
 
     The horizon must be known in advance: both grids use spacing
     (scale) * T^{-1/3}.  Experts are the grid points of the feasible set;
-    each deterministically recommends the arm nearest its greedy price
-    J(x'theta_e).  J is strictly increasing, so that arm is the number of
-    thresholds J^{-1}((k + 1/2) * spacing), k = 0 .. K-2, lying below
-    x'theta_e; the thresholds are computed once, with the grids, and each
-    round takes one sorted search in place of a greedy-price solve.  The
+    each recommends the arm nearest its greedy price J(x'theta_e), which,
+    J being strictly increasing, is the number of thresholds
+    J^{-1}((k + 1/2) * spacing), k = 0 .. K-2, below x'theta_e: the
+    thresholds are computed once, and a round takes one sorted search.  The
     played arm is drawn from the weight mixture of recommendations blended
-    with uniform exploration; the chosen arm's importance-weighted reward
-    (r/V_max)/p(arm) updates every expert that recommended it.
+    with uniform exploration.  A sale's importance-weighted reward
+    (r/V_max)/p(arm) boosts every expert that recommended the arm, and the
+    weights, 1/N at the start, are renormalized, so they sum to 1; a miss
+    earns 0 and leaves them untouched.  ``clip_events`` counts the rounds
+    whose played arm had probability below the 1e-12 floor.
 
     Defaults: learning rate eta = sqrt(2 ln N / (T K)), exploration K*eta.
     """
@@ -385,14 +382,16 @@ class Exp4Policy(PricingPolicy):
 
     def recommendations(self, x: np.ndarray) -> np.ndarray:
         """Arm index each expert recommends for feature x: the number of thresholds below x'theta_e."""
-        return self.thresholds.searchsorted(self.clipped_valuation(self.experts, x))
+        # x'theta_e lies in [0, B] for theta_e in H; the clip is a numerical guard only
+        return self.thresholds.searchsorted((self.experts @ x).clip(0.0, self.valuation_bound))
 
     def arm_distribution(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each expert's arm, and the arm probabilities, which sum to 1 because the weights do."""
         rec = self.recommendations(x)
-        mixture = np.bincount(rec, weights=self.weights, minlength=len(self.arms))
-        mixture = mixture / mixture.sum()
-        probs = (1.0 - self.exploration) * mixture + self.exploration / len(self.arms)
-        return rec, probs / probs.sum()
+        probs = np.bincount(rec, weights=self.weights, minlength=len(self.arms))
+        probs *= 1.0 - self.exploration
+        probs += self.exploration / len(self.arms)
+        return rec, probs
 
     def _propose_block(self, x: np.ndarray) -> np.ndarray:
         rec, probs = self.arm_distribution(x[0])
@@ -402,19 +401,19 @@ class Exp4Policy(PricingPolicy):
         cdf /= cdf[-1]
         arm = int(cdf.searchsorted(self._rng.random(), side="right"))
         self._last = (rec, probs, arm)
-        return self.arms[[arm]]
+        return np.array([self.arms[arm]])
 
     def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
         rec, probs, arm = self._last
         self._last = None
-        reward = float(prices[0]) if accepted[0] else 0.0
         prob = float(probs[arm])
         if prob < 1e-12:
             prob = 1e-12
             self.clip_events += 1
-        estimate = (reward / self.price_cap) / prob
-        # eta*estimate <= 1 whenever exploration = K*eta; the clamp guards
-        # the clipped-probability path only
+        if not accepted[0]:
+            return  # reward 0: every boost is exp(0) = 1
+        estimate = (float(prices[0]) / self.price_cap) / prob
+        # eta*estimate <= 1 whenever exploration = K*eta; the clamp guards the clipped-probability path only
         boost = math.exp(min(self.learning_rate * estimate, 50.0))
         np.multiply(self.weights, boost, out=self.weights, where=rec == arm)
         self.weights /= self.weights.sum()

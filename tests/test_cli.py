@@ -393,6 +393,34 @@ class TestRun:
         assert line in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "path, line",
+        [
+            (("problem", "noise", "sigma"), "config error: problem.noise.sigma must be a positive real"),
+            (("problem", "parameter_radius"), "config error: problem.parameter_radius must be a positive real"),
+            (("problem", "feature_bound"), "config error: problem.feature_bound must be a positive real"),
+            (("problem", "theta_star", 0), "config error: problem.theta_star must be a list of 2 reals"),
+            (("policies", 1, "gamma"), "config error: policies[1].gamma must be a positive real"),
+            (("policies", 1, "epsilon"), "config error: policies[1].epsilon must be a positive real"),
+            (("policies", 2, "learning_rate"), "config error: policies[2].learning_rate must be a positive real"),
+            (("policies", 2, "exploration"), "config error: policies[2].exploration must be a real in [0, 1]"),
+            (("horizon",), "config error: horizon must be a positive integer"),
+        ],
+        ids=["sigma", "parameter_radius", "feature_bound", "theta_star", "gamma", "epsilon", "learning_rate",
+             "exploration", "horizon"],
+    )  # fmt: skip
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, small_raw, capsys, path, line):
+        # JSON 10**400 loads as a Python int that no float holds; np.isfinite
+        # and np.log2 raised TypeError on it
+        target = small_raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10**400
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert line in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "key, value, line",
         [
             ("exploration", 5, "config error: policies[2].exploration must be a real in [0, 1]"),

@@ -38,7 +38,7 @@ from test_pricing import INVERSE_MODELS, THRESHOLD_BAND, mpmath_threshold, thres
 # Reg(t) at t = 1, 2, 4, ..., 16384 of the EMLP episode SeedSequence([3717387332, 0])
 # on the reference problem, as played with the earlier first-order MLE (Nesterov
 # momentum, stopped at the same 1e-9 gradient-mapping norm)
-FIRST_ORDER_REGRET = [
+EMLP_STOCHASTIC_SEED_3717387332_REGRET = [
     0.05129622796724187, 0.14176744948851872, 0.25931612188547204, 0.28560310352409957,
     0.5252476992530953, 0.6789602316334651, 1.9525134031480902, 2.2599669074720103,
     2.3606333791986653, 2.631434700424168, 2.6729451129967603, 3.4174435805248984,
@@ -49,7 +49,7 @@ FIRST_ORDER_REGRET = [
 # SeedSequence([4252541989, 0]) on alternating features, as played with the
 # earlier weighted projection (projected gradient, 500-step cap) and the
 # earlier rank-one updated inverse of A; one of its projections is active
-PROJECTED_GRADIENT_REGRET = [
+ONSP_TUNED_ADVERSARIAL_SEED_4252541989_REGRET = [
     0.013368328714300909, 0.026736657428601818, 0.05800853099640502, 0.13760613418867693,
     0.6355921280429879, 0.6966396377741246, 0.9920225433855372, 1.016749294570238,
     1.2355303388402779, 1.3324119249117843, 1.7020366642420364, 1.7878794385713621,
@@ -58,7 +58,7 @@ PROJECTED_GRADIENT_REGRET = [
 
 # the same episode on stochastic features, as played with the earlier rank-one
 # updated inverse of A (re-inverted every 4096 rounds) in place of a linear solve
-INVERSE_UPDATE_REGRET = [
+ONSP_TUNED_STOCHASTIC_SEED_4252541989_REGRET = [
     0.014999144579292079, 0.019584174149248096, 0.033671573920012215, 0.04240116945806635,
     0.1490625287677314, 0.19818263894702523, 0.23352159718411222, 0.31569840187150866,
     0.41477085566505123, 0.47495482651932425, 0.5904370558416698, 0.6955692573830033,
@@ -67,7 +67,7 @@ INVERSE_UPDATE_REGRET = [
 
 # Reg(t) at t = 1, 2, 4, ..., 16384 of the EMLP episode SeedSequence([4252541989, 0])
 # on each scenario, as played with one scalar greedy-price solve per round
-SCALAR_PRICING_REGRET = {
+EMLP_SEED_4252541989_REGRET = {
     "stochastic": [
         0.037589636234791196, 0.09324531267469724, 0.16462514856364407, 0.2550839907659344,
         0.4609500929628211, 1.024465097861146, 1.1860692624017444, 2.5969723868657506,
@@ -360,14 +360,16 @@ class TestEmlp:
         assert policy.mle_warnings == 0
         assert len(fits) == 15 and all(fit.converged for fit in fits)
         assert max(fit.iterations for fit in fits) <= 50
-        np.testing.assert_allclose(trace.cumulative, FIRST_ORDER_REGRET, rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(
+            trace.cumulative, EMLP_STOCHASTIC_SEED_3717387332_REGRET, rtol=1e-6, atol=0.0
+        )
 
     @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
     def test_block_pricing_keeps_the_trace(self, problem, scenario):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         _, trace = run_episode(policy, scenario(problem), 16384, episode_seed(4252541989, 0))
         np.testing.assert_allclose(
-            trace.cumulative, SCALAR_PRICING_REGRET[scenario.name], rtol=BLOCK_PRICING_RTOL, atol=0.0
+            trace.cumulative, EMLP_SEED_4252541989_REGRET[scenario.name], rtol=BLOCK_PRICING_RTOL, atol=0.0
         )
 
     def test_one_vector_solve_per_epoch(self, problem, monkeypatch):
@@ -499,13 +501,17 @@ class TestOnsp:
         # the active projection moves by about 1e-13, so Reg(t) agrees to 1e-11 relative
         policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
         _, trace = run_episode(policy, AlternatingScenario(problem), 8192, episode_seed(4252541989, 0))
-        np.testing.assert_allclose(trace.cumulative, PROJECTED_GRADIENT_REGRET, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(
+            trace.cumulative, ONSP_TUNED_ADVERSARIAL_SEED_4252541989_REGRET, rtol=1e-11, atol=0.0
+        )
 
     def test_linear_solve_keeps_the_stochastic_trace(self, problem):
         # the solve and the updated inverse give Newton directions a few ulp apart
         policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
         _, trace = run_episode(policy, StochasticScenario(problem), 8192, episode_seed(4252541989, 0))
-        np.testing.assert_allclose(trace.cumulative, INVERSE_UPDATE_REGRET, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(
+            trace.cumulative, ONSP_TUNED_STOCHASTIC_SEED_4252541989_REGRET, rtol=1e-11, atol=0.0
+        )
 
     def test_deterministic(self, problem):
         scen = StochasticScenario(problem)
@@ -569,7 +575,18 @@ class TestExp4:
         before = policy.weights.copy()
         policy.propose_block(np.array([[1.0, 0.0]]))
         policy.feedback_block([False])  # reward v * 0 = 0
-        np.testing.assert_allclose(policy.weights, before, rtol=1e-12)
+        assert policy.weights.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
+    def test_weights_and_probabilities_sum_to_one(self, problem, scenario):
+        # the round normalizes neither the mixture nor the probabilities: it rests on this invariant
+        policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=10_000)
+        transcript, _ = run_episode(policy, scenario(problem), 10_000, episode_seed(9004, 0))
+        assert 0 < np.count_nonzero(transcript.accepted) < 10_000
+        assert abs(policy.weights.sum() - 1.0) <= 1e-12
+        for x in transcript.features[::100]:
+            _, probs = policy.arm_distribution(x)
+            assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_correct_expert_takes_over(self, problem):
         # two experts, deterministic accept rule: prices at or below 0.5

@@ -10,9 +10,10 @@ fixed set on both sides, each in its own subprocess with that side's
   Exp4 and the oracle on both scenarios of the reference market, T = 8192,
   repetitions 0 and 1 of the default master seed: features, prices,
   outcomes, regret increments, Reg(t) and Reg(t)/ln t at the dyadic
-  checkpoints;
+  checkpoints; for Exp4 also the final expert weights and ``clip_events``;
 * Exp4's horizon envelope up to 4096 on both scenarios, repetitions 0 and
-  1: Reg(T) and Reg(T)/ln T per horizon;
+  1: Reg(T) and Reg(T)/ln T per horizon, and each horizon's final expert
+  weights and ``clip_events``;
 * ``pricelab run`` on a four-policy config (T = 4096, R = 2): its stdout,
   each trace CSV and ``summary.json``;
 * ``pricelab verify``: its stdout.
@@ -56,6 +57,11 @@ RUN_POLICIES = [
 ]
 
 
+def _exp4_state(arrays: dict, key: str, policy) -> None:
+    arrays[f"{key}/weights"] = policy.weights
+    arrays[f"{key}/clip_events"] = np.array(policy.clip_events)
+
+
 def play(out: Path) -> None:
     """One side: write every array to ``arrays.npz`` and every text output under ``out``."""
     import pricelab
@@ -80,15 +86,20 @@ def play(out: Path) -> None:
                 arrays[f"{key}/increments"] = trace.increments
                 arrays[f"{key}/regret"] = trace.cumulative
                 arrays[f"{key}/regret_over_log"] = trace.over_log
-            envelope = run_horizon_envelope(
-                lambda t: build_policy({"kind": "exp4"}, config.problem, t),
-                scenario,
-                dyadic_checkpoints(ENVELOPE_CAP),
-                seed,
-            )
+                if spec["kind"] == "exp4":
+                    _exp4_state(arrays, key, policy)
+            built = []
+
+            def exp4(horizon):
+                built.append(build_policy({"kind": "exp4"}, config.problem, horizon))
+                return built[-1]
+
+            envelope = run_horizon_envelope(exp4, scenario, dyadic_checkpoints(ENVELOPE_CAP), seed)
             key = f"exp4-envelope/{scenario_name}/rep{rep}"
             arrays[f"{key}/regret"] = envelope.cumulative
             arrays[f"{key}/regret_over_log"] = envelope.over_log
+            for policy in built:
+                _exp4_state(arrays, f"{key}/T{policy.horizon:04d}", policy)
     np.savez(out / "arrays.npz", **arrays)
 
     raw = {**default_raw(), "horizon": RUN_HORIZON, "repetitions": 2, "policies": RUN_POLICIES}
