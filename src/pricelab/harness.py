@@ -15,16 +15,17 @@ pure function of those integers, so repetitions can run in any order or in
 parallel without changing results.
 
 One loop, in ``run_episode``, plays every policy: it asks the policy how
-many rounds it can price without feedback (``frozen_rounds``), takes the
-prices of those rounds as one block and hands back the block's sale
-outcomes, a sale when the price is at most x'theta* + noise.
+many rounds it can price without feedback (``frozen_rounds``) and hands it
+those rows with ``sell``, which takes the block's prices and returns its
+sale outcomes, a sale when the price is at most x'theta* + noise.
 
-Inputs are validated where they enter: ``PricingPolicy.propose_block``
-checks each block of features and raises on a price outside [0, V_max],
-which aborts the episode at that price's round; the runner does not check
-either again.  Any other RuntimeError of the policy's propose or feedback,
-such as a solver's InvariantViolation, aborts the episode at the first
-round of its block.
+The episode's contract is checked here, once: the scenario's features
+before the policy is reset (a finite (horizon, d) array with x >= 0 and
+||x|| <= B2, else ValueError), and in ``sell`` each block's
+prices (one per row, each in [0, V_max], else EpisodeAbort at the round of
+the first offending price).  A policy that can price no round, or sells a
+block twice or not at all, aborts at the block's first round, and so does
+any other RuntimeError of the policy, such as a solver's InvariantViolation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .environments import Scenario
 from .loss import BatchObjective
-from .policies import EmlpPolicy, PriceWindowError, PricingPolicy
+from .policies import EmlpPolicy, PricingPolicy
 from .pricing import expected_reward, greedy_price_vec
 
 __all__ = [
@@ -118,7 +119,7 @@ class SlopeFit:
 def dyadic_checkpoints(horizon: int) -> np.ndarray:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    powers = 2 ** np.arange(0, int(np.floor(np.log2(horizon))) + 1)
+    powers = 2 ** np.arange(int(horizon).bit_length(), dtype=np.int64)
     return np.unique(np.concatenate([powers, [horizon]]))
 
 
@@ -155,6 +156,9 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
 
     problem = scenario.problem
     features = scenario.features(horizon, env_rng)
+    if np.shape(features) != (horizon, problem.dim):
+        raise ValueError(f"{scenario.name} features of shape {np.shape(features)}, not ({horizon}, {problem.dim})")
+    scenario.check_features(features)
     noise = np.asarray(problem.model.sample(env_rng, horizon))
     u_star = features @ problem.theta_star
     reservation = u_star + noise
@@ -162,20 +166,43 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
     policy.reset(policy_stream)
     prices = np.empty(horizon)
     accepted = np.empty(horizon, dtype=bool)
-    t = 0
+    # the window's upper end, with room for the solver's rounding
+    ceiling = policy.price_cap * (1.0 + 1e-9) + 1e-12
+    t = sold = 0  # the block's first round (from 0), and the rounds sold so far
+
+    def sell(block: np.ndarray) -> np.ndarray:
+        nonlocal sold
+        if sold != t:
+            raise EpisodeAbort(f"round {t + 1}: {policy.name} sold its block twice")
+        if block.shape != (rows.stop - t,):
+            raise EpisodeAbort(f"round {t + 1}: {policy.name} sold {block.shape} prices for {rows.stop - t} rounds")
+        # a NaN fails every comparison
+        if len(block) == 1:
+            inside = 0.0 <= float(block[0]) <= ceiling
+        else:
+            inside = block.min() >= 0.0 and block.max() <= ceiling
+        if not inside:
+            row = int(np.argmin((block >= 0.0) & (block <= ceiling)))
+            raise EpisodeAbort(f"round {t + row + 1}: {policy.name} priced {block[row]} outside [0, {policy.price_cap}]")
+        outcome = block <= reservation[rows]
+        prices[rows] = block
+        accepted[rows] = outcome
+        sold = rows.stop
+        return outcome
+
     while t < horizon:
         rows = slice(t, t + min(policy.frozen_rounds(), horizon - t))
+        if rows.stop <= t:
+            raise EpisodeAbort(f"round {t + 1}: {policy.name} can price no round")
         try:
-            block = policy.propose_block(features[rows])
-            sold = block <= reservation[rows]
-            policy.feedback_block(sold)
-        except PriceWindowError as exc:
-            raise EpisodeAbort(f"round {t + exc.row + 1}: {exc}") from exc
+            policy.play_block(features[rows], sell)
+        except EpisodeAbort:
+            raise
         except RuntimeError as exc:
             raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
-        prices[rows] = block
-        accepted[rows] = sold
-        t = rows.stop
+        if sold == t:
+            raise EpisodeAbort(f"round {t + 1}: {policy.name} did not sell its block")
+        t = sold
 
     best_prices = greedy_price_vec(problem.model, np.clip(u_star, 0.0, None))
     best = expected_reward(problem.model, best_prices, u_star)

@@ -1,18 +1,15 @@
 """Online pricing policies.
 
-All policies speak the same two-phase block protocol:
+Every policy speaks one block protocol:
 
-    n = policy.frozen_rounds()           # rounds priceable without feedback
-    prices = policy.propose_block(X)     # post prices for up to n feature rows
-    policy.feedback_block(accepted)      # observe the block's sale outcomes
+    n = policy.frozen_rounds()      # rounds priceable without feedback
+    policy.play_block(X, sell)      # price up to n feature rows, sell once, update
 
-plus ``reset(seed)`` for a fresh, reproducible run.  ``propose_block``
-validates the block once and range-checks its prices, a block of one as a
-float and a longer one by its minimum and maximum, locating the offending
-row only when one falls outside, so every proposed price lies in
-[0, V_max] with V_max = B + J(0); ``feedback_block``
-passes (X, prices, accepted) to the policy's update unchecked.  A policy
-whose estimate is frozen over a stretch prices the stretch with one
+plus ``reset(seed)`` for a fresh, reproducible run.  ``play_block`` prices
+the rows of X, calls ``sell(prices)`` exactly once for the block's sale
+outcomes and then updates; the harness's ``sell`` checks the block, so a
+policy trusts the features it is given and the outcomes it gets back.  A
+policy whose estimate is frozen over a stretch prices the stretch with one
 ``greedy_price_vec`` call; the others take blocks of one row.
 
 EmlpPolicy   - epoch-doubling batch maximum-likelihood pricing: prices each
@@ -55,7 +52,6 @@ from .regions import OrthantBall, Region
 
 __all__ = [
     "PricingPolicy",
-    "PriceWindowError",
     "EmlpPolicy",
     "OnspPolicy",
     "Exp4Policy",
@@ -87,20 +83,11 @@ def onsp_default_hyperparams(constants: AnalysisConstants, b1: float, b2: float)
     return gamma, epsilon
 
 
-class PriceWindowError(RuntimeError):
-    """A proposed price outside [0, V_max]; ``row`` is its index in the block."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
-
-
 class PricingPolicy(abc.ABC):
-    """Two-phase online policy base: propose one block, then its feedback.
+    """Online policy base: one ``play_block`` per block of rounds.
 
-    A subclass implements ``_reset_state``, ``_propose_block`` and
-    ``_feedback_block``, and overrides ``frozen_rounds`` when its estimate
-    stays frozen over more than one round.
+    A subclass implements ``_reset_state`` and ``play_block``, and overrides
+    ``frozen_rounds`` when its estimate stays frozen over more than one round.
     """
 
     name: str = "policy"
@@ -113,59 +100,16 @@ class PricingPolicy(abc.ABC):
         self.feature_bound = feature_bound
         self.valuation_bound = region.radius * feature_bound
         self.price_cap = price_cap(model, self.valuation_bound)
-        # the window check's upper end, with room for the solver's rounding
-        self._ceiling = self.price_cap * (1.0 + 1e-9) + 1e-12
         self._rng = np.random.default_rng()
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._reset_state()
-
-    # -- protocol ------------------------------------------------------------
 
     def reset(self, seed=None) -> None:
         self._rng = np.random.default_rng(seed)
-        self._pending = None
         self._reset_state()
 
     def frozen_rounds(self) -> int:
         """How many upcoming rounds the policy can price without feedback."""
         return 1
-
-    def propose_block(self, features) -> np.ndarray:
-        """Prices for a (rounds, d) block of at most ``frozen_rounds()`` rows.
-
-        Raises PriceWindowError, naming the first row whose price lies
-        outside [0, V_max], when the block's minimum or maximum does.
-        """
-        if self._pending is not None:
-            raise RuntimeError("propose called twice without feedback")
-        x = np.asarray(features, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.region.dim or np.count_nonzero(np.isfinite(x)) < x.size:
-            raise ValueError(f"features must be a finite (rounds, {self.region.dim}) array")
-        if not 1 <= len(x) <= self.frozen_rounds():
-            raise ValueError(f"a block of {len(x)} rounds, where {self.frozen_rounds()} can be priced")
-        prices = self._propose_block(x)
-        ceiling = self._ceiling
-        # a NaN fails every comparison
-        if len(prices) == 1:
-            inside = 0.0 <= float(prices[0]) <= ceiling
-        else:
-            inside = prices.min() >= 0.0 and prices.max() <= ceiling
-        if not inside:
-            row = int(np.argmin((prices >= 0.0) & (prices <= ceiling)))
-            raise PriceWindowError(f"{self.name} priced {prices[row]} outside [0, {self.price_cap}]", row)
-        self._pending = (x, prices)
-        return prices
-
-    def feedback_block(self, accepted) -> None:
-        """The sale outcome of each round of the pending block."""
-        if self._pending is None:
-            raise RuntimeError("feedback without a pending propose")
-        x, prices = self._pending
-        accepted = np.asarray(accepted, dtype=bool)
-        if accepted.shape != prices.shape:
-            raise ValueError(f"outcomes of shape {accepted.shape} for prices of shape {prices.shape}")
-        self._pending = None
-        self._feedback_block(x, prices, accepted)
 
     def clipped_valuations(self, x: np.ndarray, theta) -> np.ndarray:
         """x'theta of each row of a block, summed row by row and clipped to [0, B] (a numerical guard).
@@ -175,16 +119,13 @@ class PricingPolicy(abc.ABC):
         """
         return (x * theta).sum(axis=1).clip(0.0, self.valuation_bound)
 
-    # -- subclass hooks --------------------------------------------------------
-
     @abc.abstractmethod
     def _reset_state(self) -> None: ...
 
     @abc.abstractmethod
-    def _propose_block(self, x: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None: ...
+    def play_block(self, x: np.ndarray, sell) -> None:
+        """Price the rows of a (rounds, d) block of at most ``frozen_rounds()``
+        rows, call ``sell(prices)`` once for their sale outcomes, and update."""
 
 
 class EpochRecord(NamedTuple):
@@ -233,16 +174,15 @@ class EmlpPolicy(PricingPolicy):
     def frozen_rounds(self) -> int:
         return self.epoch_length - self.position  # the bootstrap round is an epoch of one
 
-    def _propose_block(self, x: np.ndarray) -> np.ndarray:
+    def play_block(self, x: np.ndarray, sell) -> None:
         if self.epoch == 0:
-            return np.array([self._rng.uniform(0.0, self.price_cap)])
-        return greedy_price_vec(self.model, self.clipped_valuations(x, self.theta))
-
-    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
+            prices = np.array([self._rng.uniform(0.0, self.price_cap)])
+        else:
+            prices = greedy_price_vec(self.model, self.clipped_valuations(x, self.theta))
         rows = slice(self.position, self.position + len(prices))
+        self._accepted[rows] = sell(prices)
         self._features[rows] = x
         self._prices[rows] = prices
-        self._accepted[rows] = accepted
         self.position = rows.stop
         if self.position < self.epoch_length:
             return
@@ -272,8 +212,7 @@ class OnspPolicy(PricingPolicy):
     update A += g g', Newton step theta - (1/gamma) A^{-1} g with A^{-1} g
     from one linear solve, and A-weighted projection back onto the feasible
     set.
-    The state is theta and A alone; between a round's price and its outcome
-    the policy also keeps that round's x'theta, which both use.
+    The state is theta and A alone.
     """
 
     name = "onsp"
@@ -293,16 +232,12 @@ class OnspPolicy(PricingPolicy):
     def _reset_state(self) -> None:
         self.theta = self.region.interior_point()
         self.matrix = self.epsilon * np.eye(self.region.dim)
-        self._xtheta = 0.0  # x'theta of the pending round
 
-    def _propose_block(self, x: np.ndarray) -> np.ndarray:
-        self._xtheta = float(x[0] @ self.theta)
+    def play_block(self, x: np.ndarray, sell) -> None:
+        xtheta = float(x[0] @ self.theta)
         # the clip to [0, B] on a Python float: max(0.0, -0.0) is 0.0, as np.clip gives
-        u = min(max(0.0, self._xtheta), self.valuation_bound)
-        return np.array([greedy_price(self.model, u)])
-
-    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
-        slope = round_slope(self.model, prices[0] - self._xtheta, accepted[0])
+        prices = np.array([greedy_price(self.model, min(max(0.0, xtheta), self.valuation_bound))])
+        slope = round_slope(self.model, prices[0] - xtheta, sell(prices)[0])
         grad = slope * x[0]
         self.matrix = self.matrix + grad[:, None] * grad
         newton = self.theta - np.linalg.solve(self.matrix, grad) / self.gamma
@@ -366,7 +301,6 @@ class Exp4Policy(PricingPolicy):
     def _reset_state(self) -> None:
         self.weights = np.full(len(self.experts), 1.0 / len(self.experts))
         self.clip_events = 0
-        self._last: tuple[np.ndarray, np.ndarray, int] | None = None
 
     @staticmethod
     def _parameter_grid(region: Region, per_axis: int) -> np.ndarray:
@@ -393,19 +327,15 @@ class Exp4Policy(PricingPolicy):
         probs += self.exploration / len(self.arms)
         return rec, probs
 
-    def _propose_block(self, x: np.ndarray) -> np.ndarray:
+    def play_block(self, x: np.ndarray, sell) -> None:
         rec, probs = self.arm_distribution(x[0])
         # Generator.choice(K, p=probs) without its per-call validation of p:
         # the same cumulative sum, the same one uniform draw
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         arm = int(cdf.searchsorted(self._rng.random(), side="right"))
-        self._last = (rec, probs, arm)
-        return np.array([self.arms[arm]])
-
-    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
-        rec, probs, arm = self._last
-        self._last = None
+        prices = np.array([self.arms[arm]])
+        accepted = sell(prices)
         prob = float(probs[arm])
         if prob < 1e-12:
             prob = 1e-12
@@ -434,8 +364,5 @@ class OraclePolicy(PricingPolicy):
     def frozen_rounds(self) -> int:
         return sys.maxsize  # the true parameter prices every remaining round
 
-    def _propose_block(self, x: np.ndarray) -> np.ndarray:
-        return greedy_price_vec(self.model, self.clipped_valuations(x, self.theta_star))
-
-    def _feedback_block(self, x: np.ndarray, prices: np.ndarray, accepted: np.ndarray) -> None:
-        pass
+    def play_block(self, x: np.ndarray, sell) -> None:
+        sell(greedy_price_vec(self.model, self.clipped_valuations(x, self.theta_star)))

@@ -2,9 +2,13 @@
 as one batch (CLI ``verify``).
 
 This suite is the home of each structural invariant, and the acceptance
-gate runs every check; three unit tests each assert one of them again (the
-contraction, the gradient's finite differences, the projection's
-variational inequality).
+gate runs every check.  Three unit tests assert one of them again, and each
+stays because it covers what its check does not: ``test_contraction_everywhere``
+draws the noise scale sigma by hypothesis, where ``pricing.contraction``
+takes four fixed laws; ``test_gradient_finite_differences`` differences a
+64-row batch, whose 1/n scaling one-row batches cannot show; and
+``TestExactWeightedProjection`` checks the variational inequality at
+d <= 5, where ``regions.weighted-projection-vi`` takes d = 2.
 Each check has one grid and sample count, so the density the gate runs is
 the one the fault-injection tests break.  Each check returns a
 ``(passed, detail)`` pair, and :func:`run_checks` names it as a
@@ -430,9 +434,13 @@ class _RecordedOnsp(OnspPolicy):
         super()._reset_state()
         self.gradients: list[np.ndarray] = []
 
-    def _feedback_block(self, x, prices, accepted) -> None:
-        self.gradients.append(BatchObjective(x, prices, accepted, self.model).gradient_hessian(self.theta)[0])
-        super()._feedback_block(x, prices, accepted)
+    def play_block(self, x, sell) -> None:
+        def recorded(prices):
+            accepted = sell(prices)
+            self.gradients.append(BatchObjective(x, prices, accepted, self.model).gradient_hessian(self.theta)[0])
+            return accepted
+
+        super().play_block(x, recorded)
 
 
 def check_onsp_state() -> Outcome:
@@ -464,8 +472,12 @@ def check_scenario_contract() -> Outcome:
     rng = np.random.default_rng(59)
     try:
         for scen in (StochasticScenario(problem), AlternatingScenario(problem)):
-            scen.check_features(scen.features(20_000, rng))
-    except AssertionError as exc:
+            x = scen.features(20_000, rng)
+            scen.check_features(x)
+            u = x @ problem.theta_star
+            if np.any(u < -1e-12) or np.any(u > problem.valuation_bound * (1.0 + 1e-9)):
+                return False, f"{scen.name}: x'theta* left [0, B]"
+    except ValueError as exc:
         return False, str(exc)
     return True, "norms, signs and valuations in range"
 

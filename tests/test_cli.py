@@ -466,6 +466,19 @@ class TestRun:
         small_raw["policies"][2].update(exploration=0.0)
         parse_config(small_raw)
 
+    @pytest.mark.parametrize(
+        "region, theta_star",
+        [("ball", [0.5, -0.2]), ("orthant-ball", [0.5, -5e-10])],
+        ids=["ball-negative-valuations", "orthant-boundary"],
+    )
+    def test_a_feasible_theta_star_plays_every_policy(self, tmp_path, small_raw, region, theta_star):
+        # x'theta* may fall below 0 here: the episode checks the features, not the valuations
+        small_raw["problem"].update(region=region, theta_star=theta_star)
+        small_raw["policies"].append({"kind": "oracle"})
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(json.loads((tmp_path / "out" / "summary.json").read_text())["pairs"]) == 8
+
     def test_oracle_pair_has_no_slope(self, tmp_path, small_raw, capsys):
         small_raw["horizon"] = 64
         small_raw["slope_window"] = [16, 64]

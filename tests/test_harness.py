@@ -42,11 +42,8 @@ class ConstantPricePolicy(PricingPolicy):
     def _reset_state(self):
         pass
 
-    def _propose_block(self, x):
-        return np.full(len(x), self._price, dtype=float)
-
-    def _feedback_block(self, x, prices, accepted):
-        pass
+    def play_block(self, x, sell):
+        sell(np.full(len(x), self._price, dtype=float))
 
 
 class WindowBreakingPolicy(PricingPolicy):
@@ -64,12 +61,10 @@ class WindowBreakingPolicy(PricingPolicy):
     def frozen_rounds(self):
         return 4
 
-    def _propose_block(self, x):
+    def play_block(self, x, sell):
         rounds = self.played + 1 + np.arange(len(x))
-        return np.where(rounds >= self.bad, 3.0 * self.price_cap, 0.5)
-
-    def _feedback_block(self, x, prices, accepted):
-        self.played += len(prices)
+        sell(np.where(rounds >= self.bad, 3.0 * self.price_cap, 0.5))
+        self.played += len(x)
 
 
 class FeedbackFailingPolicy(ConstantPricePolicy):
@@ -82,10 +77,69 @@ class FeedbackFailingPolicy(ConstantPricePolicy):
     def _reset_state(self):
         self.played = 0
 
-    def _feedback_block(self, x, prices, accepted):
+    def play_block(self, x, sell):
+        super().play_block(x, sell)
         self.played += 1
         if self.played == self.bad:
             raise InvariantViolation("update diverged")
+
+
+class SaleBreakingPolicy(ConstantPricePolicy):
+    """Posts 0.5 in blocks of ``block`` rounds; the second block is sold by ``bad_sale(x, sell)``."""
+
+    name = "sale-breaking"
+
+    def __init__(self, model, region, feature_bound, block, bad_sale):
+        self.block, self.bad_sale = block, bad_sale
+        super().__init__(model, region, feature_bound, 0.5)
+
+    def _reset_state(self):
+        self.played = 0
+
+    def frozen_rounds(self):
+        return self.block
+
+    def play_block(self, x, sell):
+        if self.played == self.block:
+            self.bad_sale(x, sell)
+        else:
+            super().play_block(x, sell)
+        self.played += len(x)
+
+
+BAD_SALES = {
+    "one-price-short": (lambda x, sell: sell(np.full(len(x) - 1, 0.5)), r"sold \(\d+,\) prices for \d+ rounds"),
+    "one-price-long": (lambda x, sell: sell(np.full(len(x) + 1, 0.5)), r"sold \(\d+,\) prices for \d+ rounds"),
+    "unsold": (lambda x, sell: None, "did not sell its block"),
+    "sold-twice": (lambda x, sell: [sell(np.full(len(x), 0.5)) for _ in range(2)], "sold its block twice"),
+}
+
+
+class ContractBreakingScenario(StochasticScenario):
+    """Stochastic features passed through ``corrupt`` before they are emitted."""
+
+    def __init__(self, problem, corrupt):
+        self.corrupt = corrupt
+        super().__init__(problem)
+
+    def features(self, horizon, rng):
+        return self.corrupt(super().features(horizon, rng))
+
+
+def _with(x, row, values):
+    x = x.copy()
+    x[row] = values
+    return x
+
+
+BAD_FEATURES = {
+    "width-1": lambda x: x[:, :1],
+    "width-3": lambda x: np.column_stack([x, x[:, :1]]),
+    "nan": lambda x: _with(x, 5, [np.nan, 0.5]),
+    "inf": lambda x: _with(x, 5, [np.inf, 0.0]),
+    "negative": lambda x: _with(x, 5, [-0.1, 0.5]),
+    "norm-above-bound": lambda x: _with(x, 5, [0.8, 0.8]),
+}
 
 
 class TestCheckpoints:
@@ -97,6 +151,16 @@ class TestCheckpoints:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dyadic_checkpoints(0)
+
+    @pytest.mark.parametrize("k", [46, 48, 49, 53, 62, 63])
+    def test_large_horizons_end_at_the_horizon(self, k):
+        # floor(log2 T) in floating point rounds 2**k - 1 up to k from k = 49 on
+        horizon = 2**k - 1
+        cps = dyadic_checkpoints(horizon)
+        assert cps.min() >= 1 and cps.max() <= horizon
+        assert np.all(np.diff(cps) > 0)
+        assert cps[-1] == horizon
+        assert cps.tolist() == [2**i for i in range(k)] + [horizon]
 
 
 class TestRunEpisode:
@@ -141,8 +205,36 @@ class TestRunEpisode:
     def test_abort_names_the_first_round_outside_the_window(self, problem, bad):
         # round 5 opens the second block of four; round 7 is its third row
         policy = WindowBreakingPolicy(problem.model, problem.region, 1.0, bad)
-        with pytest.raises(EpisodeAbort, match=rf"^round {bad}: window-breaking priced"):
+        with pytest.raises(EpisodeAbort, match=rf"^round {bad}: window-breaking priced") as err:
             run_episode(policy, StochasticScenario(problem), 16, 0)
+        cap = policy.price_cap
+        assert str(err.value) == f"round {bad}: window-breaking priced {3.0 * cap} outside [0, {cap}]"
+
+    @pytest.mark.parametrize("block", [1, 4])
+    @pytest.mark.parametrize("sale", list(BAD_SALES))
+    def test_a_block_not_sold_exactly_once_at_its_length_aborts(self, problem, block, sale):
+        # the second block opens round block + 1
+        bad_sale, message = BAD_SALES[sale]
+        policy = SaleBreakingPolicy(problem.model, problem.region, 1.0, block, bad_sale)
+        with pytest.raises(EpisodeAbort, match=rf"^round {block + 1}: sale-breaking {message}$") as err:
+            run_episode(policy, StochasticScenario(problem), 16, 0)
+        assert err.value.__cause__ is None  # raised once, not wrapped again
+
+    @pytest.mark.parametrize("sale", ["unsold", "sold"])
+    def test_a_policy_that_can_price_no_round_aborts(self, problem, sale):
+        # its blocks have no rows, so an episode that let it play them would never end
+        bad_sale = BAD_SALES["unsold"][0] if sale == "unsold" else lambda x, sell: sell(np.full(len(x), 0.5))
+        policy = SaleBreakingPolicy(problem.model, problem.region, 1.0, 0, bad_sale)
+        with pytest.raises(EpisodeAbort, match=r"^round 1: sale-breaking can price no round$"):
+            run_episode(policy, StochasticScenario(problem), 16, 0)
+
+    @pytest.mark.parametrize("corrupt", list(BAD_FEATURES))
+    def test_features_breaking_the_contract_rejected_before_play(self, problem, corrupt):
+        policy = SaleBreakingPolicy(problem.model, problem.region, 1.0, 1, None)
+        policy.played = -1  # the policy's reset sets it to 0
+        with pytest.raises(ValueError):
+            run_episode(policy, ContractBreakingScenario(problem, BAD_FEATURES[corrupt]), 16, 0)
+        assert policy.played == -1
 
     @pytest.mark.parametrize("bad", [1, 6])
     def test_abort_names_the_round_whose_feedback_failed(self, problem, bad):

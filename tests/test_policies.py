@@ -1,5 +1,6 @@
 """Policy behavior: protocol discipline, update rules, state contracts."""
 
+import copy
 import math
 import subprocess
 import sys
@@ -106,13 +107,20 @@ class RoundingExp4(Exp4Policy):
 
 
 class ChoiceExp4(Exp4Policy):
-    """Exp4 drawing its arm with Generator.choice, the draw the cumulative search replaces."""
+    """Exp4 that checks each round's arm against Generator.choice, the draw the
+    cumulative search replaces, on a copy of the policy's stream."""
 
-    def _propose_block(self, x):
-        rec, probs = self.arm_distribution(x[0])
-        arm = int(self._rng.choice(len(self.arms), p=probs))
-        self._last = (rec, probs, arm)
-        return self.arms[[arm]]
+    def play_block(self, x, sell):
+        _, probs = self.arm_distribution(x[0])
+        twin = copy.deepcopy(self._rng)
+        want = self.arms[[twin.choice(len(self.arms), p=probs)]]
+
+        def checked(prices):
+            np.testing.assert_array_equal(prices, want)
+            return sell(prices)
+
+        super().play_block(x, checked)
+        assert twin.bit_generator.state == self._rng.bit_generator.state
 
 
 class CountingGaussian(GaussianNoise):
@@ -137,6 +145,20 @@ def _threshold_gap(policy, valuations):
     return np.min(np.abs(u[:, None] - policy.thresholds[None, :]), axis=1)
 
 
+def _play(policy, x, accept):
+    """Play one block of feature rows x through a stub ``sell`` whose outcomes
+    are ``accept(prices)``; return the prices, which the policy sells once."""
+    sales = []
+
+    def sell(prices):
+        sales.append(prices.copy())
+        return np.broadcast_to(np.asarray(accept(prices), dtype=bool), prices.shape).copy()
+
+    policy.play_block(np.asarray(x, dtype=float), sell)
+    assert len(sales) == 1
+    return sales[0]
+
+
 def _drive(policy, scenario, rounds, seed):
     rng = np.random.default_rng(seed)
     x = scenario.features(rounds, rng)
@@ -145,32 +167,16 @@ def _drive(policy, scenario, rounds, seed):
     policy.reset(seed)
     prices = []
     for t in range(rounds):
-        v = policy.propose_block(x[t][None])[0]
-        policy.feedback_block([v <= u[t] + noise[t]])
-        prices.append(v)
+        prices.append(_play(policy, x[t][None], lambda v: v <= u[t] + noise[t])[0])
     return np.array(prices)
 
 
 class TestProtocol:
-    def test_double_propose_rejected(self, problem):
-        policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
-        policy.reset(0)
-        policy.propose_block(np.array([[1.0, 0.0]]))
-        with pytest.raises(RuntimeError):
-            policy.propose_block(np.array([[1.0, 0.0]]))
-
-    def test_feedback_needs_pending_propose(self, problem):
-        policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
-        policy.reset(0)
-        with pytest.raises(RuntimeError):
-            policy.feedback_block([True])
-
-    @pytest.mark.parametrize("missing", ["_propose_block", "_feedback_block"])
+    @pytest.mark.parametrize("missing", ["_reset_state", "play_block"])
     def test_a_policy_without_a_block_hook_does_not_construct(self, problem, missing):
         hooks = {
             "_reset_state": lambda self: None,
-            "_propose_block": lambda self, x: np.zeros(len(x)),
-            "_feedback_block": lambda self, x, prices, accepted: None,
+            "play_block": lambda self, x, sell: sell(np.zeros(len(x))),
         }
         del hooks[missing]
         partial = type("PartialPolicy", (PricingPolicy,), hooks)
@@ -211,36 +217,6 @@ class TestProtocol:
 
 
 class TestBlockProtocol:
-    def test_block_longer_than_the_frozen_stretch_rejected(self, problem):
-        policy = EmlpPolicy(problem.model, problem.region, 1.0)
-        policy.reset(0)
-        assert policy.frozen_rounds() == 1  # the bootstrap round
-        with pytest.raises(ValueError):
-            policy.propose_block(np.ones((2, 2)))
-
-    @pytest.mark.parametrize("kind", ["emlp", "onsp", "exp4", "oracle"])
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_block_of_another_width_than_the_region_rejected(self, problem, kind, width):
-        # emlp and the oracle would broadcast a (1, 1) block against theta
-        make = {
-            "emlp": lambda p: EmlpPolicy(p.model, p.region, 1.0),
-            "onsp": lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=1.0, epsilon=1.0),
-            "exp4": lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=64),
-            "oracle": lambda p: OraclePolicy(p.model, p.region, 1.0, p.theta_star),
-        }[kind]
-        policy = make(problem)
-        policy.reset(0)
-        with pytest.raises(ValueError, match=r"finite \(rounds, 2\) array"):
-            policy.propose_block(np.full((1, width), 0.5))
-        assert policy.propose_block(np.full((1, 2), 0.5)).shape == (1,)
-
-    def test_outcomes_must_match_the_block(self, problem):
-        policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
-        policy.reset(0)
-        policy.propose_block(np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            policy.feedback_block([True, False])
-
     def test_oracle_prices_the_episode_in_one_vector_solve(self, problem, monkeypatch):
         sizes, solve = [], policies_module.greedy_price_vec
 
@@ -266,8 +242,7 @@ class TestBlockProtocol:
             single.reset(episode_seed(7, 0).spawn(2)[1])  # the episode's policy stream
             prices = []
             for x, accepted in zip(transcript.features, transcript.accepted):
-                prices.append(single.propose_block(x[None])[0])
-                single.feedback_block([accepted])
+                prices.append(_play(single, x[None], lambda v: accepted)[0])
             np.testing.assert_array_equal(prices, transcript.prices)
             if isinstance(block, EmlpPolicy):
                 assert [(r.index, r.length) for r in single.epoch_log] == [(r.index, r.length) for r in block.epoch_log]
@@ -283,7 +258,7 @@ class TestEmlp:
         seen = set()
         for seed in range(5):
             policy.reset(seed)
-            seen.add(round(float(policy.propose_block(x[None])[0]), 12))
+            seen.add(round(float(_play(policy, x[None], lambda v: True)[0]), 12))
         assert len(seen) > 1
         assert all(0.0 <= v <= policy.price_cap for v in seen)
 
@@ -306,8 +281,7 @@ class TestEmlp:
         policy.reset(0)
         snapshots = []
         for t in range(40):
-            v = policy.propose_block(x[t][None])[0]
-            policy.feedback_block([v <= u[t] + noise[t]])
+            _play(policy, x[t][None], lambda v: v <= u[t] + noise[t])
             snapshots.append((policy.epoch, policy.theta.copy()))
         for (e1, th1), (e2, th2) in zip(snapshots, snapshots[1:]):
             if e1 == e2:
@@ -317,32 +291,29 @@ class TestEmlp:
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         policy.reset(0)
         # play the bootstrap round to enter epoch 1
-        policy.propose_block(np.array([[1.0, 0.0]]))
-        policy.feedback_block([True])
+        _play(policy, [[1.0, 0.0]], lambda v: True)
         theta = policy.theta.copy()
         x = np.array([0.4, 0.3])
         want = greedy_price(problem.model, float(np.clip(x @ theta, 0.0, 1.0)))
-        assert policy.propose_block(x[None])[0] == pytest.approx(want, abs=1e-12)
+        assert _play(policy, x[None], lambda v: True)[0] == pytest.approx(want, abs=1e-12)
 
     def test_zero_feature_prices_at_j0(self, problem):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         policy.reset(0)
-        policy.propose_block(np.array([[1.0, 0.0]]))
-        policy.feedback_block([False])
+        _play(policy, [[1.0, 0.0]], lambda v: False)
         j0 = greedy_price(problem.model, 0.0)
-        assert policy.propose_block(np.zeros((1, 2)))[0] == pytest.approx(j0, abs=1e-12)
+        assert _play(policy, np.zeros((1, 2)), lambda v: False)[0] == pytest.approx(j0, abs=1e-12)
         assert j0 > 0.0
 
     def test_true_parameter_matches_oracle(self, problem):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         policy.reset(0)
-        policy.propose_block(np.array([[1.0, 0.0]]))
-        policy.feedback_block([True])
+        _play(policy, [[1.0, 0.0]], lambda v: True)
         policy.theta = problem.theta_star.copy()
         oracle = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
         oracle.reset(0)
         x = np.array([[0.6, 0.5]])
-        assert policy.propose_block(x)[0] == pytest.approx(oracle.propose_block(x)[0], abs=1e-13)
+        assert _play(policy, x, lambda v: True)[0] == pytest.approx(_play(oracle, x, lambda v: True)[0], abs=1e-13)
 
     def test_former_stall_seed_fits_in_newton_steps(self, problem, monkeypatch):
         # this seed's 4-round refit once ran a first-order solver to its
@@ -407,8 +378,7 @@ class TestOnsp:
         policy.reset(0)
         theta0 = policy.theta.copy()
         matrix0 = policy.matrix.copy()
-        policy.propose_block(np.zeros((1, 2)))
-        policy.feedback_block([True])
+        _play(policy, np.zeros((1, 2)), lambda v: True)
         np.testing.assert_array_equal(policy.theta, theta0)
         np.testing.assert_array_equal(policy.matrix, matrix0)
 
@@ -419,8 +389,7 @@ class TestOnsp:
         region = Ball(np.zeros(1), 100.0)
         policy = OnspPolicy(model, region, 100.0, gamma=1.0, epsilon=1.0)
         policy.reset(0)
-        v = policy.propose_block(np.array([[1.0]]))[0]
-        policy.feedback_block([True])
+        v = _play(policy, [[1.0]], lambda v: True)[0]
         g = -model.hazard(v - 0.0)
         assert policy.matrix[0, 0] == pytest.approx(1.0 + g * g, rel=1e-12)
         assert policy.theta[0] == pytest.approx(-g / (1.0 + g * g), rel=1e-10)
@@ -435,8 +404,7 @@ class TestOnsp:
         grads = []
         for x, accepted in ((np.array([1.0, 0.5]), True), (np.array([-0.3, 0.8]), False)):
             theta = policy.theta.copy()
-            v = policy.propose_block(x[None])[0]
-            policy.feedback_block([accepted])
+            v = _play(policy, x[None], lambda v: accepted)[0]
             grads.append(BatchObjective(x, v, accepted, model).gradient_hessian(theta)[0])
         a = np.eye(2) + sum(np.outer(g, g) for g in grads)
         adjugate = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
@@ -450,8 +418,7 @@ class TestOnsp:
         policy.reset(0)
         theta0 = policy.theta.copy()
         x = np.array([0.6, 0.7])
-        v = policy.propose_block(x[None])[0]
-        policy.feedback_block([accepted])
+        v = _play(policy, x[None], lambda v: accepted)[0]
         g = BatchObjective(x, v, accepted, problem.model).gradient_hessian(theta0)[0]
         np.testing.assert_array_equal(policy.matrix, np.eye(2) + np.outer(g, g))
 
@@ -573,8 +540,7 @@ class TestExp4:
         policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=512)
         policy.reset(0)
         before = policy.weights.copy()
-        policy.propose_block(np.array([[1.0, 0.0]]))
-        policy.feedback_block([False])  # reward v * 0 = 0
+        _play(policy, [[1.0, 0.0]], lambda v: False)  # reward v * 0 = 0
         assert policy.weights.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
@@ -601,17 +567,16 @@ class TestExp4:
         policy.weights = np.array([0.5, 0.5])
         policy.reset(7)
         for _ in range(10_000):
-            v = policy.propose_block(x[None])[0]
-            policy.feedback_block([v <= 0.5])
+            _play(policy, x[None], lambda v: v <= 0.5)
         assert policy.weights[0] >= 0.9
 
-    def test_probability_floor_flagged(self, problem):
+    def test_probability_floor_flagged(self, problem, monkeypatch):
         policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=256)
         policy.reset(0)
-        policy.propose_block(np.array([[1.0, 0.0]]))
-        rec, probs, arm = policy._last
-        policy._last = (rec, np.full_like(probs, 1e-15), arm)
-        policy.feedback_block([True])
+        distribution = policy.arm_distribution
+        tiny = np.full(len(policy.arms), 1e-15)
+        monkeypatch.setattr(policy, "arm_distribution", lambda x: (distribution(x)[0], tiny))
+        _play(policy, [[1.0, 0.0]], lambda v: True)
         assert policy.clip_events == 1
 
     def test_thresholds_split_arms_where_mpmath_does(self):
@@ -700,11 +665,11 @@ class TestOracle:
         region = OrthantBall(FIXED_VALUATION, 2)
         policy = OraclePolicy(model, region, 1.0, np.array([FIXED_VALUATION, 0.0]))
         policy.reset(0)
-        assert policy.propose_block(np.array([[1.0, 0.0]]))[0] == pytest.approx(FIXED_VALUATION, abs=1e-9)
+        assert _play(policy, [[1.0, 0.0]], lambda v: True)[0] == pytest.approx(FIXED_VALUATION, abs=1e-9)
 
     def test_zero_valuation_still_charges(self, problem):
         policy = OraclePolicy(problem.model, problem.region, 1.0, np.zeros(2))
         policy.reset(0)
-        v = policy.propose_block(np.array([[1.0, 0.0]]))[0]
+        v = _play(policy, [[1.0, 0.0]], lambda v: True)[0]
         assert v > 0.0
         assert expected_reward(problem.model, v, 0.0) > 0.0

@@ -16,7 +16,9 @@ fixed set on both sides, each in its own subprocess with that side's
   weights and ``clip_events``;
 * ``pricelab run`` on a four-policy config (T = 4096, R = 2): its stdout,
   each trace CSV and ``summary.json``;
-* ``pricelab verify``: its stdout.
+* ``pricelab verify``: its stdout;
+* ``pricelab lower-bound-demo --t 1024 --reps 2`` for each demo policy,
+  which plays the fixed-valuation markets: its stdout.
 
 Prints one line per array or output, "identical" when its bytes agree and
 otherwise the largest relative difference (or the first differing line),
@@ -55,6 +57,7 @@ RUN_POLICIES = [
     {"kind": "exp4", "horizon_cap": 1024},
     {"kind": "oracle"},
 ]
+DEMO_POLICIES = ("onsp", "emlp", "oracle-sigma1")
 
 
 def _exp4_state(arrays: dict, key: str, policy) -> None:
@@ -105,7 +108,10 @@ def play(out: Path) -> None:
     raw = {**default_raw(), "horizon": RUN_HORIZON, "repetitions": 2, "policies": RUN_POLICIES}
     raw["slope_window"] = [64, RUN_HORIZON]
     (out / "run.json").write_text(json.dumps(raw))
-    for name, argv in (("run", ["run", str(out / "run.json"), "--out", str(out / "run")]), ("verify", ["verify"])):
+    commands = {"run": ["run", str(out / "run.json"), "--out", str(out / "run")], "verify": ["verify"]}
+    for kind in DEMO_POLICIES:
+        commands[f"demo-{kind}"] = ["lower-bound-demo", "--t", "1024", "--reps", "2", "--policy", kind]
+    for name, argv in commands.items():
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             status = main(argv)
@@ -145,7 +151,7 @@ def compare(here: Path, there: Path) -> list[tuple[bool, str]]:
                 out.append((False, f"{name}: only on one side"))
             else:
                 out.append(_array_line(name, a[name], b[name]))
-    texts = ["run.stdout", "verify.stdout"]
+    texts = ["run.stdout", "verify.stdout", *(f"demo-{kind}.stdout" for kind in DEMO_POLICIES)]
     texts += sorted({p.relative_to(side).as_posix() for side in (here, there) for p in (side / "run").iterdir()})
     for name in texts:
         files = [side / name for side in (here, there)]
