@@ -93,13 +93,14 @@ def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) ->
     out.mkdir(parents=True, exist_ok=True)
     seeds = [episode_seed(config.master_seed, rep).entropy for rep in range(config.repetitions)]
     summary: dict = {"config": config.raw, "pairs": [], "seeds": seeds}
+    pool_size = min(workers, config.repetitions)  # a fork pool starts every worker at its first job
     for policy_index, spec in enumerate(config.policies):
         horizon = config.effective_horizon(spec)
         for scenario_name in config.scenarios:
             # both paths return the repetitions in order
             jobs = [(config, policy_index, scenario_name, rep) for rep in range(config.repetitions)]
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+            if pool_size > 1:
+                with ProcessPoolExecutor(max_workers=pool_size) as pool:
                     results = list(pool.map(_pair_worker, jobs))
             else:
                 results = [_pair_worker(job) for job in jobs]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .environments import Scenario
 from .loss import BatchObjective
-from .policies import EmlpPolicy, PricingPolicy
+from .policies import EmlpPolicy, PricingPolicy, valuations
 from .pricing import expected_reward, greedy_price_vec
 
 __all__ = [
@@ -160,7 +160,7 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
         raise ValueError(f"{scenario.name} features of shape {np.shape(features)}, not ({horizon}, {problem.dim})")
     scenario.check_features(features)
     noise = np.asarray(problem.model.sample(env_rng, horizon))
-    u_star = features @ problem.theta_star
+    u_star = valuations(features, problem.theta_star)  # the oracle's rule, so its regret is exactly 0
     reservation = u_star + noise
 
     policy.reset(policy_stream)

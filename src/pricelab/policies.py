@@ -58,7 +58,18 @@ __all__ = [
     "OraclePolicy",
     "EpochRecord",
     "onsp_default_hyperparams",
+    "valuations",
 ]
+
+
+def valuations(x: np.ndarray, theta) -> np.ndarray:
+    """x'theta of each row of x, accumulated column by column: unlike a BLAS
+    product, a row's value does not depend on its block.  The block policies
+    and the regret comparator's u* share it, so the oracle's regret is 0."""
+    u = x[:, 0] * theta[0]
+    for j in range(1, len(theta)):
+        u += x[:, j] * theta[j]
+    return u
 
 
 def onsp_default_hyperparams(constants: AnalysisConstants, b1: float, b2: float) -> tuple[float, float]:
@@ -112,12 +123,8 @@ class PricingPolicy(abc.ABC):
         return 1
 
     def clipped_valuations(self, x: np.ndarray, theta) -> np.ndarray:
-        """x'theta of each row of a block, summed row by row and clipped to [0, B] (a numerical guard).
-
-        A BLAS matrix-vector product rounds a row differently in a block of
-        one and in a longer block; a row's price must not depend on its block.
-        """
-        return (x * theta).sum(axis=1).clip(0.0, self.valuation_bound)
+        """valuations(x, theta) clipped to [0, B] (a numerical guard)."""
+        return valuations(x, theta).clip(0.0, self.valuation_bound)
 
     @abc.abstractmethod
     def _reset_state(self) -> None: ...
@@ -186,14 +193,11 @@ class EmlpPolicy(PricingPolicy):
         self.position = rows.stop
         if self.position < self.epoch_length:
             return
-        batch = BatchObjective(self._features, self._prices, self._accepted, self.model)
-        if self.epoch == 0:
-            # the bootstrap round: epoch 1 then lasts one round as well
-            self.theta = self._solve(batch, self.region.interior_point())
-        else:
+        if self.epoch > 0:  # the bootstrap round is not logged, and epoch 1 lasts one round as well
             self.epoch_log.append(EpochRecord(self.epoch, self.epoch_length, self.theta.copy()))
-            self.theta = self._solve(batch, self.theta)
             self.epoch_length *= 2
+        batch = BatchObjective(self._features, self._prices, self._accepted, self.model)
+        self.theta = self._solve(batch, self.theta)  # from the interior point after the bootstrap round
         self.epoch += 1
         self.position = 0
         self._new_batch()

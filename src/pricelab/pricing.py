@@ -8,14 +8,14 @@ strict contraction (0 < J' < 1).
 
 J is computed on the standardized scale z = (J - u)/spread, where the
 first-order condition reads m(z) = z + c with c = u/spread and m the
-standardized Mills ratio.  Both solvers run one safeguarded Newton iteration
-on the log form q(z) = log m(z) - log(z + c).  On z > -c, q is convex and
-decreasing and grows only quadratically in the left tail, where m(z) - z - c
-grows like exp(z^2/2).  The bracket is [-c/2, c + 10]: m(z) > -z puts the
-root right of -c/2, and m(z) < 2 for z > 0 puts it left of c + 10.  The
-iteration starts from the root read off a table: the roots z(c) at
-ROOT_TABLE_POINTS even points of [0, ROOT_TABLE_MAX], found once per noise
-law by this same loop started at z = 1, with their slopes
+standardized Mills ratio.  One safeguarded Newton loop, _newton_array,
+solves it on the log form q(z) = log m(z) - log(z + c).  On z > -c, q is
+convex and decreasing and grows only quadratically in the left tail, where
+m(z) - z - c grows like exp(z^2/2).  The bracket is [-c/2, c + 10]:
+m(z) > -z puts the root right of -c/2, and m(z) < 2 for z > 0 puts it
+left of c + 10.  The loop starts from the root read off a table: the
+roots z(c) at ROOT_TABLE_POINTS even points of [0, ROOT_TABLE_MAX], found
+once per noise law by this same loop started at z = 1, with their slopes
 dz/dc = 1/(m'(z) - 1), and interpolated by the cubic Hermite polynomial
 through both.  The start is within 4e-14 of the root for both shipped laws.
 A c beyond the table starts at z = 1.  Each step evaluates m once, shrinks
@@ -24,7 +24,8 @@ bracket (ends included), else bisects.  It stops once a step moves z by
 less than tol/spread; from the table the first step does so for spreads up
 to 2.5 (tol/spread = 4e-14 there), and from z = 1 it takes 3-8 steps for
 spreads from 1e-3 to 5.  Reaching NEWTON_CAP steps raises
-InvariantViolation instead of returning a price.
+InvariantViolation instead of returning a price.  greedy_price takes the
+first step on floats, and runs the loop only where that step does not settle.
 
 The inverse J^{-1}(p) reads the same condition backwards: at price p,
 m(z) = r with r = p/spread, and u = p - spread*z.  The same loop solves
@@ -125,7 +126,7 @@ def _root_table(model: NoiseModel) -> np.ndarray:
 
 
 def _table_start(model: NoiseModel, c: np.ndarray) -> np.ndarray:
-    """_newton_scalar's start at each c: the interpolated root, or 1 beyond the table.
+    """The greedy-price start at each c: the interpolated root, or 1 beyond the table.
 
     The interpolant lies within ROOT_TABLE_START_ERROR of the root, and so
     well inside the bracket [-c/2, c + 10].
@@ -139,45 +140,15 @@ def _table_start(model: NoiseModel, c: np.ndarray) -> np.ndarray:
     return np.where(inside, a0 + t * (a1 + t * (a2 + t * a3)), 1.0)
 
 
-def _newton_scalar(model: NoiseModel, c: float, ztol: float) -> float:
-    """Root of q(z) = log m(z) - log(z + c) by safeguarded Newton, on floats."""
-    pos = c * _ROOT_TABLE_SCALE
-    if pos < ROOT_TABLE_POINTS - 1:
-        i = int(pos)
-        t = pos - i
-        a0, a1, a2, a3 = _root_table(model)[i].tolist()
-        z = a0 + t * (a1 + t * (a2 + t * a3))
-    else:
-        z = 1.0
-    lo, hi = -0.5 * c, c + 10.0
-    for _ in range(NEWTON_CAP):
-        m = float(model._mills(z))
-        if not m > 0.0:
-            raise InvariantViolation(f"Mills ratio {m} at z={z} is not positive")
-        q = math.log(m) - math.log(z + c)
-        if q > 0.0:
-            lo = z
-        else:
-            hi = z
-        slope = model._mills_prime(z, m) / m - 1.0 / (z + c)
-        step = z - q / slope if slope != 0.0 else math.nan  # as numpy's q/0: no step, bisect
-        nxt = step if lo <= step <= hi else 0.5 * (lo + hi)
-        if abs(nxt - z) < ztol:
-            return nxt
-        z = nxt
-    raise InvariantViolation(f"greedy price not converged in {NEWTON_CAP} Newton steps at u/spread={c}")
-
-
 def _newton_array(model: NoiseModel, a: float, c, lo, hi, z, ztol: float) -> np.ndarray:
     """Root of q(z) = log m(z) - log(a*z + c) elementwise, for a = 1 or 0.
 
-    a = 1 is the greedy-price condition, and with the greedy-price bracket
-    and _table_start's start each element takes the steps _newton_scalar
-    would take; a = 0 is the inverse's condition m(z) = c.  An element
-    stops once a step moves it less than ztol, or lands on an end of its
-    bracket: the step has then run into the Mills kernel's rounding error
-    (the inverse's roots reach z = 500 at spread 5, where ztol is finer than
-    one ulp of z).
+    a = 1 is the greedy-price condition, started from _table_start in the
+    bracket [-c/2, c + 10]; a = 0 is the inverse's condition m(z) = c.  An
+    element stops once a step moves it less than ztol, or lands on an end
+    of its bracket: the step has then run into the Mills kernel's rounding
+    error (the inverse's roots reach z = 500 at spread 5, where ztol is
+    finer than one ulp of z).
     """
     out, idx = np.empty_like(c), np.arange(c.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -210,29 +181,39 @@ def _newton_array(model: NoiseModel, a: float, c, lo, hi, z, ztol: float) -> np.
 def greedy_price(model: NoiseModel, valuation: float) -> float:
     """Revenue-maximizing price J(u) = u + phi^{-1}(u) for u >= 0.
 
-    On the standardized scale z = (J - u)/spread the first-order condition
-    is m(z) = z + c with c = u/spread and m the standardized Mills ratio;
-    the root is found by safeguarded Newton on q(z) = log m(z) - log(z + c)
-    as described in the module docstring, over Python floats (ONSP calls
-    this once per round; EMLP and the oracle price whole blocks with
-    greedy_price_vec).  Starts from the root table's interpolated root (z = 1
-    for u/spread beyond ROOT_TABLE_MAX), stops when a step moves z by less
-    than PRICE_TOL/spread and raises InvariantViolation after NEWTON_CAP
-    steps.
+    greedy_price_vec of one valuation, ONSP's price of a round.  On floats it
+    takes _newton_array's first step from the root table and returns it when
+    it lands in the bracket and moves z by less than PRICE_TOL/spread; every
+    other case (beyond the table, a spread above 2.5, a broken Mills kernel)
+    runs greedy_price_vec, which starts at the same point.
     """
     u = float(valuation)
     if not math.isfinite(u) or u < 0:
         raise ValueError("valuation must be finite and nonnegative")
     spread = model.spread
-    return u + spread * _newton_scalar(model, u / spread, PRICE_TOL / spread)
+    c = u / spread
+    pos = c * _ROOT_TABLE_SCALE
+    if pos < ROOT_TABLE_POINTS - 1:
+        i = int(pos)
+        t = pos - i
+        a0, a1, a2, a3 = _root_table(model)[i].tolist()
+        z = a0 + t * (a1 + t * (a2 + t * a3))
+        m = float(model._mills(z))
+        if m > 0.0:
+            q = math.log(m) - math.log(z + c)
+            lo, hi = (z, c + 10.0) if q > 0.0 else (-0.5 * c, z)
+            slope = model._mills_prime(z, m) / m - 1.0 / (z + c)
+            step = z - q / slope if slope != 0.0 else math.nan  # as numpy's q/0: no step
+            if lo <= step <= hi and abs(step - z) < PRICE_TOL / spread:
+                return u + spread * step
+    return float(greedy_price_vec(model, u))
 
 
 def greedy_price_vec(model: NoiseModel, valuations) -> np.ndarray:
-    """J(u) elementwise: greedy_price's iteration run over arrays.
+    """J(u) elementwise: _newton_array from _table_start, as in the module docstring.
 
-    Each element starts where the scalar loop would start, takes the Newton
-    and bisection steps it would take, and stops when it has converged;
-    InvariantViolation after NEWTON_CAP steps as there.
+    Stops each element when it has converged; InvariantViolation after
+    NEWTON_CAP steps or on a Mills ratio that is not positive.
     """
     u = np.asarray(valuations, dtype=float)
     if not ((u >= 0.0) & (u < math.inf)).all():

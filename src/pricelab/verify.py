@@ -40,7 +40,7 @@ from .pricing import (
 )
 from .regions import Ball, OrthantBall
 
-__all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_checks"]
 
 
 @dataclass
@@ -541,8 +541,6 @@ _CHECKS: list[tuple[str, Callable[[], Outcome]]] = [
     ("environments.lower-bound-geometry", check_lower_bound_geometry),
     ("harness.slope-recovery", check_slope_recovery),
 ]
-
-CHECK_NAMES = [name for name, _ in _CHECKS]
 
 
 def run_checks() -> list[CheckResult]:

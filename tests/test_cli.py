@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import pricelab.cli as cli_module
 import pricelab.loss as loss_module
 import pricelab.policies as policies_module
 import pricelab.verify as verify_mod
@@ -296,6 +297,33 @@ class TestRun:
         p = json.loads((par / "summary.json").read_text())["pairs"]
         assert s == p
         assert (seq / "onsp_stochastic.csv").read_text() == (par / "onsp_stochastic.csv").read_text()
+
+    @pytest.mark.parametrize("reps, pools", [(2, [2]), (1, [])], ids=["two-reps", "one-rep"])
+    def test_a_pool_has_no_more_workers_than_repetitions(self, tmp_path, small_raw, monkeypatch, reps, pools):
+        opened = []
+
+        class RecordingPool:
+            """Records its size and runs the jobs in this process: no process starts."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+        small_raw["repetitions"] = reps
+        small_raw["policies"] = [{"kind": "oracle"}]
+        small_raw["scenarios"] = ["stochastic"]
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--workers", "64"]) == 0
+        assert opened == pools
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, small_raw, capsys, workers):

@@ -14,6 +14,8 @@ from pricelab import (
     Exp4Policy,
     OnspPolicy,
     OraclePolicy,
+    OrthantBall,
+    PricingProblem,
     RegretTrace,
     StochasticScenario,
     aggregate,
@@ -168,6 +170,15 @@ class TestRunEpisode:
         policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
         _, trace = run_episode(policy, StochasticScenario(problem), 512, 3)
         assert trace.total <= 1e-9 * 512
+
+    @pytest.mark.parametrize("theta_star", [[0.6, 0.3], [0.3, 0.2, 0.1, 0.25, 0.15]], ids=["d2", "d5"])
+    def test_oracle_increments_are_exactly_zero(self, gauss025, theta_star):
+        # unlike (0.5, 0.5), these products round: the comparator's u* and the
+        # oracle's valuations must come from one rule
+        problem = PricingProblem(gauss025, OrthantBall(1.0, len(theta_star)), np.array(theta_star))
+        policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
+        _, trace = run_episode(policy, StochasticScenario(problem), 4096, episode_seed(9, 0))
+        assert np.count_nonzero(trace.increments) == 0
 
     def test_zero_price_pays_full_regret(self, problem):
         policy = ConstantPricePolicy(problem.model, problem.region, 1.0, 0.0)

@@ -30,6 +30,7 @@ from pricelab import (
     onsp_default_hyperparams,
     run_episode,
 )
+from pricelab.policies import valuations
 import pricelab.policies as policies_module
 import pricelab.regions as regions_module
 from pricelab.environments import FIXED_VALUATION
@@ -83,7 +84,7 @@ EMLP_SEED_4252541989_REGRET = {
     ],
 }  # fmt: skip
 # Block pricing moves a stochastic price by about one ulp in some rounds (the
-# vector solve, and x'theta summed row by row); over 8 episodes of 16384
+# vector solve, and x'theta summed per row, not by BLAS); over 8 episodes of 16384
 # rounds no sale flipped and Reg(t) moved by at most 2.8e-15 relative
 BLOCK_PRICING_RTOL = 1e-13
 
@@ -228,6 +229,13 @@ class TestBlockProtocol:
         policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
         run_episode(policy, StochasticScenario(problem), 1000, episode_seed(5, 0))
         assert sizes == [1000]
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_valuations_are_the_row_sums(self, d):
+        # accumulated column by column, each row rounds as its own row sum does
+        rng = np.random.default_rng(d)
+        x, theta = rng.uniform(0.0, 1.0, (20_000, d)), rng.uniform(0.0, 1.0, d)
+        assert valuations(x, theta).tobytes() == (x * theta).sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
     def test_rounds_of_one_price_as_the_blocks_do(self, problem, scenario):

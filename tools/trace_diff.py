@@ -11,6 +11,10 @@ fixed set on both sides, each in its own subprocess with that side's
   repetitions 0 and 1 of the default master seed: features, prices,
   outcomes, regret increments, Reg(t) and Reg(t)/ln t at the dyadic
   checkpoints; for Exp4 also the final expert weights and ``clip_events``;
+* the same five policies on stochastic features of a d = 3 market with
+  theta* = (0.6, 0.3, 0.2), T = 4096, repetitions 0 and 1, under the
+  ``d3-stochastic`` keys: unlike the reference theta* = (0.5, 0.5), whose
+  products x'theta* are exact, this market shows how valuations round;
 * Exp4's horizon envelope up to 4096 on both scenarios, repetitions 0 and
   1: Reg(T) and Reg(T)/ln T per horizon, and each horizon's final expert
   weights and ``clip_events``;
@@ -58,6 +62,8 @@ RUN_POLICIES = [
     {"kind": "oracle"},
 ]
 DEMO_POLICIES = ("onsp", "emlp", "oracle-sigma1")
+ROUNDING_MARKET = {"dimension": 3, "theta_star": [0.6, 0.3, 0.2]}
+ROUNDING_HORIZON = 4096
 
 
 def _exp4_state(arrays: dict, key: str, policy) -> None:
@@ -65,12 +71,30 @@ def _exp4_state(arrays: dict, key: str, policy) -> None:
     arrays[f"{key}/clip_events"] = np.array(policy.clip_events)
 
 
+def _episodes(arrays: dict, problem, scenario, scenario_key: str, rep: int, seed, horizon: int) -> None:
+    from pricelab.config import build_policy
+    from pricelab.harness import run_episode
+
+    for label, spec in EPISODE_POLICIES.items():
+        policy = build_policy(spec, problem, horizon)
+        transcript, trace = run_episode(policy, scenario, horizon, seed)
+        key = f"{label}/{scenario_key}/rep{rep}"
+        arrays[f"{key}/features"] = transcript.features
+        arrays[f"{key}/prices"] = transcript.prices
+        arrays[f"{key}/accepted"] = transcript.accepted
+        arrays[f"{key}/increments"] = trace.increments
+        arrays[f"{key}/regret"] = trace.cumulative
+        arrays[f"{key}/regret_over_log"] = trace.over_log
+        if spec["kind"] == "exp4":
+            _exp4_state(arrays, key, policy)
+
+
 def play(out: Path) -> None:
     """One side: write every array to ``arrays.npz`` and every text output under ``out``."""
     import pricelab
     from pricelab.cli import main
     from pricelab.config import build_policy, build_scenario, default_raw, parse_config
-    from pricelab.harness import dyadic_checkpoints, episode_seed, run_episode, run_horizon_envelope
+    from pricelab.harness import dyadic_checkpoints, episode_seed, run_horizon_envelope
 
     print(f"pricelab from {Path(pricelab.__file__).parent}", file=sys.stderr)
     config = parse_config(default_raw())
@@ -79,18 +103,7 @@ def play(out: Path) -> None:
         scenario = build_scenario(scenario_name, config.problem)
         for rep in REPETITIONS:
             seed = episode_seed(config.master_seed, rep)
-            for label, spec in EPISODE_POLICIES.items():
-                policy = build_policy(spec, config.problem, HORIZON)
-                transcript, trace = run_episode(policy, scenario, HORIZON, seed)
-                key = f"{label}/{scenario_name}/rep{rep}"
-                arrays[f"{key}/features"] = transcript.features
-                arrays[f"{key}/prices"] = transcript.prices
-                arrays[f"{key}/accepted"] = transcript.accepted
-                arrays[f"{key}/increments"] = trace.increments
-                arrays[f"{key}/regret"] = trace.cumulative
-                arrays[f"{key}/regret_over_log"] = trace.over_log
-                if spec["kind"] == "exp4":
-                    _exp4_state(arrays, key, policy)
+            _episodes(arrays, config.problem, scenario, scenario_name, rep, seed, HORIZON)
             built = []
 
             def exp4(horizon):
@@ -103,6 +116,12 @@ def play(out: Path) -> None:
             arrays[f"{key}/regret_over_log"] = envelope.over_log
             for policy in built:
                 _exp4_state(arrays, f"{key}/T{policy.horizon:04d}", policy)
+    raw = default_raw()
+    rounding = parse_config({**raw, "problem": {**raw["problem"], **ROUNDING_MARKET}, "scenarios": ["stochastic"]})
+    scenario = build_scenario("stochastic", rounding.problem)
+    for rep in REPETITIONS:
+        seed = episode_seed(rounding.master_seed, rep)
+        _episodes(arrays, rounding.problem, scenario, "d3-stochastic", rep, seed, ROUNDING_HORIZON)
     np.savez(out / "arrays.npz", **arrays)
 
     raw = {**default_raw(), "horizon": RUN_HORIZON, "repetitions": 2, "policies": RUN_POLICIES}
