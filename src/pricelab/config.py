@@ -22,8 +22,8 @@ path:
         {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
         {"kind": "exp4", "horizon_cap": 4096}
       ],                                # each kind at most once; each kind takes
-                                        # "horizon_cap", and exp4 also takes
-                                        # "exploration" in [0, 1], "learning_rate" > 0
+                                        # "horizon_cap", and onsp also takes
+                                        # "gamma" and "epsilon", together
       "slope_window": [1024, 65536],
       "output_dir": "results"
     }
@@ -61,7 +61,7 @@ NOISE_KEYS = {"gaussian": ("kind", "sigma"), "logistic": ("kind", "scale")}
 POLICY_KEYS = {
     "emlp": ("kind", "horizon_cap"),
     "onsp": ("kind", "horizon_cap", "gamma", "epsilon"),
-    "exp4": ("kind", "horizon_cap", "exploration", "learning_rate"),
+    "exp4": ("kind", "horizon_cap"),
     "oracle": ("kind", "horizon_cap"),
 }
 POLICY_KINDS = tuple(POLICY_KEYS)
@@ -222,7 +222,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             problems.append(f"problem.theta_star must be a list of {dim} reals")
             theta = None
         if not problems and theta is not None:
-            region = OrthantBall(b1, dim) if region_kind == "orthant-ball" else Ball(np.zeros(dim), b1)
+            region = OrthantBall(b1, dim) if region_kind == "orthant-ball" else Ball(b1, dim)
             try:
                 problem = PricingProblem(model, region, np.array(theta, dtype=float), b2)
             except ValueError as exc:
@@ -263,12 +263,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 if has_g:
                     _positive_real(spec.get("gamma"), f"policies[{i}].gamma", problems)
                     _positive_real(spec.get("epsilon"), f"policies[{i}].epsilon", problems)
-            if kind == "exp4":
-                exploration = spec.get("exploration")
-                if exploration is not None and not (_is_real(exploration) and 0 <= exploration <= 1):
-                    problems.append(f"policies[{i}].exploration must be a real in [0, 1]")
-                if spec.get("learning_rate") is not None:
-                    _positive_real(spec["learning_rate"], f"policies[{i}].learning_rate", problems)
             if spec.get("horizon_cap") is not None:
                 _positive_int(spec["horizon_cap"], f"policies[{i}].horizon_cap", problems)
 
@@ -337,14 +331,7 @@ def build_policy(spec: dict, problem: PricingProblem, horizon: int) -> PricingPo
             epsilon=spec.get("epsilon"),
         )
     if kind == "exp4":
-        return Exp4Policy(
-            problem.model,
-            problem.region,
-            problem.feature_bound,
-            horizon=horizon,
-            exploration=spec.get("exploration"),
-            learning_rate=spec.get("learning_rate"),
-        )
+        return Exp4Policy(problem.model, problem.region, problem.feature_bound, horizon=horizon)
     if kind == "oracle":
         return OraclePolicy(problem.model, problem.region, problem.feature_bound, problem.theta_star)
     raise ValueError(f"unknown policy kind {kind!r}")

@@ -10,13 +10,14 @@ Three scenarios ship:
   dyadic blocks alternate between the two basis vectors: rounds
   [2^(k-1), 2^k) emit e1 for odd k and e2 for even k.  It trains exactly one
   coordinate at a time, which is what breaks epoch-refitting policies.
-* ``FixedValuationScenario`` - a constant feature with x'theta* pinned to a
-  chosen valuation; paired with two close noise scales it realizes the
+* ``FixedValuationScenario`` - a constant feature with x'theta* pinned at
+  ``FIXED_VALUATION``; paired with two close noise scales it realizes the
   indistinguishability construction behind the sqrt(T) lower bound for
   unknown noise.
 
 Every scenario guarantees the bounded-feature contract: ||x|| <= B2,
-componentwise x >= 0, hence 0 <= x'theta <= B for all theta in H.
+componentwise x >= 0, hence |x'theta| <= B for all theta in H, and
+x'theta >= 0 on the orthant-ball.
 :func:`pricelab.harness.run_episode` checks the features on each episode
 (``Scenario.check_features``) and makes the customer's purchase decision, a
 sale when the price is at most x'theta* + noise; ``pricelab verify`` also
@@ -148,17 +149,17 @@ class AlternatingScenario(Scenario):
 
 
 class FixedValuationScenario(Scenario):
-    """Constant feature e1 with x'theta* = u* every round."""
+    """Constant feature e1 with x'theta* = FIXED_VALUATION every round."""
 
     name = "fixed-valuation"
 
     @classmethod
-    def build(cls, u_star: float = FIXED_VALUATION, sigma: float = 1.0):
-        """Gaussian(sigma) market in d=2 whose expected valuation is pinned at u*."""
+    def build(cls, sigma: float):
+        """Gaussian(sigma) market in d=2 whose expected valuation is pinned at FIXED_VALUATION."""
         problem = PricingProblem(
             model=GaussianNoise(sigma),
-            region=OrthantBall(radius=u_star, dim=2),
-            theta_star=np.array([u_star, 0.0]),
+            region=OrthantBall(radius=FIXED_VALUATION, dim=2),
+            theta_star=np.array([FIXED_VALUATION, 0.0]),
             feature_bound=1.0,
         )
         return cls(problem)

@@ -264,26 +264,15 @@ class Exp4Policy(PricingPolicy):
     earns 0 and leaves them untouched.  ``clip_events`` counts the rounds
     whose played arm had probability below the 1e-12 floor.
 
-    Defaults: learning rate eta = sqrt(2 ln N / (T K)), exploration K*eta.
+    Rates: learning rate eta = sqrt(2 ln N / (T K)) and exploration
+    min(1, K*eta), fixed by N, K and T.
     """
 
     name = "exp4"
 
-    def __init__(
-        self,
-        model,
-        region,
-        feature_bound,
-        horizon: int,
-        exploration: float | None = None,
-        learning_rate: float | None = None,
-    ):
+    def __init__(self, model, region, feature_bound, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if learning_rate is not None and not 0.0 < learning_rate < math.inf:
-            raise ValueError("learning rate must be positive and finite")
-        if exploration is not None and not 0.0 <= exploration <= 1.0:
-            raise ValueError("exploration must lie in [0, 1]")
         self.horizon = int(horizon)
         # at least 2 per axis for every T >= 1
         per_axis = int(math.floor(self.horizon ** (1.0 / 3.0) + 1e-9)) + 1
@@ -295,12 +284,8 @@ class Exp4Policy(PricingPolicy):
         # J(u) is nearest arm k + 1 rather than arm k once u passes J^{-1}((k + 1/2) spacing)
         self.thresholds = greedy_price_inverse(model, (np.arange(per_axis - 1) + 0.5) * self.arm_spacing)
         n, k = len(self.experts), len(self.arms)
-        self.learning_rate = (
-            math.sqrt(2.0 * math.log(n) / (self.horizon * k)) if learning_rate is None else float(learning_rate)
-        )
-        self.exploration = (
-            min(1.0, k * self.learning_rate) if exploration is None else float(exploration)
-        )
+        self.learning_rate = math.sqrt(2.0 * math.log(n) / (self.horizon * k))
+        self.exploration = min(1.0, k * self.learning_rate)
 
     def _reset_state(self) -> None:
         self.weights = np.full(len(self.experts), 1.0 / len(self.experts))
@@ -310,12 +295,10 @@ class Exp4Policy(PricingPolicy):
     def _parameter_grid(region: Region, per_axis: int) -> np.ndarray:
         if isinstance(region, OrthantBall):
             axes = [np.linspace(0.0, region.radius, per_axis)] * region.dim
-        else:  # Ball: cover [center - r, center + r] at the same spacing
-            span = np.linspace(-region.radius, region.radius, 2 * per_axis - 1)
-            center = np.asarray(region.center, dtype=float)
-            axes = [center[i] + span for i in range(region.dim)]
+        else:  # Ball: cover [-r, r] at the same spacing
+            axes = [np.linspace(-region.radius, region.radius, 2 * per_axis - 1)] * region.dim
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.dim)
-        # holds the origin (orthant-ball) or the centre (ball), and at least one more point
+        # holds the origin and at least one more point
         return np.asarray([p for p in mesh if region.contains(p, tol=1e-9)])
 
     def recommendations(self, x: np.ndarray) -> np.ndarray:

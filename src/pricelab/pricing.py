@@ -295,13 +295,17 @@ def squared_hazard_ceiling(model: NoiseModel, b: float) -> float:
     peak at an end.  Solver step bounds need only this ceiling; it never
     evaluates c_down, which underflows to 0 at small noise.
     """
-    ends = _window_ends(model, b)[1]
+    return _squared_hazard_at(model, _window_ends(model, b)[1])
+
+
+def _squared_hazard_at(model: NoiseModel, ends: np.ndarray) -> float:
     return float(np.max(np.maximum(model.hazard(ends), model.reverse_hazard(ends))) ** 2)
 
 
 def compute_constants(model: NoiseModel, b: float) -> AnalysisConstants:
     """The analysis constants: c_quad in closed form, 2*B_f + (B + J(0))*B_f',
-    c_exp from squared_hazard_ceiling, and c_down as the smallest curvature of
+    c_exp as squared_hazard_ceiling takes it (on the one J(0) solve both
+    constants share), and c_down as the smallest curvature of
     the two log-likelihood branches at the window's two ends, where the floor
     of both shipped laws lies (the Gaussian's branch curvatures are monotone,
     the logistic's f/s is unimodal); ``pricelab verify`` holds both against a
@@ -318,7 +322,7 @@ def compute_constants(model: NoiseModel, b: float) -> AnalysisConstants:
             f"strong-convexity floor must be positive, got {c_down} (log-concavity broken?)"
         )
 
-    c_exp = squared_hazard_ceiling(model, b)
+    c_exp = _squared_hazard_at(model, ends)
     c_quad = 2.0 * model.b_f + (b + j0) * model.b_fprime
     return AnalysisConstants(
         b_f=model.b_f,

@@ -1,14 +1,15 @@
 """Bounded convex parameter sets with Euclidean and matrix-weighted projection.
 
-Two kinds are supported: a Euclidean ball, and the intersection of a
-centered ball with the nonnegative orthant (which keeps x'theta >= 0 for
-nonnegative features).  The weighted projection argmin (theta-y)'A(theta-y)
-over the set is computed exactly.  On a ball it is a trust-region
-subproblem, solved by the secular equation in A's eigenbasis (More &
-Sorensen 1983, *Computing a trust region step*); the orthant-ball solves
-that subproblem on each face of the orthant and keeps the best feasible
-candidate.  The Newton-step policy applies it after each update, and the
-batch MLE takes it as its projected-Newton step.
+Two kinds are supported, both centred at the origin, as the paper's bound
+||theta*|| <= B1 is: a Euclidean ball, and its intersection with the
+nonnegative orthant (which keeps x'theta >= 0 for nonnegative features).
+The weighted projection argmin (theta-y)'A(theta-y) over the set is
+computed exactly.  On a ball it is a trust-region subproblem, solved by the
+secular equation in A's eigenbasis (More & Sorensen 1983, *Computing a
+trust region step*); the orthant-ball solves that subproblem on each face
+of the orthant and keeps the best feasible candidate.  The Newton-step
+policy applies it after each update, and the batch MLE takes it as its
+projected-Newton step.
 
 Every public method checks its vector once: ``_as_vector`` raises ValueError
 unless it has the region's length, and the norm the method takes anyway
@@ -116,66 +117,57 @@ def _trust_region(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     return z * (radius / norm) if norm > radius else z
 
 
+def _check_size(radius: float, dim: int) -> None:
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be positive")
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+
+
 @dataclass(frozen=True)
 class Ball:
-    """{theta : ||theta - center|| <= radius}."""
+    """{theta : ||theta|| <= radius}: the paper's bound ||theta*|| <= B1."""
 
-    center: np.ndarray
     radius: float
+    dim: int = 2
 
     def __post_init__(self):
-        center = _as_vector(self.center, np.size(self.center))
-        _require_finite(center)
-        object.__setattr__(self, "center", center)
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
+        _check_size(self.radius, self.dim)
 
     def interior_point(self) -> np.ndarray:
-        return self.center.copy()
+        return np.zeros(self.dim)
 
     def contains(self, theta, tol: float = 1e-12) -> bool:
         theta = _as_vector(theta, self.dim)
-        return _norm(theta, theta - self.center) <= self.radius * (1.0 + tol) + tol
+        return _norm(theta, theta) <= self.radius * (1.0 + tol) + tol
 
     def project(self, theta) -> np.ndarray:
         theta = _as_vector(theta, self.dim)
-        gap = theta - self.center
-        norm = _norm(theta, gap)
+        norm = _norm(theta, theta)
         if norm <= self.radius:
             return theta.copy()
-        return self.center + _onto_sphere(gap, norm, self.radius)
+        return _onto_sphere(theta, norm, self.radius)
 
     def project_weighted(self, theta, a) -> np.ndarray:
-        """Exact A-norm projection: the trust-region step about the center.
+        """Exact A-norm projection: the trust-region step.
 
         A feasible theta comes back unchanged and A is not inspected.
         """
         if self.contains(theta):
             return np.array(theta, dtype=float)
         a = _check_weight_matrix(a, self.dim)
-        return self.center + _trust_region(a, a @ (theta - self.center), self.radius)
+        return _trust_region(a, a @ np.asarray(theta, dtype=float), self.radius)
 
 
 @dataclass(frozen=True)
 class OrthantBall:
-    """{theta : theta >= 0, ||theta|| <= radius} (ball centered at the origin)."""
+    """{theta : theta >= 0, ||theta|| <= radius}."""
 
     radius: float
     dim: int = 2
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be positive")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.zeros(self.dim)
+        _check_size(self.radius, self.dim)
 
     def interior_point(self) -> np.ndarray:
         return np.full(self.dim, self.radius / (2.0 * math.sqrt(self.dim)))

@@ -394,10 +394,10 @@ def check_truth_is_stationary() -> Outcome:
 
 def _least_linear_value(region, g: np.ndarray) -> float:
     """min of g'z over z in the region, at Frank-Wolfe's linear minimizer
-    (Jaggi 2013): z = c - r g/||g|| on a ball, and z = -r g-/||g-|| with
+    (Jaggi 2013): z = -r g/||g|| on a ball, and z = -r g-/||g-|| with
     g- = min(g, 0) on the orthant-ball."""
     if isinstance(region, Ball):
-        return float(g @ region.center) - region.radius * float(np.linalg.norm(g))
+        return -region.radius * float(np.linalg.norm(g))
     return -region.radius * float(np.linalg.norm(np.minimum(g, 0.0)))
 
 
@@ -409,7 +409,7 @@ def check_weighted_projection() -> Outcome:
     rng = np.random.default_rng(43)
     n = 100
     worst = -np.inf
-    for region in (Ball(np.zeros(2), 1.0), OrthantBall(1.0, 2)):
+    for region in (Ball(1.0, 2), OrthantBall(1.0, 2)):
         weights = []
         for cond in np.logspace(0.0, 8.0, n):
             rotation, _ = np.linalg.qr(rng.standard_normal((2, 2)))

@@ -429,13 +429,10 @@ class TestRun:
             (("problem", "theta_star", 0), "config error: problem.theta_star must be a list of 2 reals"),
             (("policies", 1, "gamma"), "config error: policies[1].gamma must be a positive real"),
             (("policies", 1, "epsilon"), "config error: policies[1].epsilon must be a positive real"),
-            (("policies", 2, "learning_rate"), "config error: policies[2].learning_rate must be a positive real"),
-            (("policies", 2, "exploration"), "config error: policies[2].exploration must be a real in [0, 1]"),
             (("horizon",), "config error: horizon must be a positive integer"),
         ],
-        ids=["sigma", "parameter_radius", "feature_bound", "theta_star", "gamma", "epsilon", "learning_rate",
-             "exploration", "horizon"],
-    )  # fmt: skip
+        ids=["sigma", "parameter_radius", "feature_bound", "theta_star", "gamma", "epsilon", "horizon"],
+    )
     def test_integer_beyond_float_range_exits_2(self, tmp_path, small_raw, capsys, path, line):
         # JSON 10**400 loads as a Python int that no float holds; np.isfinite
         # and np.log2 raised TypeError on it
@@ -449,33 +446,17 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "key, value, line",
-        [
-            ("exploration", 5, "config error: policies[2].exploration must be a real in [0, 1]"),
-            ("exploration", -1, "config error: policies[2].exploration must be a real in [0, 1]"),
-            ("exploration", "x", "config error: policies[2].exploration must be a real in [0, 1]"),
-            ("learning_rate", 0, "config error: policies[2].learning_rate must be a positive real"),
-            ("learning_rate", "x", "config error: policies[2].learning_rate must be a positive real"),
-        ],
-    )
-    def test_bad_exp4_rates_exit_2(self, tmp_path, small_raw, capsys, key, value, line):
-        # these used to pass the config and end the run in a traceback
-        small_raw["policies"][2][key] = value
-        cfg = _write(tmp_path, small_raw)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert line in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
         "path, line",
         [
             (("horizn",), "config error: horizn is not a known key"),
             (("problem", "sigma"), "config error: problem.sigma is not a known key"),
             (("problem", "noise", "scale"), "config error: problem.noise.scale is not a known key"),
             (("policies", 1, "gama"), "config error: policies[1].gama is not a known key"),
-            (("policies", 0, "exploration"), "config error: policies[0].exploration is not a known key"),
+            (("policies", 0, "gamma"), "config error: policies[0].gamma is not a known key"),
+            (("policies", 2, "exploration"), "config error: policies[2].exploration is not a known key"),
+            (("policies", 2, "learning_rate"), "config error: policies[2].learning_rate is not a known key"),
         ],
-        ids=["top", "problem", "noise", "policy", "policy-of-another-kind"],
+        ids=["top", "problem", "noise", "policy", "policy-of-another-kind", "exp4-exploration", "exp4-learning-rate"],
     )
     def test_unknown_key_exits_2(self, tmp_path, small_raw, capsys, path, line):
         # each used to be ignored, and the run went on with the key's default
@@ -487,12 +468,6 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert line in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_exp4_rates_in_range_parse(self, small_raw):
-        small_raw["policies"][2].update(exploration=1, learning_rate=0.05)
-        assert parse_config(small_raw).policies[2]["exploration"] == 1
-        small_raw["policies"][2].update(exploration=0.0)
-        parse_config(small_raw)
 
     @pytest.mark.parametrize(
         "region, theta_star",

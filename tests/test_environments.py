@@ -73,7 +73,7 @@ class TestStochastic:
 
 class TestFixedValuation:
     def test_pins_the_valuation(self, rng):
-        scen = FixedValuationScenario.build()
+        scen = FixedValuationScenario.build(sigma=1.0)
         x = scen.features(50, rng)
         u = x @ scen.problem.theta_star
         np.testing.assert_allclose(u, FIXED_VALUATION, rtol=1e-14)
@@ -100,12 +100,13 @@ class TestResolveSale:
     """
 
     def test_acceptance_frequency(self):
-        scen = FixedValuationScenario.build(u_star=0.6, sigma=1.0)
+        # u* lies below sigma = 2's fixed point 2 sqrt(pi/2)
+        scen = FixedValuationScenario.build(sigma=2.0)
         n = 100_000
         transcript = _oracle_transcript(scen, n, seed=3)
-        v = float(greedy_price_vec(scen.problem.model, 0.6))
+        v = float(greedy_price_vec(scen.problem.model, FIXED_VALUATION))
         np.testing.assert_array_equal(transcript.prices, v)
-        p = scen.problem.model.sf(v - 0.6)  # 1 - F(v - u*)
+        p = scen.problem.model.sf(v - FIXED_VALUATION)  # 1 - F(v - u*)
         assert p < 0.4  # J(u*) > u* below the fixed point: fewer than half buy
         assert abs(np.mean(transcript.accepted) - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
 

@@ -318,7 +318,6 @@ def _reference_nll(model, region, features, prices, accepted):
         return np.where(accepted, -hazard, reverse_hazard) @ features / len(prices)
 
     def fit(start):
-        center = region.center
         result = minimize(
             nll,
             start,
@@ -328,8 +327,8 @@ def _reference_nll(model, region, features, prices, accepted):
             constraints=[
                 {
                     "type": "ineq",
-                    "fun": lambda t: region.radius**2 - (t - center) @ (t - center),
-                    "jac": lambda t: -2.0 * (t - center),
+                    "fun": lambda t: region.radius**2 - t @ t,
+                    "jac": lambda t: -2.0 * t,
                 }
             ],
             options={"ftol": 1e-15, "maxiter": 1000},
@@ -353,13 +352,13 @@ def _newton_case(name):
     elif name == "logistic":
         model = LogisticNoise(0.2)
     elif name == "ball":
-        region = Ball(np.array([0.45, 0.4]), 0.3)
+        region = Ball(0.6, 2)  # ||theta*|| = 0.71: the sphere constraint is active
     elif name == "ball-rows-2":
-        region, n = Ball(np.array([0.45, 0.4]), 0.3), 2
+        region, n = Ball(0.6, 2), 2
     elif name == "d3":
         region, theta_star = OrthantBall(1.0, 3), np.array([0.5, 0.3, 0.4])
     elif name == "d3-ball":
-        region, theta_star = Ball(np.array([0.4, 0.3, 0.4]), 0.4), np.array([0.5, 0.3, 0.4])
+        region, theta_star = Ball(0.5, 3), np.array([0.5, 0.3, 0.4])
     features = rng.uniform(0.0, 1.0, (n, region.dim))
     features /= np.maximum(np.linalg.norm(features, axis=1), 1.0)[:, None]
     if name == "rank-deficient":

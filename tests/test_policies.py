@@ -189,15 +189,11 @@ class TestProtocol:
         [
             lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=float("nan"), epsilon=1.0),
             lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=1.0, epsilon=float("inf")),
-            lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=64, exploration=2.0),
-            lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=64, exploration=float("nan")),
-            lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=64, learning_rate=-1.0),
             lambda p: Exp4Policy(p.model, p.region, float("nan"), horizon=64),
             lambda p: EmlpPolicy(p.model, p.region, float("nan")),
             lambda p: OraclePolicy(p.model, p.region, float("inf"), p.theta_star),
         ],
-        ids=["onsp-gamma-nan", "onsp-epsilon-inf", "exp4-exploration-2", "exp4-exploration-nan",
-             "exp4-learning-rate-negative", "exp4-feature-bound-nan", "emlp-feature-bound-nan",
+        ids=["onsp-gamma-nan", "onsp-epsilon-inf", "exp4-feature-bound-nan", "emlp-feature-bound-nan",
              "oracle-feature-bound-inf"],
     )
     def test_constructors_reject_what_the_config_rejects(self, problem, make):
@@ -394,7 +390,7 @@ class TestOnsp:
         # d=1, gamma=1, epsilon=1, theta=0, wide region: after one round
         # A = 1 + g^2 and theta = -g/(1+g^2) for the observed gradient g
         model = GaussianNoise(1.0)
-        region = Ball(np.zeros(1), 100.0)
+        region = Ball(100.0, 1)
         policy = OnspPolicy(model, region, 100.0, gamma=1.0, epsilon=1.0)
         policy.reset(0)
         v = _play(policy, [[1.0]], lambda v: True)[0]
@@ -406,7 +402,7 @@ class TestOnsp:
         # d=2, gamma=1, epsilon=1, wide region: after two rounds on independent
         # features, theta_2 = theta_1 - A^{-1} g_2 with A^{-1} from the 2x2 adjugate
         model = GaussianNoise(1.0)
-        region = Ball(np.zeros(2), 100.0)
+        region = Ball(100.0, 2)
         policy = OnspPolicy(model, region, 100.0, gamma=1.0, epsilon=1.0)
         policy.reset(0)
         grads = []
@@ -514,6 +510,18 @@ class TestOnsp:
 
 
 class TestExp4:
+    @pytest.mark.parametrize(
+        "horizon, n, k, eta, exploration",
+        [(4096, 216, 17, 0.0124254190602832, 0.2112321240248144), (1, 3, 2, 1.048147073968205, 1.0)],
+        ids=["T4096", "T1-capped"],
+    )
+    def test_theory_rates(self, problem, horizon, n, k, eta, exploration):
+        # eta = sqrt(2 ln N / (T K)) and exploration = min(1, K eta); at T = 1, K eta = 2.096
+        policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=horizon)
+        assert (len(policy.experts), len(policy.arms)) == (n, k)
+        assert policy.learning_rate == pytest.approx(eta, rel=1e-12)
+        assert policy.exploration == pytest.approx(exploration, rel=1e-12)
+
     def test_grid_spacing_at_4096(self, problem):
         policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=4096)
         # 4096^(-1/3) = 1/16: 17 arms spanning [0, V_max], 17 points per axis
@@ -620,7 +628,7 @@ class TestExp4:
         features /= np.linalg.norm(features, axis=1, keepdims=True)
         for model in INVERSE_MODELS:
             for horizon in EXP4_HORIZONS:
-                for region in (OrthantBall(1.0, 2), Ball(np.zeros(2), 1.0)):
+                for region in (OrthantBall(1.0, 2), Ball(1.0, 2)):
                     policy = Exp4Policy(model, region, 1.0, horizon=horizon)
                     for x in features:
                         away = _threshold_gap(policy, policy.experts @ x) > 1e-12

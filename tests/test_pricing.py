@@ -395,6 +395,19 @@ class TestAnalysisConstants:
         # the ceiling alone exists where c_down underflows to 0 (Gaussian sigma = 0.02)
         assert 0.0 < squared_hazard_ceiling(GaussianNoise(0.02), 1.0) < math.inf
 
+    def test_one_window_solve_per_call(self, monkeypatch, gauss025):
+        # c_exp and c_down share one J(0) solve
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return window_ends(*args)
+
+        window_ends = pricing._window_ends
+        monkeypatch.setattr(pricing, "_window_ends", counting)
+        compute_constants(gauss025, 1.0)
+        assert len(calls) == 1
+
     def test_small_noise_ceiling_is_warning_free(self):
         # the window's lower end is z = -50, where the Mills ratio is +inf and the hazard 0
         with warnings.catch_warnings():

@@ -15,6 +15,13 @@ fixed set on both sides, each in its own subprocess with that side's
   theta* = (0.6, 0.3, 0.2), T = 4096, repetitions 0 and 1, under the
   ``d3-stochastic`` keys: unlike the reference theta* = (0.5, 0.5), whose
   products x'theta* are exact, this market shows how valuations round;
+* the same policies but Exp4 on both scenarios of a market with region
+  "ball" and theta* = (0.5, -0.2), T = 4096, repetitions 0 and 1, under
+  the ``ball-<scenario>`` keys: its projections and negative valuations are
+  those of the ball, which the reference orthant-ball market never reaches.
+  Exp4's episodes on it abort at both revisions (its arms below J(0) beat
+  the regret comparator, which prices x'theta* clipped at 0), so Exp4
+  enters with its expert grid, learning rate and exploration at T = 4096;
 * Exp4's horizon envelope up to 4096 on both scenarios, repetitions 0 and
   1: Reg(T) and Reg(T)/ln T per horizon, and each horizon's final expert
   weights and ``clip_events``;
@@ -63,7 +70,8 @@ RUN_POLICIES = [
 ]
 DEMO_POLICIES = ("onsp", "emlp", "oracle-sigma1")
 ROUNDING_MARKET = {"dimension": 3, "theta_star": [0.6, 0.3, 0.2]}
-ROUNDING_HORIZON = 4096
+BALL_MARKET = {"region": "ball", "theta_star": [0.5, -0.2]}
+SMALL_HORIZON = 4096
 
 
 def _exp4_state(arrays: dict, key: str, policy) -> None:
@@ -71,11 +79,13 @@ def _exp4_state(arrays: dict, key: str, policy) -> None:
     arrays[f"{key}/clip_events"] = np.array(policy.clip_events)
 
 
-def _episodes(arrays: dict, problem, scenario, scenario_key: str, rep: int, seed, horizon: int) -> None:
+def _episodes(arrays: dict, problem, scenario, scenario_key: str, rep: int, seed, horizon: int, skip=()) -> None:
     from pricelab.config import build_policy
     from pricelab.harness import run_episode
 
     for label, spec in EPISODE_POLICIES.items():
+        if label in skip:
+            continue
         policy = build_policy(spec, problem, horizon)
         transcript, trace = run_episode(policy, scenario, horizon, seed)
         key = f"{label}/{scenario_key}/rep{rep}"
@@ -117,11 +127,18 @@ def play(out: Path) -> None:
             for policy in built:
                 _exp4_state(arrays, f"{key}/T{policy.horizon:04d}", policy)
     raw = default_raw()
-    rounding = parse_config({**raw, "problem": {**raw["problem"], **ROUNDING_MARKET}, "scenarios": ["stochastic"]})
-    scenario = build_scenario("stochastic", rounding.problem)
-    for rep in REPETITIONS:
-        seed = episode_seed(rounding.master_seed, rep)
-        _episodes(arrays, rounding.problem, scenario, "d3-stochastic", rep, seed, ROUNDING_HORIZON)
+    markets = (("d3", ROUNDING_MARKET, ["stochastic"], ()), ("ball", BALL_MARKET, raw["scenarios"], ("exp4",)))
+    for label, market, scenarios, skip in markets:
+        small = parse_config({**raw, "problem": {**raw["problem"], **market}, "scenarios": scenarios})
+        for scenario_name in small.scenarios:
+            scenario = build_scenario(scenario_name, small.problem)
+            for rep in REPETITIONS:
+                seed = episode_seed(small.master_seed, rep)
+                _episodes(arrays, small.problem, scenario, f"{label}-{scenario_name}", rep, seed, SMALL_HORIZON, skip)
+        if "exp4" in skip:
+            exp4 = build_policy({"kind": "exp4"}, small.problem, SMALL_HORIZON)
+            arrays[f"exp4-grid/{label}/experts"] = exp4.experts
+            arrays[f"exp4-grid/{label}/rates"] = np.array([exp4.learning_rate, exp4.exploration])
     np.savez(out / "arrays.npz", **arrays)
 
     raw = {**default_raw(), "horizon": RUN_HORIZON, "repetitions": 2, "policies": RUN_POLICIES}
