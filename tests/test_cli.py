@@ -429,9 +429,11 @@ class TestRun:
             (("problem", "theta_star", 0), "config error: problem.theta_star must be a list of 2 reals"),
             (("policies", 1, "gamma"), "config error: policies[1].gamma must be a positive real"),
             (("policies", 1, "epsilon"), "config error: policies[1].epsilon must be a positive real"),
+            (("policies", 2, "horizon_cap"), "config error: policies[2].horizon_cap must be a positive integer below 2**63"),
             (("horizon",), "config error: horizon must be a positive integer"),
         ],
-        ids=["sigma", "parameter_radius", "feature_bound", "theta_star", "gamma", "epsilon", "horizon"],
+        ids=["sigma", "parameter_radius", "feature_bound", "theta_star", "gamma", "epsilon", "horizon_cap",
+             "horizon"],
     )
     def test_integer_beyond_float_range_exits_2(self, tmp_path, small_raw, capsys, path, line):
         # JSON 10**400 loads as a Python int that no float holds; np.isfinite

@@ -189,12 +189,15 @@ class TestProtocol:
         [
             lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=float("nan"), epsilon=1.0),
             lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=1.0, epsilon=float("inf")),
+            lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=0.0, epsilon=1.0),
+            lambda p: OnspPolicy(p.model, p.region, 1.0, gamma=1.0, epsilon=-1.0),
+            lambda p: Exp4Policy(p.model, p.region, 1.0, horizon=0),
             lambda p: Exp4Policy(p.model, p.region, float("nan"), horizon=64),
             lambda p: EmlpPolicy(p.model, p.region, float("nan")),
             lambda p: OraclePolicy(p.model, p.region, float("inf"), p.theta_star),
         ],
-        ids=["onsp-gamma-nan", "onsp-epsilon-inf", "exp4-feature-bound-nan", "emlp-feature-bound-nan",
-             "oracle-feature-bound-inf"],
+        ids=["onsp-gamma-nan", "onsp-epsilon-inf", "onsp-gamma-0", "onsp-epsilon-negative", "exp4-horizon-0",
+             "exp4-feature-bound-nan", "emlp-feature-bound-nan", "oracle-feature-bound-inf"],
     )
     def test_constructors_reject_what_the_config_rejects(self, problem, make):
         # each would otherwise construct and then fail inside its first episode

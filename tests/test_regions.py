@@ -217,6 +217,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             OrthantBall(-1.0, 2)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("kind", [Ball, OrthantBall])
+    def test_finite_radius(self, kind, bad):
+        with pytest.raises(ValueError, match="radius"):
+            kind(bad, 2)
+
     @pytest.mark.parametrize("kind", [Ball, OrthantBall])
     def test_positive_dimension(self, kind):
         with pytest.raises(ValueError, match="dimension"):
