@@ -30,7 +30,10 @@ path:
 
 Defaults (``default_config()``) reproduce the reference experiment:
 d=2, B1=B2=1, Gaussian sigma=0.25, T=2^16, 5 repetitions, the experts
-baseline capped at T=2^12, log-log fits over [2^10, 2^16].
+baseline capped at T=2^12, log-log fits over [2^10, 2^16].  ``default_raw()``
+is each default's one home: a key a file omits takes its value there, but
+for ``problem.theta_star`` and ``policies``, which a file must give, and
+``slope_window``, whose default [2^10, horizon] follows the horizon.
 """
 
 from __future__ import annotations
@@ -200,6 +203,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top-level config must be a JSON object"])
     _reject_unknown(raw, TOP_KEYS, "", problems)
+    default = default_raw()
+    given = {**default, **raw}
 
     prob_raw = raw.get("problem")
     problem = None
@@ -207,11 +212,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append("problem must be an object")
     else:
         _reject_unknown(prob_raw, PROBLEM_KEYS, "problem.", problems)
-        dim = _positive_int(prob_raw.get("dimension", 2), "problem.dimension", problems, default=2)
-        b1 = _positive_real(prob_raw.get("parameter_radius", 1.0), "problem.parameter_radius", problems)
-        b2 = _positive_real(prob_raw.get("feature_bound", 1.0), "problem.feature_bound", problems)
-        model = _parse_noise(prob_raw.get("noise", {"kind": "gaussian", "sigma": 0.25}), problems)
-        region_kind = prob_raw.get("region", "orthant-ball")
+        given_problem = {**default["problem"], **prob_raw}
+        dim = _positive_int(given_problem["dimension"], "problem.dimension", problems, default=2)
+        b1 = _positive_real(given_problem["parameter_radius"], "problem.parameter_radius", problems)
+        b2 = _positive_real(given_problem["feature_bound"], "problem.feature_bound", problems)
+        model = _parse_noise(given_problem["noise"], problems)
+        region_kind = given_problem["region"]
         if region_kind not in ("orthant-ball", "ball"):
             problems.append("problem.region must be 'orthant-ball' or 'ball'")
             region_kind = "orthant-ball"
@@ -228,14 +234,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             except ValueError as exc:
                 problems.append(f"problem: {exc}")
 
-    horizon = _positive_int(raw.get("horizon", 2**16), "horizon", problems, default=2**16)
-    reps = _positive_int(raw.get("repetitions", 5), "repetitions", problems, default=5)
-    seed = raw.get("master_seed", 0)
+    horizon = _positive_int(given["horizon"], "horizon", problems, default=2**16)
+    reps = _positive_int(given["repetitions"], "repetitions", problems, default=5)
+    seed = given["master_seed"]
     if not _is_int(seed) or seed < 0:
         problems.append("master_seed must be a nonnegative integer")
-        seed = 0
 
-    scenarios = raw.get("scenarios", ["stochastic"])
+    scenarios = given["scenarios"]
     if not (isinstance(scenarios, list) and scenarios and all(s in SCENARIO_NAMES for s in scenarios)):
         problems.append(f"scenarios must be a nonempty list drawn from {SCENARIO_NAMES}")
         scenarios = ["stochastic"]
@@ -266,7 +271,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if spec.get("horizon_cap") is not None:
                 _positive_int(spec["horizon_cap"], f"policies[{i}].horizon_cap", problems)
 
-    window = raw.get("slope_window", [2**10, horizon or 2**16])
+    window = raw.get("slope_window", [2**10, horizon])
     if not (
         isinstance(window, list)
         and len(window) == 2
@@ -274,9 +279,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         and window[0] < window[1]
     ):
         problems.append("slope_window must be [t_lo, t_hi] with 1 <= t_lo < t_hi")
-        window = [2**10, horizon or 2**16]
+        window = [2**10, horizon]
 
-    out_dir = raw.get("output_dir", "results")
+    out_dir = given["output_dir"]
     if not isinstance(out_dir, str) or not out_dir:
         problems.append("output_dir must be a nonempty string")
         out_dir = "results"

@@ -19,10 +19,12 @@ batch.  All scalars come from the stable log-space forms in
 row's slope and curvature from one hazard evaluation.  It is the one place a
 batch's features and prices are validated; theta is checked where it
 enters, in ``margins``.  :func:`round_slope` is the slope of the single
-round of an online update, on scalars.  The batch's constrained minimizer is
-found by projected Newton (Bertsekas 1982): each step minimizes the local
-quadratic model exactly over the feasible set with the region's weighted
-projection, and Armijo backtracking runs along the segment to that point.
+round of an online update, on a Python float, and :func:`solve_linear` is
+the one linear solve of a Newton step, the online update's and the batch
+MLE's.  The batch's constrained minimizer is found by projected Newton
+(Bertsekas 1982): each step minimizes the local quadratic model exactly
+over the feasible set with the region's weighted projection, and Armijo
+backtracking runs along the segment to that point.
 When the batch does not span the parameter space the optimum is only unique
 along the data span and the returned point inherits the warm-start's
 component in the null space - deliberate, and exercised by the adversarial
@@ -31,9 +33,11 @@ experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .noise import NoiseModel
 from .pricing import squared_hazard_ceiling
@@ -43,6 +47,7 @@ __all__ = [
     "BatchObjective",
     "MleResult",
     "round_slope",
+    "solve_linear",
     "solve_mle",
 ]
 
@@ -59,10 +64,28 @@ RIDGE = 1e-12
 def round_slope(model: NoiseModel, w: float, accepted: bool) -> float:
     """Derivative of one round's loss in x'theta: -hazard(w) on a sale, hazard(-w) on a miss.
 
-    Calls the unchecked kernel: the margin is built from a feature and a
-    price validated where they entered.
+    Calls the unchecked kernel, on w as a Python float, whose arithmetic
+    gives the bits of the array kernel without its errstate: the margin is
+    built from a feature and a price validated where they entered.
     """
+    w = float(w)
     return -model._hazard(w) if accepted else model._hazard(-w)
+
+
+@np.errstate(all="ignore")  # a singular system comes back as NaN, an overflow as inf: both are caught below
+def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x with a x = b, for a (d, d) matrix a and a length-d vector b.
+
+    Calls the LAPACK gesv gufunc that ``np.linalg.solve`` hands a vector
+    right-hand side to, with the same signature, so x has its bits; what
+    goes is that wrapper's per-call conversions and checks, most of the
+    cost of a small solve.  LinAlgError when a is singular or x is not
+    finite, as a NaN in a or b makes it.
+    """
+    x = _umath_linalg.solve1(a, b, signature="dd->d")
+    if not all(map(math.isfinite, x.tolist())):
+        raise LinAlgError("linear system is singular or its solution is not finite")
+    return x
 
 
 class BatchObjective:
@@ -159,7 +182,7 @@ def solve_mle(batch: BatchObjective, region: Region, theta_init, valuation_bound
         if converged:
             break
         metric = hess + ridge
-        move = region.project_weighted(theta - np.linalg.solve(metric, grad), metric) - theta
+        move = region.project_weighted(theta - solve_linear(metric, grad), metric) - theta
         descent = ARMIJO * float(grad @ move)
         step = 1.0
         for _ in range(60):

@@ -15,6 +15,10 @@ through ``log_sf`` and the log density or, for the Gaussian, through the
 scaled complementary error function, so the hazard keeps ~1e-15 relative
 error at every margin where the Mills ratio is finite, with no asymptotic
 switch.
+
+The hazard kernel also takes a Python float, for the online update's one
+round: the same expression in Python float arithmetic gives the same bits,
+and overflows to inf without a warning, so it needs no ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -45,6 +49,13 @@ def _check_finite(omega) -> np.ndarray:
 
 def _like(omega, out: np.ndarray):
     return float(out) if np.ndim(omega) == 0 else out
+
+
+def _special(ufunc, z):
+    """A scipy.special ufunc at z, as a Python float when z is one, so a
+    kernel called on a float keeps to Python float arithmetic."""
+    out = ufunc(z)
+    return float(out) if type(z) is float else out
 
 
 class NoiseModel(abc.ABC):
@@ -127,10 +138,15 @@ class NoiseModel(abc.ABC):
         """f(w)/(1 - F(w))."""
         return _like(omega, self._hazard(_check_finite(omega)))
 
-    def _hazard(self, w: np.ndarray) -> np.ndarray:
-        # far left the Mills ratio overflows to +inf, and 1/inf = 0 is the hazard
+    def _hazard(self, w):
+        """f(w)/(1 - F(w)) of an array, or of a Python float as a float."""
+        # far left the Mills ratio overflows to +inf, and 1/inf = 0 is the hazard:
+        # a Python float overflows silently, numpy only under the errstate
+        s = self.spread
+        if type(w) is float:
+            return 1.0 / (s * self._mills(w / s))
         with np.errstate(over="ignore"):
-            return 1.0 / (self.spread * self._mills(w / self.spread))
+            return 1.0 / (s * self._mills(w / s))
 
     def reverse_hazard(self, omega):
         """f(w)/F(w): the hazard at -w."""
@@ -208,7 +224,7 @@ class GaussianNoise(NoiseModel):
         return -0.5 * z * z - _LOG_SQRT_2PI
 
     def _mills(self, z):
-        return _SQRT_HALF_PI * special.erfcx(z / math.sqrt(2.0))
+        return _SQRT_HALF_PI * _special(special.erfcx, z / math.sqrt(2.0))
 
     def _mills_prime(self, z, m):
         return z * m - 1.0
@@ -268,7 +284,7 @@ class LogisticNoise(NoiseModel):
         return (1.0 - 2.0 * special.expit(w / self.scale)) / self.scale
 
     def _hazard(self, w):
-        return special.expit(w / self.scale) / self.scale
+        return _special(special.expit, w / self.scale) / self.scale
 
     # The curvature is F(1-F)/s^2 = f/s.  The generic h(h + f'/f) cancels in
     # the right tail: 0 at w/s = 40, where F(1-F) is 4.2e-18.

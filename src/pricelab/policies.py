@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loss import BatchObjective, round_slope, solve_mle
+from .loss import BatchObjective, round_slope, solve_linear, solve_mle
 from .noise import NoiseModel
 from .pricing import (
     AnalysisConstants,
@@ -213,10 +213,10 @@ class OnspPolicy(PricingPolicy):
 
     Per round: price J(x'theta_t); after the outcome, take the gradient g
     of the round's sale likelihood (its ``round_slope`` times x), rank-one
-    update A += g g', Newton step theta - (1/gamma) A^{-1} g with A^{-1} g
-    from one linear solve, and A-weighted projection back onto the feasible
-    set.
-    The state is theta and A alone.
+    update A += g g' in place, Newton step theta - (1/gamma) A^{-1} g with
+    A^{-1} g from one ``solve_linear``, and A-weighted projection back onto
+    the feasible set.
+    The state is theta and A alone; ``reset`` makes a new A.
     """
 
     name = "onsp"
@@ -238,13 +238,13 @@ class OnspPolicy(PricingPolicy):
         self.matrix = self.epsilon * np.eye(self.region.dim)
 
     def play_block(self, x: np.ndarray, sell) -> None:
-        xtheta = float(x[0] @ self.theta)
+        row = x[0]
+        xtheta = float(row @ self.theta)
         # the clip to [0, B] on a Python float: max(0.0, -0.0) is 0.0, as np.clip gives
-        prices = np.array([greedy_price(self.model, min(max(0.0, xtheta), self.valuation_bound))])
-        slope = round_slope(self.model, prices[0] - xtheta, sell(prices)[0])
-        grad = slope * x[0]
-        self.matrix = self.matrix + grad[:, None] * grad
-        newton = self.theta - np.linalg.solve(self.matrix, grad) / self.gamma
+        price = greedy_price(self.model, min(max(0.0, xtheta), self.valuation_bound))
+        grad = round_slope(self.model, price - xtheta, sell(np.array([price]))[0]) * row
+        self.matrix += grad[:, None] * grad
+        newton = self.theta - solve_linear(self.matrix, grad) / self.gamma
         self.theta = self.region.project_weighted(newton, self.matrix)
 
 

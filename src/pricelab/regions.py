@@ -151,10 +151,11 @@ class Ball:
     def project_weighted(self, theta, a) -> np.ndarray:
         """Exact A-norm projection: the trust-region step.
 
-        A feasible theta comes back unchanged and A is not inspected.
+        A feasible theta comes back as it is (the same array, when it is a
+        float array) and A is not inspected.
         """
         if self.contains(theta):
-            return np.array(theta, dtype=float)
+            return np.asarray(theta, dtype=float)
         a = _check_weight_matrix(a, self.dim)
         return _trust_region(a, a @ np.asarray(theta, dtype=float), self.radius)
 
@@ -197,10 +198,11 @@ class OrthantBall:
         the problem is convex.  So each of the 2^d faces gets its exact
         trust-region solution, candidates with a negative coordinate are
         discarded, and the feasible candidate of least objective is z*.
-        A feasible theta comes back unchanged and A is not inspected.
+        A feasible theta comes back as it is (the same array, when it is a
+        float array) and A is not inspected.
         """
         if self.contains(theta):
-            return np.array(theta, dtype=float)
+            return np.asarray(theta, dtype=float)
         a = _check_weight_matrix(a, self.dim)
         b = a @ np.asarray(theta, dtype=float)
         # objective z'Az - 2b'z, which is 0 on the empty face (the origin)

@@ -13,7 +13,7 @@ import pricelab.loss as loss_module
 import pricelab.policies as policies_module
 import pricelab.verify as verify_mod
 from pricelab.cli import lower_bound_demo, main
-from pricelab.config import POLICY_KINDS, ConfigError, default_raw, load_config, parse_config
+from pricelab.config import POLICY_KINDS, ConfigError, default_config, default_raw, load_config, parse_config
 from pricelab.environments import StochasticScenario
 from pricelab.loss import BatchObjective
 from pricelab.noise import GaussianNoise, LogisticNoise
@@ -526,6 +526,19 @@ class TestConfigValidation:
         assert config.horizon == 2**16
         assert config.repetitions == 5
         assert config.effective_horizon({"kind": "exp4", "horizon_cap": 2**12}) == 2**12
+
+    def test_omitted_keys_take_the_default_run(self, tmp_path):
+        # a file with only the required keys plays what `pricelab run` with no file plays
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"problem": {"theta_star": [0.5, 0.5]}, "policies": [{"kind": "emlp"}]}))
+        config, reference = load_config(path), default_config()
+        assert config.master_seed == reference.master_seed == 20240501
+        assert config.scenarios == reference.scenarios == ["stochastic", "adversarial"]
+        assert config.problem.model == reference.problem.model
+        assert config.problem.region == reference.problem.region
+        assert config.problem.feature_bound == reference.problem.feature_bound
+        for key in ("horizon", "repetitions", "slope_window", "output_dir"):
+            assert getattr(config, key) == getattr(reference, key), key
 
     def test_every_kind_takes_a_horizon_cap(self):
         raw = default_raw()

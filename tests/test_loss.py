@@ -1,6 +1,7 @@
 """Sale-likelihood loss: values, derivatives, curvature bounds, batch MLE."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,69 @@ class TestScalarRound:
                 got = loss_module.round_slope(model, np.float64(w), np.bool_(accepted))
                 assert np.ndim(got) == 0
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (w, accepted)
+
+    @pytest.mark.parametrize(
+        "model",
+        [GaussianNoise(0.25), GaussianNoise(0.02), LogisticNoise(0.3), LogisticNoise(0.02)],
+        ids=["g0.25", "g0.02", "l0.3", "l0.02"],
+    )
+    def test_float_hazard_is_the_array_kernel(self, model):
+        # standardized margins across the Gaussian's overflow edge, where the
+        # Mills ratio turns inf, and over the working window and both tails;
+        # a warning on the float path fails the test (RuntimeWarning is an error)
+        z = np.concatenate([np.linspace(-37.9, -37.6, 3001), np.linspace(-60.0, 60.0, 12001), [-0.0]])
+        w = z * model.spread
+        want = model._hazard(w)
+        got = [model._hazard(v) for v in w.tolist()]
+        assert all(type(h) is float for h in got)
+        assert np.array(got).tobytes() == want.tobytes()
+        sales = [loss_module.round_slope(model, v, True) for v in w.tolist()]
+        misses = [loss_module.round_slope(model, v, False) for v in w.tolist()]
+        assert np.array(sales).tobytes() == (-want).tobytes()
+        assert np.array(misses).tobytes() == model._hazard(-w).tobytes()
+        if isinstance(model, GaussianNoise):  # the edge holds hazards that round to 0 and some that do not
+            edge = want[:3001]
+            assert (edge == 0.0).any() and (edge > 0.0).any()
+
+
+def _spd(rng, dim, cond):
+    """A symmetric positive definite matrix with condition number cond."""
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return (rotation * np.logspace(0.0, -math.log10(cond), dim)) @ rotation.T
+
+
+class TestSolveLinear:
+    """solve_linear is np.linalg.solve's gufunc without its wrapper: the same
+    bits, and LinAlgError, never a warning or a NaN, on a bad system."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_bit_equal_to_numpy(self, dim):
+        rng = np.random.default_rng(dim)
+        for cond in (1.0, 1e3, 1e6, 1e9, 1e12):
+            for _ in range(40):
+                a = _spd(rng, dim, cond)
+                b = rng.standard_normal(dim)
+                got = loss_module.solve_linear(a, b)
+                assert got.shape == (dim,) and got.dtype == np.float64
+                assert got.tobytes() == np.linalg.solve(a, b).tobytes(), cond
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]),  # singular
+            ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]),  # singular, zero right-hand side
+            ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),  # NaN in the matrix
+            ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),  # NaN in the right-hand side
+            ([[1e-300, 0.0], [0.0, 1.0]], [1e300, 1.0]),  # the solution overflows
+        ],
+        ids=["singular", "zero", "nan-matrix", "nan-rhs", "overflow"],
+    )
+    def test_bad_system_raises_without_a_warning(self, a, b):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError):
+                loss_module.solve_linear(np.array(a), np.array(b))
+        assert caught == []
 
 
 class TestSolveMle:

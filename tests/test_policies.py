@@ -487,6 +487,18 @@ class TestOnsp:
             trace.cumulative, ONSP_TUNED_STOCHASTIC_SEED_4252541989_REGRET, rtol=1e-11, atol=0.0
         )
 
+    def test_one_policy_object_replays_its_episode(self, problem):
+        # A is updated in place, so a second episode must start from the new A of reset
+        policy = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
+        scenario = AlternatingScenario(problem)
+        first, _ = run_episode(policy, scenario, 2048, episode_seed(7, 0))
+        kept, snapshot = policy.matrix, policy.matrix.copy()
+        second, _ = run_episode(policy, scenario, 2048, episode_seed(7, 0))
+        for name in ("features", "prices", "accepted"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+        assert kept.tobytes() == snapshot.tobytes()  # the first episode's A was left alone
+        assert policy.matrix.tobytes() == snapshot.tobytes()
+
     def test_deterministic(self, problem):
         scen = StochasticScenario(problem)
         p1 = OnspPolicy(problem.model, problem.region, 1.0, gamma=1.0, epsilon=1.0)
