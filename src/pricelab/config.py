@@ -1,39 +1,12 @@
 """Experiment configuration: JSON schema, validation, policy construction.
 
-A config file is one JSON object; every key below is validated at load, a
-key not shown is rejected, and errors are reported together with their JSON
-path:
-
-    {
-      "problem": {
-        "dimension": 2,
-        "parameter_radius": 1.0,        # B1
-        "feature_bound": 1.0,           # B2
-        "region": "orthant-ball",       # or "ball" (centered at 0)
-        "noise": {"kind": "gaussian", "sigma": 0.25},   # or logistic/scale
-        "theta_star": [0.5, 0.5]
-      },
-      "horizon": 65536,
-      "repetitions": 5,
-      "master_seed": 20240501,
-      "scenarios": ["stochastic", "adversarial"],
-      "policies": [
-        {"kind": "emlp"},
-        {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
-        {"kind": "exp4", "horizon_cap": 4096}
-      ],                                # each kind at most once; each kind takes
-                                        # "horizon_cap", and onsp also takes
-                                        # "gamma" and "epsilon", together
-      "slope_window": [1024, 65536],
-      "output_dir": "results"
-    }
-
-Defaults (``default_config()``) reproduce the reference experiment:
-d=2, B1=B2=1, Gaussian sigma=0.25, T=2^16, 5 repetitions, the experts
-baseline capped at T=2^12, log-log fits over [2^10, 2^16].  ``default_raw()``
-is each default's one home: a key a file omits takes its value there, but
-for ``problem.theta_star`` and ``policies``, which a file must give, and
-``slope_window``, whose default [2^10, horizon] follows the horizon.
+A config file is one JSON object.  Its schema is ``default_raw()``, the one
+home of every default, which the README's ``## Config schema`` shows and
+explains: a key a file omits takes its value there, a key it does not hold
+is rejected, and every error is reported together with its JSON path.  Each
+kind family (noise law, region, scenario, policy) is one table below, from
+which ``parse_config`` validates and ``build_scenario`` and ``build_policy``
+construct.
 """
 
 from __future__ import annotations
@@ -53,21 +26,25 @@ from .regions import Ball, OrthantBall
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "default_config", "build_policy", "build_scenario"]
 
-SCENARIO_NAMES = ("stochastic", "adversarial")
-
-# the keys each level of a config may hold; any other key is an error, so a
-# misspelt option cannot silently fall back to its default
-TOP_KEYS = ("problem", "horizon", "repetitions", "master_seed", "scenarios", "policies", "slope_window", "output_dir")
-PROBLEM_KEYS = ("dimension", "parameter_radius", "feature_bound", "region", "noise", "theta_star")
-NOISE_KEYS = {"gaussian": ("kind", "sigma"), "logistic": ("kind", "scale")}
-# every kind takes horizon_cap: _effective_horizon honours it for all of them
-POLICY_KEYS = {
-    "emlp": ("kind", "horizon_cap"),
-    "onsp": ("kind", "horizon_cap", "gamma", "epsilon"),
-    "exp4": ("kind", "horizon_cap"),
-    "oracle": ("kind", "horizon_cap"),
+# each noise kind's one parameter and its law
+NOISES = {"gaussian": ("sigma", GaussianNoise), "logistic": ("scale", LogisticNoise)}
+REGIONS = {"orthant-ball": OrthantBall, "ball": Ball}
+SCENARIOS = {"stochastic": StochasticScenario, "adversarial": AlternatingScenario}
+# each policy kind's keys besides "kind" and "horizon_cap" (every kind takes
+# horizon_cap: _effective_horizon honours it for all of them), which come
+# together as positive reals, and its constructor from (spec, problem, horizon)
+POLICIES = {
+    "emlp": ((), lambda spec, p, horizon: EmlpPolicy(p.model, p.region, p.feature_bound)),
+    "onsp": (
+        ("gamma", "epsilon"),
+        lambda spec, p, horizon: OnspPolicy(
+            p.model, p.region, p.feature_bound, gamma=spec.get("gamma"), epsilon=spec.get("epsilon")
+        ),
+    ),
+    "exp4": ((), lambda spec, p, horizon: Exp4Policy(p.model, p.region, p.feature_bound, horizon=horizon)),
+    "oracle": ((), lambda spec, p, horizon: OraclePolicy(p.model, p.region, p.feature_bound, p.theta_star)),
 }
-POLICY_KINDS = tuple(POLICY_KEYS)
+POLICY_KINDS = tuple(POLICIES)
 
 # empirically tuned Newton-step hyperparameters for the reference experiment;
 # the theory values freeze the iterate at desk-scale horizons
@@ -181,29 +158,60 @@ def _reject_unknown(raw: dict, known, path: str, problems) -> None:
             problems.append(f"{path}{key} is not a known key; expected one of {', '.join(known)}")
 
 
+def _lookup(table: dict, name):
+    """The table's entry for a name, or None; a JSON list or object names nothing."""
+    return table.get(name) if isinstance(name, str) else None
+
+
+def _choices(table: dict) -> str:
+    return " or ".join(map(repr, table))
+
+
+def _once(first: dict, name: str, path: str, i: int, label: str, problems) -> None:
+    # each pair's trace is <kind>_<scenario>.csv, so a second use of a name would overwrite the first's
+    if name in first:
+        problems.append(f"{path}[{i}]{label} {name!r} repeats {path}[{first[name]}]")
+    first.setdefault(name, i)
+
+
 def _parse_noise(raw, problems):
     if not isinstance(raw, dict):
         problems.append("problem.noise must be an object")
         return None
-    kind = raw.get("kind")
-    if kind in NOISE_KEYS:
-        _reject_unknown(raw, NOISE_KEYS[kind], "problem.noise.", problems)
-    if kind == "gaussian":
-        sigma = _positive_real(raw.get("sigma"), "problem.noise.sigma", problems)
-        return GaussianNoise(sigma) if sigma else None
-    if kind == "logistic":
-        scale = _positive_real(raw.get("scale"), "problem.noise.scale", problems)
-        return LogisticNoise(scale) if scale else None
-    problems.append("problem.noise.kind must be 'gaussian' or 'logistic'")
-    return None
+    entry = _lookup(NOISES, raw.get("kind"))
+    if entry is None:
+        problems.append(f"problem.noise.kind must be {_choices(NOISES)}")
+        return None
+    key, law = entry
+    _reject_unknown(raw, ("kind", key), "problem.noise.", problems)
+    value = _positive_real(raw.get(key), f"problem.noise.{key}", problems)
+    return law(value) if value else None
+
+
+def _parse_policy(spec, i: int, first_kind: dict, problems) -> None:
+    entry = _lookup(POLICIES, spec.get("kind")) if isinstance(spec, dict) else None
+    if entry is None:
+        problems.append(f"policies[{i}].kind must be one of {POLICY_KINDS}")
+        return
+    kind, keys = spec["kind"], entry[0]
+    _once(first_kind, kind, "policies", i, ".kind", problems)
+    _reject_unknown(spec, ("kind", "horizon_cap", *keys), f"policies[{i}].", problems)
+    present = [key in spec for key in keys]
+    if any(present) and not all(present):
+        problems.append(f"policies[{i}]: override {' and '.join(keys)} together")
+    if present and present[0]:  # an override its first key opens checks every key, given or not
+        for key in keys:
+            _positive_real(spec.get(key), f"policies[{i}].{key}", problems)
+    if spec.get("horizon_cap") is not None:
+        _positive_int(spec["horizon_cap"], f"policies[{i}].horizon_cap", problems)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["top-level config must be a JSON object"])
-    _reject_unknown(raw, TOP_KEYS, "", problems)
     default = default_raw()
+    _reject_unknown(raw, default, "", problems)
     given = {**default, **raw}
 
     prob_raw = raw.get("problem")
@@ -211,16 +219,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(prob_raw, dict):
         problems.append("problem must be an object")
     else:
-        _reject_unknown(prob_raw, PROBLEM_KEYS, "problem.", problems)
+        _reject_unknown(prob_raw, default["problem"], "problem.", problems)
         given_problem = {**default["problem"], **prob_raw}
         dim = _positive_int(given_problem["dimension"], "problem.dimension", problems, default=2)
         b1 = _positive_real(given_problem["parameter_radius"], "problem.parameter_radius", problems)
         b2 = _positive_real(given_problem["feature_bound"], "problem.feature_bound", problems)
         model = _parse_noise(given_problem["noise"], problems)
-        region_kind = given_problem["region"]
-        if region_kind not in ("orthant-ball", "ball"):
-            problems.append("problem.region must be 'orthant-ball' or 'ball'")
-            region_kind = "orthant-ball"
+        region = _lookup(REGIONS, given_problem["region"])
+        if region is None:
+            problems.append(f"problem.region must be {_choices(REGIONS)}")
         theta = prob_raw.get("theta_star")
         if theta is None:
             problems.append("problem.theta_star is required")
@@ -228,63 +235,48 @@ def parse_config(raw: dict) -> ExperimentConfig:
             problems.append(f"problem.theta_star must be a list of {dim} reals")
             theta = None
         if not problems and theta is not None:
-            region = OrthantBall(b1, dim) if region_kind == "orthant-ball" else Ball(b1, dim)
             try:
-                problem = PricingProblem(model, region, np.array(theta, dtype=float), b2)
+                problem = PricingProblem(model, region(b1, dim), np.array(theta, dtype=float), b2)
             except ValueError as exc:
                 problems.append(f"problem: {exc}")
 
     horizon = _positive_int(given["horizon"], "horizon", problems, default=2**16)
-    reps = _positive_int(given["repetitions"], "repetitions", problems, default=5)
+    reps = _positive_int(given["repetitions"], "repetitions", problems)
     seed = given["master_seed"]
     if not _is_int(seed) or seed < 0:
         problems.append("master_seed must be a nonnegative integer")
 
     scenarios = given["scenarios"]
-    if not (isinstance(scenarios, list) and scenarios and all(s in SCENARIO_NAMES for s in scenarios)):
-        problems.append(f"scenarios must be a nonempty list drawn from {SCENARIO_NAMES}")
+    if not (isinstance(scenarios, list) and scenarios and all(_lookup(SCENARIOS, s) for s in scenarios)):
+        problems.append(f"scenarios must be a nonempty list drawn from {tuple(SCENARIOS)}")
         scenarios = ["stochastic"]
+    first_scenario: dict[str, int] = {}
+    for i, name in enumerate(scenarios):
+        _once(first_scenario, name, "scenarios", i, "", problems)
 
     policies = raw.get("policies")
     if not (isinstance(policies, list) and policies):
         problems.append("policies must be a nonempty list")
         policies = []
-    else:
-        first_of_kind: dict[str, int] = {}
-        for i, spec in enumerate(policies):
-            if not isinstance(spec, dict) or spec.get("kind") not in POLICY_KINDS:
-                problems.append(f"policies[{i}].kind must be one of {POLICY_KINDS}")
-                continue
-            # each pair's trace is <kind>_<scenario>.csv, so a second spec of a kind would overwrite the first's
-            kind = spec["kind"]
-            if kind in first_of_kind:
-                problems.append(f"policies[{i}].kind {kind!r} repeats policies[{first_of_kind[kind]}]")
-            first_of_kind.setdefault(kind, i)
-            _reject_unknown(spec, POLICY_KEYS[kind], f"policies[{i}].", problems)
-            if kind == "onsp":
-                has_g, has_e = "gamma" in spec, "epsilon" in spec
-                if has_g != has_e:
-                    problems.append(f"policies[{i}]: override gamma and epsilon together")
-                if has_g:
-                    _positive_real(spec.get("gamma"), f"policies[{i}].gamma", problems)
-                    _positive_real(spec.get("epsilon"), f"policies[{i}].epsilon", problems)
-            if spec.get("horizon_cap") is not None:
-                _positive_int(spec["horizon_cap"], f"policies[{i}].horizon_cap", problems)
+    first_kind: dict[str, int] = {}
+    for i, spec in enumerate(policies):
+        _parse_policy(spec, i, first_kind, problems)
 
-    window = raw.get("slope_window", [2**10, horizon])
-    if not (
-        isinstance(window, list)
-        and len(window) == 2
-        and all(_is_int(w) and w >= 1 for w in window)
-        and window[0] < window[1]
-    ):
-        problems.append("slope_window must be [t_lo, t_hi] with 1 <= t_lo < t_hi")
-        window = [2**10, horizon]
+    if "slope_window" in raw:
+        window = raw["slope_window"]
+        if not (
+            isinstance(window, list)
+            and len(window) == 2
+            and all(_is_int(w) and w >= 1 for w in window)
+            and window[0] < window[1]
+        ):
+            problems.append("slope_window must be [t_lo, t_hi] with 1 <= t_lo < t_hi")
+    else:  # [2^10, horizon], clipped as each fit window is, so it holds at any horizon
+        window = _clip_window((default["slope_window"][0], horizon), horizon)
 
     out_dir = given["output_dir"]
     if not isinstance(out_dir, str) or not out_dir:
         problems.append("output_dir must be a nonempty string")
-        out_dir = "results"
 
     if problem is not None and problem.dim != 2 and "adversarial" in scenarios:
         problems.append(f"scenarios: 'adversarial' needs problem.dimension 2, got {problem.dim}")
@@ -316,27 +308,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def build_scenario(name: str, problem: PricingProblem) -> Scenario:
-    if name == "stochastic":
-        return StochasticScenario(problem)
-    if name == "adversarial":
-        return AlternatingScenario(problem)
-    raise ValueError(f"unknown scenario {name!r}")
+    scenario = _lookup(SCENARIOS, name)
+    if scenario is None:
+        raise ValueError(f"unknown scenario {name!r}")
+    return scenario(problem)
 
 
 def build_policy(spec: dict, problem: PricingProblem, horizon: int) -> PricingPolicy:
-    kind = spec["kind"]
-    if kind == "emlp":
-        return EmlpPolicy(problem.model, problem.region, problem.feature_bound)
-    if kind == "onsp":
-        return OnspPolicy(
-            problem.model,
-            problem.region,
-            problem.feature_bound,
-            gamma=spec.get("gamma"),
-            epsilon=spec.get("epsilon"),
-        )
-    if kind == "exp4":
-        return Exp4Policy(problem.model, problem.region, problem.feature_bound, horizon=horizon)
-    if kind == "oracle":
-        return OraclePolicy(problem.model, problem.region, problem.feature_bound, problem.theta_star)
-    raise ValueError(f"unknown policy kind {kind!r}")
+    entry = _lookup(POLICIES, spec["kind"])
+    if entry is None:
+        raise ValueError(f"unknown policy kind {spec['kind']!r}")
+    return entry[1](spec, problem, horizon)

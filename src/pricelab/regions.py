@@ -20,11 +20,12 @@ an active projection, the one path that reads it.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .pricing import InvariantViolation
 
@@ -81,10 +82,12 @@ def _check_weight_matrix(a: np.ndarray, dim: int) -> np.ndarray:
     if not (np.abs(a - a.T) <= 1e-10 + 1e-5 * np.abs(a.T)).all():
         raise ValueError("weight matrix must be symmetric")
     a = 0.5 * (a + a.T)
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise ValueError("weight matrix must be positive definite") from None
+    # np.linalg.cholesky's LAPACK gufunc without its wrapper: it fills the
+    # factor of a matrix that is not positive definite with NaN
+    with np.errstate(all="ignore"):
+        factor = _umath_linalg.cholesky_lo(a, signature="d->d")
+    if not all(map(math.isfinite, factor.ravel().tolist())):
+        raise ValueError("weight matrix must be positive definite")
     return a
 
 
@@ -97,7 +100,9 @@ def _trust_region(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     method on 1/radius - 1/||z(mu)||, which is convex and decreasing in mu,
     climbs to that root from mu = 0 without passing it.
     """
-    lam, vecs = np.linalg.eigh(a)
+    lam, vecs = _umath_linalg.eigh_lo(a, signature="d->dd")  # np.linalg.eigh's gufunc: NaN if it fails
+    if not all(map(math.isfinite, lam.tolist())):
+        raise LinAlgError("Eigenvalues did not converge")
     beta = vecs.T @ b
     mu = 0.0
     for _ in range(SECULAR_CAP):
@@ -112,9 +117,24 @@ def _trust_region(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     else:
         raise InvariantViolation(f"secular equation unsolved after {SECULAR_CAP} Newton steps")
     z = vecs @ scaled
-    norm = float(np.linalg.norm(z))
+    norm = math.sqrt(float(np.vdot(z, z)))
     # land exactly inside
     return z * (radius / norm) if norm > radius else z
+
+
+@functools.cache
+def _faces(dim: int) -> tuple:
+    """(index, block) for each nonempty face of the orthant in R^dim.
+
+    index lists the face's free coordinates and block = np.ix_(index, index)
+    cuts its rows and columns from A; the faces come in the order of
+    itertools.product((False, True), repeat=dim), the first coordinate slowest.
+    """
+    faces = []
+    for mask in range(1, 2**dim):
+        index = np.array([i for i in range(dim) if mask >> (dim - 1 - i) & 1])
+        faces.append((index, np.ix_(index, index)))
+    return tuple(faces)
 
 
 def _check_size(radius: float, dim: int) -> None:
@@ -207,13 +227,10 @@ class OrthantBall:
         b = a @ np.asarray(theta, dtype=float)
         # objective z'Az - 2b'z, which is 0 on the empty face (the origin)
         best, best_value = np.zeros(self.dim), 0.0
-        for mask in itertools.product((False, True), repeat=self.dim):
-            face = np.flatnonzero(mask)
-            if face.size == 0:
-                continue
-            a_face = a[np.ix_(face, face)]
+        for face, block in _faces(self.dim):
+            a_face = a[block]
             z = _trust_region(a_face, b[face], self.radius)
-            if np.any(z < 0.0):
+            if min(z.tolist()) < 0.0:
                 continue
             value = float(z @ (a_face @ z)) - 2.0 * float(b[face] @ z)
             if value < best_value:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +350,38 @@ class TestRun:
         assert capsys.readouterr().err == "config error: policies[3].kind 'onsp' repeats policies[1]\n"
         assert not out.exists()
 
+    def test_repeated_scenario_exits_2(self, tmp_path, small_raw, capsys):
+        # both would write <kind>_stochastic.csv, and summary.json would list each pair twice
+        small_raw["scenarios"] = ["stochastic", "adversarial", "stochastic"]
+        cfg, out = _write(tmp_path, small_raw), tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: scenarios[2] 'stochastic' repeats scenarios[0]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", [16, 512, 1024])
+    def test_an_omitted_window_holds_at_a_short_horizon(self, tmp_path, small_raw, horizon):
+        # the default [1024, horizon] failed the file's own t_lo < t_hi check, for a key it never gave
+        del small_raw["slope_window"]
+        small_raw["horizon"] = horizon
+        config = parse_config(small_raw)
+        for spec in config.policies:
+            pair_horizon = config.effective_horizon(spec)
+            assert config.fit_window(spec) == (pair_horizon // 4, pair_horizon)
+        small_raw.update(repetitions=1, scenarios=["stochastic"], policies=[small_raw["policies"][1]])
+        cfg, out = _write(tmp_path, small_raw), tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        pair = json.loads((out / "summary.json").read_text())["pairs"][0]
+        assert pair["slope_window"] == [horizon // 4, horizon]
+
+    @pytest.mark.parametrize("kind", [["gaussian"], {"kind": "gaussian"}], ids=["list", "object"])
+    def test_a_json_list_or_object_is_no_noise_kind_exits_2(self, tmp_path, small_raw, capsys, kind):
+        # the kind table's lookup raised TypeError (unhashable type) on either
+        small_raw["problem"]["noise"] = {"kind": kind, "sigma": 0.25}
+        cfg, out = _write(tmp_path, small_raw), tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: problem.noise.kind must be 'gaussian' or 'logistic'\n"
+        assert not out.exists()
+
     def test_exp4_cap_honored(self, tmp_path, small_raw):
         cfg = _write(tmp_path, small_raw)
         out = tmp_path / "out"
@@ -539,6 +572,12 @@ class TestConfigValidation:
         assert config.problem.feature_bound == reference.problem.feature_bound
         for key in ("horizon", "repetitions", "slope_window", "output_dir"):
             assert getattr(config, key) == getattr(reference, key), key
+
+    def test_the_readme_schema_is_default_raw(self):
+        # the defaults the README documents are the ones a run plays
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == default_raw()
 
     def test_every_kind_takes_a_horizon_cap(self):
         raw = default_raw()

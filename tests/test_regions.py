@@ -1,6 +1,8 @@
 """Feasible sets: Euclidean and matrix-weighted projections."""
 
+import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import pricelab.regions as regions_module
 from pricelab import Ball, OrthantBall
 
 finite_coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -129,6 +132,27 @@ class TestWeightedProjection:
             p, q = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
             pp, qq = ball.project_weighted(p, a), ball.project_weighted(q, a)
             assert a_norm(pp - qq) <= a_norm(p - q) + 1e-8
+
+    def test_faces_come_in_the_order_of_the_product_search(self):
+        # a tie between two faces goes to the first, so the order is part of the result
+        for dim in range(1, 6):
+            masks = list(itertools.product((False, True), repeat=dim))[1:]
+            faces = regions_module._faces(dim)
+            assert [face.tolist() for face, _ in faces] == [np.flatnonzero(mask).tolist() for mask in masks]
+            a = np.arange(dim * dim, dtype=float).reshape(dim, dim)
+            for face, block in faces:
+                np.testing.assert_array_equal(a[block], a[np.ix_(face, face)])
+
+    def test_an_unconverged_eigensolve_raises(self, ball, orthant, monkeypatch):
+        # the gufunc fills a failed solve with NaN, which the secular loop would chase to its cap
+        unconverged = SimpleNamespace(
+            cholesky_lo=regions_module._umath_linalg.cholesky_lo,
+            eigh_lo=lambda a, signature: (np.full(len(a), np.nan), np.full(a.shape, np.nan)),
+        )
+        monkeypatch.setattr(regions_module, "_umath_linalg", unconverged)
+        for region in (ball, orthant):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                region.project_weighted(np.array([2.0, 0.0]), np.eye(2))
 
     def test_rejects_bad_weight(self, ball, orthant):
         # (2, 0) lies outside both sets, so the projection is active and reads A

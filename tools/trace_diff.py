@@ -31,6 +31,10 @@ fixed set on both sides, each in its own subprocess with that side's
   weights and ``clip_events``;
 * ``pricelab run`` on a four-policy config (T = 4096, R = 2): its stdout,
   each trace CSV and ``summary.json``;
+* ``pricelab run`` on each config of a fixed corpus, one per family of
+  config error, plus an omitted ``slope_window`` at T = 512 and a repeated
+  scenario: its exit code and stderr lines, so a change that rewords or
+  reorders a diagnostic shows;
 * ``pricelab verify``: its stdout;
 * ``pricelab lower-bound-demo --t 1024 --reps 2`` for each demo policy,
   which plays the fixed-valuation markets: its stdout.
@@ -77,6 +81,34 @@ ROUNDING_MARKET = {"dimension": 3, "theta_star": [0.6, 0.3, 0.2]}
 BALL_MARKET = {"region": "ball", "theta_star": [0.5, -0.2]}
 LOGISTIC_MARKET = {"noise": {"kind": "logistic", "scale": 0.3}}
 SMALL_HORIZON = 4096
+CORPUS_BASE = {
+    "problem": {"theta_star": [0.5, 0.5]},
+    "policies": [{"kind": "emlp"}, {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0}],
+    "horizon": 128,
+    "repetitions": 1,
+    "scenarios": ["stochastic"],
+    "slope_window": [8, 128],
+}
+# name -> the top-level keys that replace CORPUS_BASE's; None drops the key
+CORPUS = {
+    "unknown-top-key": {"horizn": 128},
+    "unknown-problem-key": {"problem": {"theta_star": [0.5, 0.5], "sigma": 0.5}},
+    "unknown-noise-key": {"problem": {"theta_star": [0.5, 0.5], "noise": {"kind": "gaussian", "scale": 0.5}}},
+    "unknown-policy-key": {"policies": [{"kind": "onsp", "gama": 0.5}]},
+    "json-true": {"problem": {"theta_star": [0.5, 0.5], "dimension": True}},
+    "beyond-float-range": {"problem": {"theta_star": [0.5, 0.5], "parameter_radius": 10**400}},
+    "missing-theta-star": {"problem": {}},
+    "adversarial-in-d3": {"problem": {"dimension": 3, "theta_star": [0.5, 0.5, 0.1]}, "scenarios": ["adversarial"]},
+    "too-few-checkpoints": {"horizon": 2, "slope_window": [1, 2]},
+    "repeated-kind": {"policies": [{"kind": "onsp"}, {"kind": "emlp"}, {"kind": "onsp"}]},
+    "lone-gamma": {"policies": [{"kind": "onsp", "gamma": 1.0}]},
+    "unknown-noise-kind": {"problem": {"theta_star": [0.5, 0.5], "noise": {"kind": "cauchy"}}},
+    "unknown-region": {"problem": {"theta_star": [0.5, 0.5], "region": "cube"}},
+    # the README's rules for an omitted window and a repeated scenario: a revision older than
+    # those rules exits 2 on the first, for a key the file never gave, and plays the second's pair twice
+    "omitted-window-at-512": {"horizon": 512, "policies": [{"kind": "emlp"}], "slope_window": None},
+    "repeated-scenario": {"scenarios": ["stochastic", "stochastic"]},
+}
 
 
 def _exp4_state(arrays: dict, key: str, policy) -> None:
@@ -162,6 +194,16 @@ def play(out: Path) -> None:
             status = main(argv)
         (out / f"{name}.stdout").write_text(f"{buffer.getvalue()}exit {status}\n")
 
+    (out / "corpus").mkdir()
+    for name, overrides in CORPUS.items():
+        raw = {key: value for key, value in {**CORPUS_BASE, **overrides}.items() if value is not None}
+        path = out / "corpus" / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["run", str(path), "--out", str(out / "corpus" / name)])
+        (out / "corpus" / f"{name}.stderr").write_text(f"{err.getvalue()}exit {status}\n")
+
 
 def _array_line(name: str, a: np.ndarray, b: np.ndarray) -> tuple[bool, str]:
     if a.dtype != b.dtype or a.shape != b.shape:
@@ -197,6 +239,7 @@ def compare(here: Path, there: Path) -> list[tuple[bool, str]]:
             else:
                 out.append(_array_line(name, a[name], b[name]))
     texts = ["run.stdout", "verify.stdout", *(f"demo-{kind}.stdout" for kind in DEMO_POLICIES)]
+    texts += [f"corpus/{name}.stderr" for name in CORPUS]
     texts += sorted({p.relative_to(side).as_posix() for side in (here, there) for p in (side / "run").iterdir()})
     for name in texts:
         files = [side / name for side in (here, there)]
