@@ -196,12 +196,11 @@ def _parse_policy(spec, i: int, first_kind: dict, problems) -> None:
     kind, keys = spec["kind"], entry[0]
     _once(first_kind, kind, "policies", i, ".kind", problems)
     _reject_unknown(spec, ("kind", "horizon_cap", *keys), f"policies[{i}].", problems)
-    present = [key in spec for key in keys]
-    if any(present) and not all(present):
+    present = [key for key in keys if key in spec]
+    if present and len(present) < len(keys):  # the one line that names a missing key
         problems.append(f"policies[{i}]: override {' and '.join(keys)} together")
-    if present and present[0]:  # an override its first key opens checks every key, given or not
-        for key in keys:
-            _positive_real(spec.get(key), f"policies[{i}].{key}", problems)
+    for key in present:
+        _positive_real(spec[key], f"policies[{i}].{key}", problems)
     if spec.get("horizon_cap") is not None:
         _positive_int(spec["horizon_cap"], f"policies[{i}].horizon_cap", problems)
 

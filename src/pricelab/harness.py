@@ -17,7 +17,9 @@ parallel without changing results.
 One loop, in ``run_episode``, plays every policy: it asks the policy how
 many rounds it can price without feedback (``frozen_rounds``) and hands it
 those rows with ``sell``, which takes the block's prices and returns its
-sale outcomes, a sale when the price is at most x'theta* + noise.
+sale outcomes, a sale when the price is at most x'theta* + noise.  A block
+of one row is sold on Python scalars, and its outcome is one of two shared
+one-element arrays, which are read-only.
 
 The episode's contract is checked here, once: the scenario's features
 before the policy is reset (a finite (horizon, d) array with x >= 0 and
@@ -143,6 +145,11 @@ def _spawn(seed, n: int = 2) -> list[np.random.SeedSequence]:
     ]
 
 
+# the outcome ``sell`` returns for a block of one row: shared, so read-only
+_SALE, _MISS = np.array([True]), np.array([False])
+_SALE.flags.writeable = _MISS.flags.writeable = False
+
+
 def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -> tuple[Transcript, RegretTrace]:
     """Play the four-step protocol for ``horizon`` rounds.
 
@@ -168,34 +175,38 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
     accepted = np.empty(horizon, dtype=bool)
     # the window's upper end, with room for the solver's rounding
     ceiling = policy.price_cap * (1.0 + 1e-9) + 1e-12
-    t = sold = 0  # the block's first round (from 0), and the rounds sold so far
+    t = stop = sold = 0  # the block's rounds t .. stop - 1 (from 0), and the rounds sold so far
 
     def sell(block: np.ndarray) -> np.ndarray:
         nonlocal sold
         if sold != t:
             raise EpisodeAbort(f"round {t + 1}: {policy.name} sold its block twice")
-        if block.shape != (rows.stop - t,):
-            raise EpisodeAbort(f"round {t + 1}: {policy.name} sold {block.shape} prices for {rows.stop - t} rounds")
-        # a NaN fails every comparison
-        if len(block) == 1:
-            inside = 0.0 <= float(block[0]) <= ceiling
-        else:
-            inside = block.min() >= 0.0 and block.max() <= ceiling
-        if not inside:
+        if block.shape != (stop - t,):
+            raise EpisodeAbort(f"round {t + 1}: {policy.name} sold {block.shape} prices for {stop - t} rounds")
+        if stop - t == 1:  # one row, on Python scalars
+            price = float(block[0])
+            if not 0.0 <= price <= ceiling:  # a NaN fails every comparison
+                raise EpisodeAbort(f"round {t + 1}: {policy.name} priced {block[0]} outside [0, {policy.price_cap}]")
+            sale = price <= reservation[t]
+            prices[t] = price
+            accepted[t] = sale
+            sold = stop
+            return _SALE if sale else _MISS
+        if not (block.min() >= 0.0 and block.max() <= ceiling):
             row = int(np.argmin((block >= 0.0) & (block <= ceiling)))
             raise EpisodeAbort(f"round {t + row + 1}: {policy.name} priced {block[row]} outside [0, {policy.price_cap}]")
-        outcome = block <= reservation[rows]
-        prices[rows] = block
-        accepted[rows] = outcome
-        sold = rows.stop
+        outcome = block <= reservation[t:stop]
+        prices[t:stop] = block
+        accepted[t:stop] = outcome
+        sold = stop
         return outcome
 
     while t < horizon:
-        rows = slice(t, t + min(policy.frozen_rounds(), horizon - t))
-        if rows.stop <= t:
+        stop = t + min(policy.frozen_rounds(), horizon - t)
+        if stop <= t:
             raise EpisodeAbort(f"round {t + 1}: {policy.name} can price no round")
         try:
-            policy.play_block(features[rows], sell)
+            policy.play_block(features[t:stop], sell)
         except EpisodeAbort:
             raise
         except RuntimeError as exc:

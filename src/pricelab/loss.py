@@ -60,6 +60,10 @@ MLE_MAX_ITER = 100
 # Newton metric positive definite on batches that do not span the space
 RIDGE = 1e-12
 
+# c_exp of each (noise model, valuation bound) a fit has used: one J(0) solve
+# and four hazard evaluations, which every fit on that pair would repeat
+_CEILINGS: dict[tuple[NoiseModel, float], float] = {}
+
 
 def round_slope(model: NoiseModel, w: float, accepted: bool) -> float:
     """Derivative of one round's loss in x'theta: -hazard(w) on a sale, hazard(-w) on a miss.
@@ -159,13 +163,18 @@ def solve_mle(batch: BatchObjective, region: Region, theta_init, valuation_bound
     ||theta - P(theta - g/L)|| L at the base step 1/L is at most MLE_TOL.
     L bounds the gradient's Lipschitz constant: c_exp on the pricing window
     of ``valuation_bound`` (:func:`squared_hazard_ceiling`) times the batch's
-    largest squared feature norm.  ``converged`` is True exactly when
+    largest squared feature norm; the ceiling is computed once per
+    (model, bound) pair.  ``converged`` is True exactly when
     such a test passed; hitting the MLE_MAX_ITER cap, or a line search that
     finds no representable decrease, returns the current iterate with
     ``converged=False``, which callers surface as a warning, not a failure.
     """
     theta = region.project(np.asarray(theta_init, dtype=float))
-    ell = squared_hazard_ceiling(batch.model, valuation_bound) * batch.max_feature_norm**2
+    key = (batch.model, valuation_bound)
+    ceiling = _CEILINGS.get(key)
+    if ceiling is None:
+        ceiling = _CEILINGS[key] = squared_hazard_ceiling(batch.model, valuation_bound)
+    ell = ceiling * batch.max_feature_norm**2
     if ell <= 0.0:
         # all-zero features: objective is constant in theta
         return MleResult(theta, True, 0, batch.value(theta))

@@ -8,7 +8,8 @@ Every policy speaks one block protocol:
 plus ``reset(seed)`` for a fresh, reproducible run.  ``play_block`` prices
 the rows of X, calls ``sell(prices)`` exactly once for the block's sale
 outcomes and then updates; the harness's ``sell`` checks the block, so a
-policy trusts the features it is given and the outcomes it gets back.  A
+policy trusts the features it is given and the outcomes it gets back.  The
+outcomes of a one-row block are a shared, read-only array.  A
 policy whose estimate is frozen over a stretch prices the stretch with one
 ``greedy_price_vec`` call; the others take blocks of one row.
 
@@ -257,12 +258,16 @@ class Exp4Policy(PricingPolicy):
     J being strictly increasing, is the number of thresholds
     J^{-1}((k + 1/2) * spacing), k = 0 .. K-2, below x'theta_e: the
     thresholds are computed once, and a round takes one sorted search.  The
-    played arm is drawn from the weight mixture of recommendations blended
-    with uniform exploration.  A sale's importance-weighted reward
-    (r/V_max)/p(arm) boosts every expert that recommended the arm, and the
-    weights, 1/N at the start, are renormalized, so they sum to 1; a miss
-    earns 0 and leaves them untouched.  ``clip_events`` counts the rounds
-    whose played arm had probability below the 1e-12 floor.
+    search runs over the cut array, the thresholds with those below 0 at
+    -inf and those at or above B at +inf: for every finite u it counts what
+    the thresholds count below u clipped to [0, B], so the round does not
+    clip x'theta_e.  The played arm is drawn from the weight mixture of
+    recommendations blended with uniform exploration.  A sale's
+    importance-weighted reward (r/V_max)/p(arm) boosts every expert that
+    recommended the arm, and the weights, 1/N at the start, are
+    renormalized, so they sum to 1; a miss earns 0 and leaves them
+    untouched.  ``clip_events`` counts the rounds whose played arm had
+    probability below the 1e-12 floor.
 
     Rates: learning rate eta = sqrt(2 ln N / (T K)) and exploration
     min(1, K*eta), fixed by N, K and T.
@@ -283,9 +288,16 @@ class Exp4Policy(PricingPolicy):
         self.arm_spacing = self.arms[1] - self.arms[0]
         # J(u) is nearest arm k + 1 rather than arm k once u passes J^{-1}((k + 1/2) spacing)
         self.thresholds = greedy_price_inverse(model, (np.arange(per_axis - 1) + 0.5) * self.arm_spacing)
+        self._cuts = np.where(self.thresholds < 0.0, -np.inf, self.thresholds)
+        self._cuts[self.thresholds >= self.valuation_bound] = np.inf
         n, k = len(self.experts), len(self.arms)
         self.learning_rate = math.sqrt(2.0 * math.log(n) / (self.horizon * k))
         self.exploration = min(1.0, k * self.learning_rate)
+        # the round's constants as Python numbers
+        self._arm_count = k
+        self._mixed = 1.0 - self.exploration
+        self._uniform = self.exploration / k
+        self._arm_prices = self.arms.tolist()
 
     def _reset_state(self) -> None:
         self.weights = np.full(len(self.experts), 1.0 / len(self.experts))
@@ -298,42 +310,44 @@ class Exp4Policy(PricingPolicy):
         else:  # Ball: cover [-r, r] at the same spacing
             axes = [np.linspace(-region.radius, region.radius, 2 * per_axis - 1)] * region.dim
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.dim)
-        # holds the origin and at least one more point
-        return np.asarray([p for p in mesh if region.contains(p, tol=1e-9)])
+        # region.contains(p, tol=1e-9) on every point at once (the orthant mesh is
+        # nonnegative); holds the origin and at least one more point
+        return mesh[np.linalg.norm(mesh, axis=1) <= region.radius * (1.0 + 1e-9) + 1e-9]
 
     def recommendations(self, x: np.ndarray) -> np.ndarray:
-        """Arm index each expert recommends for feature x: the number of thresholds below x'theta_e."""
-        # x'theta_e lies in [0, B] for theta_e in H; the clip is a numerical guard only
-        return self.thresholds.searchsorted((self.experts @ x).clip(0.0, self.valuation_bound))
+        """Arm index each expert recommends for feature x: the number of
+        thresholds below x'theta_e clipped to [0, B], counted on the cut array."""
+        return self._cuts.searchsorted(self.experts @ x)
 
     def arm_distribution(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each expert's arm, and the arm probabilities, which sum to 1 because the weights do."""
         rec = self.recommendations(x)
-        probs = np.bincount(rec, weights=self.weights, minlength=len(self.arms))
-        probs *= 1.0 - self.exploration
-        probs += self.exploration / len(self.arms)
+        probs = np.bincount(rec, weights=self.weights, minlength=self._arm_count)
+        probs *= self._mixed
+        probs += self._uniform
         return rec, probs
 
     def play_block(self, x: np.ndarray, sell) -> None:
         rec, probs = self.arm_distribution(x[0])
         # Generator.choice(K, p=probs) without its per-call validation of p:
-        # the same cumulative sum, the same one uniform draw
-        cdf = probs.cumsum()
+        # the same cumulative sum, the same one uniform draw; the ufuncs are
+        # those of the cumsum and sum methods, without their wrappers
+        cdf = np.add.accumulate(probs)
         cdf /= cdf[-1]
         arm = int(cdf.searchsorted(self._rng.random(), side="right"))
-        prices = np.array([self.arms[arm]])
-        accepted = sell(prices)
+        price = self._arm_prices[arm]
+        accepted = sell(np.array([price]))
         prob = float(probs[arm])
         if prob < 1e-12:
             prob = 1e-12
             self.clip_events += 1
         if not accepted[0]:
             return  # reward 0: every boost is exp(0) = 1
-        estimate = (float(prices[0]) / self.price_cap) / prob
+        estimate = (price / self.price_cap) / prob
         # eta*estimate <= 1 whenever exploration = K*eta; the clamp guards the clipped-probability path only
         boost = math.exp(min(self.learning_rate * estimate, 50.0))
         np.multiply(self.weights, boost, out=self.weights, where=rec == arm)
-        self.weights /= self.weights.sum()
+        self.weights /= np.add.reduce(self.weights)
 
 
 class OraclePolicy(PricingPolicy):

@@ -607,6 +607,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key", ["gamma", "epsilon"])
+    def test_a_lone_onsp_override_names_its_missing_partner_once(self, key):
+        raw = default_raw()
+        raw["policies"] = [{"kind": "onsp", key: 1.0}]
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.problems == ["policies[0]: override gamma and epsilon together"]
+
+    @pytest.mark.parametrize("key", ["gamma", "epsilon"])
+    def test_a_lone_onsp_override_is_range_checked(self, key):
+        raw = default_raw()
+        raw["policies"] = [{"kind": "onsp", key: -1.0}]
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.problems == [
+            "policies[0]: override gamma and epsilon together",
+            f"policies[0].{key} must be a positive real",
+        ]
+
     def test_load_config_reports_json_position(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"horizon": }')

@@ -109,6 +109,34 @@ class SaleBreakingPolicy(ConstantPricePolicy):
         self.played += len(x)
 
 
+class RowPricePolicy(PricingPolicy):
+    """Prices round k (from 1) at ``price(k, x_k)`` in blocks of ``block`` rows,
+    and keeps every outcome ``sell`` returns."""
+
+    name = "row-price"
+
+    def __init__(self, model, region, feature_bound, block, price):
+        self.block, self.price = block, price
+        super().__init__(model, region, feature_bound)
+
+    def _reset_state(self):
+        self.played = 0
+        self.outcomes = []
+
+    def frozen_rounds(self):
+        return self.block
+
+    def play_block(self, x, sell):
+        rounds = self.played + 1 + np.arange(len(x))
+        self.outcomes.append(sell(np.array([self.price(k, row) for k, row in zip(rounds, x)])))
+        self.played += len(x)
+
+
+def _window_price(cap):
+    """0 and the cap themselves in some rounds, and a price near the valuation in the others."""
+    return lambda k, x: 0.0 if k % 7 == 0 else cap if k % 11 == 0 else float(x @ [0.6, 0.7])
+
+
 BAD_SALES = {
     "one-price-short": (lambda x, sell: sell(np.full(len(x) - 1, 0.5)), r"sold \(\d+,\) prices for \d+ rounds"),
     "one-price-long": (lambda x, sell: sell(np.full(len(x) + 1, 0.5)), r"sold \(\d+,\) prices for \d+ rounds"),
@@ -265,6 +293,75 @@ class TestRunEpisode:
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         _, trace = run_episode(policy, StochasticScenario(problem), 256, 5)
         assert np.all(np.diff(trace.cumulative) >= -1e-12)
+
+
+class TestOneRowSell:
+    """A block of one row is sold on Python scalars; it must sell as a longer block does."""
+
+    @pytest.mark.parametrize("scenario", [StochasticScenario, AlternatingScenario])
+    def test_rows_sold_one_at_a_time_match_one_block(self, problem, scenario):
+        cap = ConstantPricePolicy(problem.model, problem.region, 1.0, 0.5).price_cap
+        played = []
+        for block in (1, 512):
+            policy = RowPricePolicy(problem.model, problem.region, 1.0, block, _window_price(cap))
+            played.append(run_episode(policy, scenario(problem), 512, episode_seed(31, 0)))
+            np.testing.assert_array_equal(np.concatenate(policy.outcomes), played[-1][0].accepted)
+        (rows, row_trace), (whole, whole_trace) = played
+        assert 0 < np.count_nonzero(rows.accepted) < 512
+        assert {0.0, cap} <= set(rows.prices.tolist())
+        assert rows.prices.tobytes() == whole.prices.tobytes()
+        assert rows.accepted.tobytes() == whole.accepted.tobytes()
+        assert row_trace.increments.tobytes() == whole_trace.increments.tobytes()
+
+    @pytest.mark.parametrize("bad", [1, 5, 7])
+    @pytest.mark.parametrize("value", ["below-0", "above-the-ceiling", "far-above", "nan"])
+    def test_a_price_outside_the_window_aborts_as_in_a_block(self, problem, bad, value):
+        cap = ConstantPricePolicy(problem.model, problem.region, 1.0, 0.5).price_cap
+        # the ceiling is cap (1 + 1e-9) + 1e-12
+        wrong = {"below-0": -1e-300, "above-the-ceiling": cap * (1.0 + 2e-9), "far-above": 3.0 * cap, "nan": math.nan}
+        texts = []
+        for block in (1, 4):
+            policy = RowPricePolicy(
+                problem.model, problem.region, 1.0, block, lambda k, x: wrong[value] if k == bad else 0.5
+            )
+            with pytest.raises(EpisodeAbort) as err:
+                run_episode(policy, StochasticScenario(problem), 16, 0)
+            texts.append(str(err.value))
+        assert texts == [f"round {bad}: row-price priced {wrong[value]} outside [0, {cap}]"] * 2
+
+    def test_a_price_just_above_the_cap_is_inside_the_window(self, problem):
+        cap = ConstantPricePolicy(problem.model, problem.region, 1.0, 0.5).price_cap
+        policy = RowPricePolicy(problem.model, problem.region, 1.0, 1, lambda k, x: cap * (1.0 + 1e-9))
+        transcript, _ = run_episode(policy, StochasticScenario(problem), 16, 0)
+        assert np.all(transcript.prices == cap * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize(
+        "sale, message",
+        [
+            (lambda x, sell: sell(np.full(2, 0.5)), "sold (2,) prices for 1 rounds"),
+            (lambda x, sell: sell(np.full(0, 0.5)), "sold (0,) prices for 1 rounds"),
+            (lambda x, sell: sell(np.array(0.5)), "sold () prices for 1 rounds"),
+            (lambda x, sell: sell(np.full((1, 1), 0.5)), "sold (1, 1) prices for 1 rounds"),
+            (lambda x, sell: [sell(np.full(1, 0.5)) for _ in range(2)], "sold its block twice"),
+        ],
+        ids=["two-prices", "no-price", "a-0d-price", "a-column", "sold-twice"],
+    )
+    def test_a_one_row_block_sold_wrongly_aborts_at_its_round(self, problem, sale, message):
+        policy = SaleBreakingPolicy(problem.model, problem.region, 1.0, 1, sale)
+        with pytest.raises(EpisodeAbort) as err:
+            run_episode(policy, StochasticScenario(problem), 16, 0)
+        assert str(err.value) == f"round 2: sale-breaking {message}"
+
+    def test_a_one_row_outcome_is_read_only(self, problem):
+        policy = RowPricePolicy(problem.model, problem.region, 1.0, 1, lambda k, x: 0.3 if k % 2 else 1.0)
+        transcript, _ = run_episode(policy, StochasticScenario(problem), 64, 0)
+        assert 0 < np.count_nonzero(transcript.accepted) < 64
+        for outcome in policy.outcomes:
+            assert outcome.shape == (1,) and outcome.dtype == bool
+            assert not outcome.flags.writeable
+        with pytest.raises(ValueError):
+            policy.outcomes[0][0] = not policy.outcomes[0][0]
+        np.testing.assert_array_equal(np.concatenate(policy.outcomes), transcript.accepted)
 
 
 class TestAggregate:

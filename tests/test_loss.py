@@ -285,6 +285,35 @@ class TestSolveMle:
         assert result.converged
         np.testing.assert_array_equal(result.theta, init)
 
+    def test_the_step_bound_is_computed_once_per_model_and_bound(self, problem, monkeypatch):
+        ceiling = loss_module.squared_hazard_ceiling
+        calls = []
+
+        def counting(model, b):
+            calls.append((model, b))
+            return ceiling(model, b)
+
+        batch = _synthetic_batch(problem, 64, seed=4)
+        start = problem.region.interior_point()
+        monkeypatch.setattr(loss_module, "squared_hazard_ceiling", counting)
+        monkeypatch.setattr(loss_module, "_CEILINGS", {})
+        fits = [solve_mle(batch, problem.region, start, problem.valuation_bound) for _ in range(3)]
+        assert calls == [(problem.model, problem.valuation_bound)]
+        # an equal model shares the entry; another model or bound gets its own
+        twin = BatchObjective(batch.features, batch.prices, batch.accepted, GaussianNoise(problem.model.sigma))
+        solve_mle(twin, problem.region, start, problem.valuation_bound)
+        assert len(calls) == 1
+        other = BatchObjective(batch.features, batch.prices, batch.accepted, LogisticNoise(0.25))
+        solve_mle(other, problem.region, start, problem.valuation_bound)
+        solve_mle(batch, problem.region, start, 2.0)
+        assert calls[1:] == [(other.model, problem.valuation_bound), (problem.model, 2.0)]
+        # a fit that computes the bound afresh gives the same bits
+        monkeypatch.setattr(loss_module, "_CEILINGS", {})
+        fresh = solve_mle(batch, problem.region, start, problem.valuation_bound)
+        for fit in fits:
+            assert fit.theta.tobytes() == fresh.theta.tobytes()
+            assert (fit.iterations, fit.objective) == (fresh.iterations, fresh.objective)
+
     def test_result_is_feasible_and_stationary(self, problem):
         batch = _synthetic_batch(problem, 512, seed=2)
         result = solve_mle(batch, problem.region, problem.region.interior_point(), problem.valuation_bound)

@@ -140,6 +140,29 @@ def _arms_at(policy, valuations):
     return policy.recommendations(np.array([1.0, 0.0]))
 
 
+def _expert_mesh(region, per_axis):
+    """Exp4's expert grid before its feasibility filter: per_axis points per axis on
+    [0, r] for the orthant-ball, 2 per_axis - 1 on [-r, r] for the ball."""
+    if isinstance(region, OrthantBall):
+        axes = [np.linspace(0.0, region.radius, per_axis)] * region.dim
+    else:
+        axes = [np.linspace(-region.radius, region.radius, 2 * per_axis - 1)] * region.dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.dim)
+
+
+def _clipped_arms(policy, x):
+    """The arm rule before the cut array: thresholds below x'theta_e clipped to [0, B]."""
+    return policy.thresholds.searchsorted(np.clip(policy.experts @ x, 0.0, policy.valuation_bound))
+
+
+def _edge_valuations(b):
+    """Valuations at and around 0 and B, beyond B by as much as the grid's 1e-9 tolerance admits, and far out."""
+    return np.array(
+        [-b, -1e-300, -0.0, 0.0, 5e-324, 0.5 * b, np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
+        + [b * (1.0 + 1e-12), b * (1.0 + 1e-9), b * (1.0 + 1e-9) + 1e-9, 2.0 * b]
+    )
+
+
 def _threshold_gap(policy, valuations):
     """Distance of each clipped valuation to the nearest arm threshold."""
     u = np.clip(valuations, 0.0, policy.valuation_bound)
@@ -676,6 +699,48 @@ class TestExp4:
         np.testing.assert_array_equal(transcript.prices, want_transcript.prices)
         assert played.weights.tobytes() == reference.weights.tobytes()
         np.testing.assert_array_equal(trace.cumulative, want_trace.cumulative)
+
+    @pytest.mark.parametrize("region", [OrthantBall(1.0, 2), Ball(1.0, 2)], ids=["orthant-ball", "ball"])
+    @pytest.mark.parametrize("horizon", [64, 4096])
+    def test_recommendations_count_thresholds_below_the_clipped_valuation(self, problem, rng, region, horizon):
+        policy = Exp4Policy(problem.model, region, 1.0, horizon=horizon)
+        assert policy.thresholds.min() < 0.0 and policy.thresholds.max() >= policy.valuation_bound
+        features = rng.uniform(size=(200, 2))
+        features /= np.maximum(1.0, np.linalg.norm(features, axis=1, keepdims=True))
+        for x in [*features, np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.zeros(2)]:
+            np.testing.assert_array_equal(policy.recommendations(x), _clipped_arms(policy, x))
+        arms = _arms_at(policy, _edge_valuations(policy.valuation_bound))
+        np.testing.assert_array_equal(arms, _clipped_arms(policy, np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [[-0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 1.0, 1.0], [-np.inf, 0.0, 1.0, 1.5], [0.0, 1.0, 1.0 + 1e-9, 2.0]],
+    )
+    def test_recommendations_at_thresholds_on_0_and_b(self, problem, monkeypatch, thresholds):
+        # T = 64: 5 arms, so 4 thresholds; B = 1
+        monkeypatch.setattr(policies_module, "greedy_price_inverse", lambda model, prices: np.array(thresholds))
+        policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=64)
+        assert policy.valuation_bound == 1.0 and policy.thresholds.tolist() == thresholds
+        arms = _arms_at(policy, _edge_valuations(1.0))
+        np.testing.assert_array_equal(arms, _clipped_arms(policy, np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("radius", [0.7, 1.0, 2.5])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("region_cls", [OrthantBall, Ball])
+    def test_parameter_grid_is_the_per_point_filter(self, region_cls, dim, radius):
+        # region.contains(p, tol=1e-9) decides every point within 1% of the
+        # bound; farther out no rounding of the norm moves the decision
+        region = region_cls(radius, dim)
+        bound = radius * (1.0 + 1e-9) + 1e-9
+        for per_axis in range(2, 30):
+            mesh = _expert_mesh(region, per_axis)
+            norms = np.linalg.norm(mesh, axis=1)
+            keep = norms < bound
+            near = np.flatnonzero(np.abs(norms - bound) <= 0.01 * bound)
+            keep[near] = [region.contains(p, tol=1e-9) for p in mesh[near]]
+            grid = Exp4Policy._parameter_grid(region, per_axis)
+            assert grid.shape == (np.count_nonzero(keep), dim)
+            assert grid.tobytes() == mesh[keep].tobytes(), f"{region} per_axis={per_axis}"
 
     def test_thresholds_need_no_optimizer(self, source_env):
         code = (

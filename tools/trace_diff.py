@@ -22,6 +22,12 @@ fixed set on both sides, each in its own subprocess with that side's
   Exp4's episodes on it abort at both revisions (its arms below J(0) beat
   the regret comparator, which prices x'theta* clipped at 0), so Exp4
   enters with its expert grid, learning rate and exploration at T = 4096;
+* all five policies on both scenarios of a market with region "ball" and
+  theta* = (0.5, 0.5), T = 4096, repetitions 0 and 1, under the
+  ``ball-exp4-<scenario>`` keys, and Exp4's horizon envelope up to 4096 on
+  it: the features are nonnegative, so x'theta* is too and Exp4 plays,
+  while the ball's experts with negative coordinates value rounds below 0,
+  where Exp4's recommendation is that of a valuation of 0;
 * the same policies but Exp4 on both scenarios of the reference market
   with logistic noise of scale 0.3, T = 4096, repetitions 0 and 1, under
   the ``logistic-<scenario>`` keys: its hazard is the logistic's, which
@@ -32,9 +38,9 @@ fixed set on both sides, each in its own subprocess with that side's
 * ``pricelab run`` on a four-policy config (T = 4096, R = 2): its stdout,
   each trace CSV and ``summary.json``;
 * ``pricelab run`` on each config of a fixed corpus, one per family of
-  config error, plus an omitted ``slope_window`` at T = 512 and a repeated
-  scenario: its exit code and stderr lines, so a change that rewords or
-  reorders a diagnostic shows;
+  config error, plus an omitted ``slope_window`` at T = 512, a repeated
+  scenario and each lone ONSP override: its exit code and stderr lines,
+  so a change that rewords or reorders a diagnostic shows;
 * ``pricelab verify``: its stdout;
 * ``pricelab lower-bound-demo --t 1024 --reps 2`` for each demo policy,
   which plays the fixed-valuation markets: its stdout.
@@ -79,6 +85,7 @@ RUN_POLICIES = [
 DEMO_POLICIES = ("onsp", "emlp", "oracle-sigma1")
 ROUNDING_MARKET = {"dimension": 3, "theta_star": [0.6, 0.3, 0.2]}
 BALL_MARKET = {"region": "ball", "theta_star": [0.5, -0.2]}
+BALL_EXP4_MARKET = {"region": "ball", "theta_star": [0.5, 0.5]}
 LOGISTIC_MARKET = {"noise": {"kind": "logistic", "scale": 0.3}}
 SMALL_HORIZON = 4096
 CORPUS_BASE = {
@@ -102,6 +109,7 @@ CORPUS = {
     "too-few-checkpoints": {"horizon": 2, "slope_window": [1, 2]},
     "repeated-kind": {"policies": [{"kind": "onsp"}, {"kind": "emlp"}, {"kind": "onsp"}]},
     "lone-gamma": {"policies": [{"kind": "onsp", "gamma": 1.0}]},
+    "lone-epsilon": {"policies": [{"kind": "onsp", "epsilon": 1.0}]},
     "unknown-noise-kind": {"problem": {"theta_star": [0.5, 0.5], "noise": {"kind": "cauchy"}}},
     "unknown-region": {"problem": {"theta_star": [0.5, 0.5], "region": "cube"}},
     # the README's rules for an omitted window and a repeated scenario: a revision older than
@@ -136,12 +144,30 @@ def _episodes(arrays: dict, problem, scenario, scenario_key: str, rep: int, seed
             _exp4_state(arrays, key, policy)
 
 
+def _envelope(arrays: dict, problem, scenario, key: str, seed) -> None:
+    """Exp4's horizon envelope up to ENVELOPE_CAP: Reg(T), Reg(T)/ln T and each horizon's final state."""
+    from pricelab.config import build_policy
+    from pricelab.harness import dyadic_checkpoints, run_horizon_envelope
+
+    built = []
+
+    def exp4(horizon):
+        built.append(build_policy({"kind": "exp4"}, problem, horizon))
+        return built[-1]
+
+    envelope = run_horizon_envelope(exp4, scenario, dyadic_checkpoints(ENVELOPE_CAP), seed)
+    arrays[f"{key}/regret"] = envelope.cumulative
+    arrays[f"{key}/regret_over_log"] = envelope.over_log
+    for policy in built:
+        _exp4_state(arrays, f"{key}/T{policy.horizon:04d}", policy)
+
+
 def play(out: Path) -> None:
     """One side: write every array to ``arrays.npz`` and every text output under ``out``."""
     import pricelab
     from pricelab.cli import main
     from pricelab.config import build_policy, build_scenario, default_raw, parse_config
-    from pricelab.harness import dyadic_checkpoints, episode_seed, run_horizon_envelope
+    from pricelab.harness import episode_seed
 
     print(f"pricelab from {Path(pricelab.__file__).parent}", file=sys.stderr)
     config = parse_config(default_raw())
@@ -151,22 +177,12 @@ def play(out: Path) -> None:
         for rep in REPETITIONS:
             seed = episode_seed(config.master_seed, rep)
             _episodes(arrays, config.problem, scenario, scenario_name, rep, seed, HORIZON)
-            built = []
-
-            def exp4(horizon):
-                built.append(build_policy({"kind": "exp4"}, config.problem, horizon))
-                return built[-1]
-
-            envelope = run_horizon_envelope(exp4, scenario, dyadic_checkpoints(ENVELOPE_CAP), seed)
-            key = f"exp4-envelope/{scenario_name}/rep{rep}"
-            arrays[f"{key}/regret"] = envelope.cumulative
-            arrays[f"{key}/regret_over_log"] = envelope.over_log
-            for policy in built:
-                _exp4_state(arrays, f"{key}/T{policy.horizon:04d}", policy)
+            _envelope(arrays, config.problem, scenario, f"exp4-envelope/{scenario_name}/rep{rep}", seed)
     raw = default_raw()
     markets = (
         ("d3", ROUNDING_MARKET, ["stochastic"], ()),
         ("ball", BALL_MARKET, raw["scenarios"], ("exp4",)),
+        ("ball-exp4", BALL_EXP4_MARKET, raw["scenarios"], ()),
         ("logistic", LOGISTIC_MARKET, raw["scenarios"], ("exp4",)),
     )
     for label, market, scenarios, skip in markets:
@@ -176,6 +192,8 @@ def play(out: Path) -> None:
             for rep in REPETITIONS:
                 seed = episode_seed(small.master_seed, rep)
                 _episodes(arrays, small.problem, scenario, f"{label}-{scenario_name}", rep, seed, SMALL_HORIZON, skip)
+                if label == "ball-exp4":
+                    _envelope(arrays, small.problem, scenario, f"exp4-envelope/{label}-{scenario_name}/rep{rep}", seed)
         if label == "ball":  # Exp4's episodes abort here, so its grid and rates stand in for them
             exp4 = build_policy({"kind": "exp4"}, small.problem, SMALL_HORIZON)
             arrays[f"exp4-grid/{label}/experts"] = exp4.experts
