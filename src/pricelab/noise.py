@@ -8,17 +8,18 @@ about 0, so every left-tail quantity is its right-tail twin at -w: F(w) =
 1 - F(-w), the reverse hazard f/F at w is the hazard at -w, and the two
 log-likelihood curvatures agree the same way.  Each pair has one kernel.
 
-Everything tail-sensitive is computed in log space.  The quantities that blow
-up a naive implementation are 1-F(w) (underflows in double precision near 38
-standard units) and the hazard f/(1-F) (0/0 in the right tail); here they go
-through ``log_sf`` and the log density or, for the Gaussian, through the
-scaled complementary error function, so the hazard keeps ~1e-15 relative
-error at every margin where the Mills ratio is finite, with no asymptotic
-switch.
+Everything tail-sensitive is computed in log space or through the
+standardized Mills ratio m = (1-F)/f, which neither underflows in the right
+tail nor loses relative accuracy there: the hazard is 1/(spread*m).  The
+logistic's tails have closed forms.  The Gaussian's come from one kernel,
+m(z) as a table of polynomial pieces (``_mills_table``, fitted by
+``tools/mills_table.py``) evaluated with numpy and Python float arithmetic
+alone; Phi and log Phi follow from m and the log density.
 
-The hazard kernel also takes a Python float, for the online update's one
-round: the same expression in Python float arithmetic gives the same bits,
-and overflows to inf without a warning, so it needs no ``np.errstate``.
+The Mills and hazard kernels also take a Python float, for the online
+update's one round: the same operations in Python float arithmetic give the
+array kernel's bits, and overflow to inf without a warning, so they need no
+``np.errstate``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from . import _mills_table
 
 __all__ = [
     "NoiseModel",
@@ -37,7 +39,29 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# The pieces of the Gaussian Mills ratio, laid out in tools/mills_table.py.
+# The near rows are padded with leading zeros to the length of the last,
+# whose piece (just below -8) has the highest degree; a leading zero changes
+# no bit of Horner's rule.  The float kernel unpacks the padded tuples; the
+# array kernel gathers one contiguous row per power, highest first, and
+# skips the powers that are zero in all of its pieces.  Degrees rise with
+# the row, and the first _SHORT rows (z > -2.5, where the online update's
+# arguments lie) have at most 8 coefficients: the float kernel unpacks
+# those as 8, two multiply-adds (about 75 ns) cheaper than the padded 10.
+_NEAR_LENGTH = len(_mills_table.NEAR[-1])
+_NEAR = tuple((0.0,) * (_NEAR_LENGTH - len(row)) + row for row in _mills_table.NEAR)
+_SHORT = sum(len(row) <= 8 for row in _mills_table.NEAR)
+_NEAR_SHORT = tuple(row[-8:] for row in _NEAR[:_SHORT])
+_NEAR_ZEROS = np.array([_NEAR_LENGTH - len(row) for row in _mills_table.NEAR])
+_FAR = _mills_table.FAR
+_NEAR_POWERS, _FAR_POWERS = np.array(_NEAR).T.copy(), np.array(_FAR).T.copy()
+# Arrays up to this size run the float kernel elementwise.  The numpy
+# evaluation costs about 15 us a call whatever the size (some 25 numpy
+# calls), the float loop about 0.5 us an element: they cross at 26-28
+# elements (2-core VM, z in [-0.8, 0.8], [0, 1.7] and [-7.5, 0.7]).
+_FLOAT_LOOP = 24
 
 
 def _check_finite(omega) -> np.ndarray:
@@ -51,11 +75,76 @@ def _like(omega, out: np.ndarray):
     return float(out) if np.ndim(omega) == 0 else out
 
 
-def _special(ufunc, z):
-    """A scipy.special ufunc at z, as a Python float when z is one, so a
-    kernel called on a float keeps to Python float arithmetic."""
-    out = ufunc(z)
-    return float(out) if type(z) is float else out
+def _horner(powers: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Sum of powers[i] * s**(n - i) by Horner's rule, highest power first,
+    updating one array in place: the same operations as p = p*s + c."""
+    p = powers[0] * s
+    for c in powers[1:-1]:
+        p += c
+        p *= s
+    p += powers[-1]
+    return p
+
+
+def _gaussian_mills(z):
+    """The standardized Gaussian Mills ratio m(z) = (1-Phi(z))/phi(z).
+
+    On a Python float, in Python float arithmetic; on an array, elementwise,
+    with numpy's operations in the same order, so with the same bits.  An
+    array of at most _FLOAT_LOOP elements goes through the float kernel.
+
+    On [-8, 8] a piece of the table in s = x - floor(x), x = 256 - 32 z (s
+    taken as -32 z - (floor(x) - 256), not from the rounded x); above 8,
+    w = 1/z times a piece in x = 256 w, exactly 0 at +inf; below -8, the
+    reflection sqrt(2 pi) exp(z^2/2) - m(-z), +inf below z = -37.65 with no
+    warning.  NaN stays NaN.
+    """
+    if type(z) is not float:
+        z = np.asarray(z, dtype=float)
+        if z.size > _FLOAT_LOOP:
+            return _mills_pieces(z.reshape(-1)).reshape(z.shape)
+        return np.array([_gaussian_mills(v) for v in z.reshape(-1).tolist()]).reshape(z.shape)
+    if -8.0 <= z <= 8.0:
+        y = z * -32.0
+        k = int(y + 256.0)
+        s = y - (k - 256.0)
+        if k < _SHORT:
+            c0, c1, c2, c3, c4, c5, c6, c7 = _NEAR_SHORT[k]
+            return ((((((c0 * s + c1) * s + c2) * s + c3) * s + c4) * s + c5) * s + c6) * s + c7
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = _NEAR[k]
+        return ((((((((c0 * s + c1) * s + c2) * s + c3) * s + c4) * s + c5) * s + c6) * s + c7) * s + c8) * s + c9
+    if z > 8.0:
+        w = 1.0 / z
+        x = w * 256.0
+        k = int(x)
+        s = x - k
+        c0, c1, c2, c3, c4, c5, c6, c7 = _FAR[k]
+        return (((((((c0 * s + c1) * s + c2) * s + c3) * s + c4) * s + c5) * s + c6) * s + c7) * w
+    return float(_mills_pieces(np.array([z]))[0])  # below -8, and NaN
+
+
+def _mills_pieces(z: np.ndarray) -> np.ndarray:
+    """_gaussian_mills of a nonempty 1-D array in numpy."""
+    inside = z.min() >= -8.0 and z.max() <= 8.0  # False with a NaN
+    y = (z if inside else np.fmin(np.fmax(z, -8.0), 8.0)) * -32.0
+    k = (y + 256.0).astype(np.intp)
+    # degrees rise with k: the highest piece's leading zeros are every piece's
+    m = _horner(_NEAR_POWERS[_NEAR_ZEROS[k.max()] :].take(k, axis=1), y - (k - 256.0))
+    if not inside:
+        far, low = z > 8.0, z < -8.0
+        m[far] = _far_mills(z[far])
+        zl = z[low]
+        with np.errstate(over="ignore"):
+            m[low] = _SQRT_2PI * np.exp(0.5 * zl * zl) - _far_mills(-zl)
+        m[np.isnan(z)] = np.nan
+    return m
+
+
+def _far_mills(z: np.ndarray) -> np.ndarray:
+    w = 1.0 / z
+    x = w * 256.0
+    k = x.astype(np.intp)
+    return _horner(_FAR_POWERS.take(k, axis=1), x - k) * w
 
 
 class NoiseModel(abc.ABC):
@@ -140,12 +229,14 @@ class NoiseModel(abc.ABC):
 
     def _hazard(self, w):
         """f(w)/(1 - F(w)) of an array, or of a Python float as a float."""
-        # far left the Mills ratio overflows to +inf, and 1/inf = 0 is the hazard:
-        # a Python float overflows silently, numpy only under the errstate
+        # far left the Mills ratio overflows to +inf, and 1/inf = 0 is the hazard;
+        # at +inf it is 0, and 1/0 = inf: a Python float overflows silently and
+        # takes 1/0 as numpy does under the errstate
         s = self.spread
         if type(w) is float:
-            return 1.0 / (s * self._mills(w / s))
-        with np.errstate(over="ignore"):
+            d = s * self._mills(w / s)
+            return 1.0 / d if d else math.inf
+        with np.errstate(over="ignore", divide="ignore"):
             return 1.0 / (s * self._mills(w / s))
 
     def reverse_hazard(self, omega):
@@ -189,11 +280,16 @@ class NoiseModel(abc.ABC):
 class GaussianNoise(NoiseModel):
     """N(0, sigma^2) valuation noise.
 
-    Tails go through scipy's erfc-based ``ndtr``/``log_ndtr`` and the scaled
-    complementary error function: (1-Phi(z))/phi(z) = sqrt(pi/2)*erfcx(z/sqrt2),
-    which never underflows and overflows only below z = -37.65.  There the
-    hazard and the sale curvature round to 0; their true values are below
-    1e-300 for sigma >= 1e-3.
+    Every tail quantity comes from the Mills ratio m(z) = (1-Phi(z))/phi(z)
+    (``_gaussian_mills``), within 2 ulp of the exact value for z >= -8 and
+    within z^2/2 + 2 ulp below, where the reflection's exp(z^2/2) inherits
+    the rounding of z^2.  It never underflows and overflows only below
+    z = -37.65; there the hazard and the sale curvature are 0, where their
+    true values are below 1e-300 for sigma >= 1e-3.  With q = m(|z|) phi(z),
+    the smaller tail, Phi(z) is q for z <= 0 and 1 - q above, and log Phi(z)
+    is log m(-z) + log phi(z) for z <= 0 and log1p(-q) above.  Phi is within
+    z^2/2 + 4 ulp (the rounding of z^2 again), and so is log Phi above 0;
+    below, log Phi is within 4 ulp.
     """
 
     sigma: float = 1.0
@@ -214,17 +310,26 @@ class GaussianNoise(NoiseModel):
     def b_fprime(self) -> float:
         return 1.0 / (self.sigma**2 * math.sqrt(2.0 * math.pi * math.e))
 
+    # past |z| = 1.3e154, z*z overflows to inf and phi(z) to 0; at |z| = inf, m = 0
+
     def _cdf(self, z):
-        return special.ndtr(z)
+        a = np.abs(z)
+        with np.errstate(over="ignore"):
+            q = _gaussian_mills(a) * np.exp(-0.5 * a * a) / _SQRT_2PI
+        return np.where(z > 0.0, 1.0 - q, q)
 
     def _log_cdf(self, z):
-        return special.log_ndtr(z)
+        m = _gaussian_mills(np.abs(z))
+        with np.errstate(over="ignore", divide="ignore"):
+            h = -0.5 * z * z
+            left = np.log(m) + (h - _LOG_SQRT_2PI)
+            return np.where(z > 0.0, np.log1p(m * np.exp(h) / -_SQRT_2PI), left)
 
     def _log_pdf(self, z):
         return -0.5 * z * z - _LOG_SQRT_2PI
 
     def _mills(self, z):
-        return _SQRT_HALF_PI * _special(special.erfcx, z / math.sqrt(2.0))
+        return _gaussian_mills(z)
 
     def _mills_prime(self, z, m):
         return z * m - 1.0
@@ -240,8 +345,8 @@ class GaussianNoise(NoiseModel):
 class LogisticNoise(NoiseModel):
     """Logistic(0, s) valuation noise; every tail quantity has a closed form.
 
-    The hazard is F(w)/s, bounded and increasing; ``expit`` gives it to the
-    ulp, where the generic 1/(s (1 + e^-z)) differs by a few.
+    With e = exp(-|z|), F(z) is 1/(1 + e) for z >= 0 and e/(1 + e) below, so
+    neither tail cancels; the hazard is F(w)/s, bounded and increasing.
     """
 
     scale: float = 1.0
@@ -264,35 +369,41 @@ class LogisticNoise(NoiseModel):
         return math.sqrt(3.0) / (18.0 * self.scale**2)
 
     def _cdf(self, z):
-        return special.expit(z)
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
     def _log_cdf(self, z):
-        return special.log_expit(z)
+        return -(np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z))))
 
     def _log_pdf(self, z):
         a = np.abs(z)
         return -(a + 2.0 * np.log1p(np.exp(-a)))
 
     def _mills(self, z):
-        # (1-F)/f = 1 + exp(-z) on the standardized scale
-        return 1.0 + np.exp(-z)
+        # (1-F)/f = 1 + exp(-z) on the standardized scale; a Python float stays one
+        e = np.exp(-z)
+        return 1.0 + (float(e) if type(z) is float else e)
 
     def _mills_prime(self, z, m):
         return 1.0 - m
 
     def _log_pdf_slope(self, w):
-        return (1.0 - 2.0 * special.expit(w / self.scale)) / self.scale
+        return (1.0 - 2.0 * self._cdf(w / self.scale)) / self.scale
 
     def _hazard(self, w):
-        return _special(special.expit, w / self.scale) / self.scale
+        z = w / self.scale
+        if type(z) is float:  # _cdf's operations on floats, with numpy's exp for its bits
+            e = float(np.exp(-abs(z)))
+            return (1.0 if z >= 0.0 else e) / (1.0 + e) / self.scale
+        return self._cdf(z) / self.scale
 
     # The curvature is F(1-F)/s^2 = f/s.  The generic h(h + f'/f) cancels in
     # the right tail: 0 at w/s = 40, where F(1-F) is 4.2e-18.
 
     def _hazard_curvature(self, w):
         z = w / self.scale
-        cdf = special.expit(z)
-        return cdf / self.scale, cdf * special.expit(-z) / self.scale**2
+        cdf = self._cdf(z)
+        return cdf / self.scale, cdf * self._cdf(-z) / self.scale**2
 
     def sample(self, rng, size=None):
         return rng.logistic(0.0, self.scale, size)

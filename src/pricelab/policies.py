@@ -32,6 +32,7 @@ OraclePolicy - prices greedily under the true parameter (the regret
 from __future__ import annotations
 
 import abc
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -249,6 +250,21 @@ class OnspPolicy(PricingPolicy):
         self.theta = self.region.project_weighted(newton, self.matrix)
 
 
+@functools.cache
+def _exp4_thresholds(model: NoiseModel, arm_spacing: float, per_axis: int) -> np.ndarray:
+    """J^{-1}((k + 1/2) spacing), k = 0 .. per_axis - 2: past the k-th, J(u) is
+    nearest arm k + 1 rather than arm k.
+
+    A function of the law and the arm grid alone, which the noise model, the
+    valuation bound and the per-axis count fix, so every Exp4 policy on one
+    market shares the solve (a horizon envelope builds a policy per horizon);
+    read-only, as it is shared.
+    """
+    thresholds = greedy_price_inverse(model, (np.arange(per_axis - 1) + 0.5) * arm_spacing)
+    thresholds.flags.writeable = False
+    return thresholds
+
+
 class Exp4Policy(PricingPolicy):
     """Exponential-weights baseline over a discretized parameter/price grid.
 
@@ -257,12 +273,12 @@ class Exp4Policy(PricingPolicy):
     each recommends the arm nearest its greedy price J(x'theta_e), which,
     J being strictly increasing, is the number of thresholds
     J^{-1}((k + 1/2) * spacing), k = 0 .. K-2, below x'theta_e: the
-    thresholds are computed once, and a round takes one sorted search.  The
-    search runs over the cut array, the thresholds with those below 0 at
-    -inf and those at or above B at +inf: for every finite u it counts what
-    the thresholds count below u clipped to [0, B], so the round does not
-    clip x'theta_e.  The played arm is drawn from the weight mixture of
-    recommendations blended with uniform exploration.  A sale's
+    thresholds are solved once per market and grid, and a round takes one
+    sorted search.  The search runs over the cut array, the thresholds with
+    those below 0 at -inf and those at or above B at +inf: for every finite
+    u it counts what the thresholds count below u clipped to [0, B], so the
+    round does not clip x'theta_e.  The played arm is drawn from the weight
+    mixture of recommendations blended with uniform exploration.  A sale's
     importance-weighted reward (r/V_max)/p(arm) boosts every expert that
     recommended the arm, and the weights, 1/N at the start, are
     renormalized, so they sum to 1; a miss earns 0 and leaves them
@@ -286,8 +302,7 @@ class Exp4Policy(PricingPolicy):
         super().__init__(model, region, feature_bound)
         self.arms = np.linspace(0.0, self.price_cap, per_axis)
         self.arm_spacing = self.arms[1] - self.arms[0]
-        # J(u) is nearest arm k + 1 rather than arm k once u passes J^{-1}((k + 1/2) spacing)
-        self.thresholds = greedy_price_inverse(model, (np.arange(per_axis - 1) + 0.5) * self.arm_spacing)
+        self.thresholds = _exp4_thresholds(model, float(self.arm_spacing), per_axis)
         self._cuts = np.where(self.thresholds < 0.0, -np.inf, self.thresholds)
         self._cuts[self.thresholds >= self.valuation_bound] = np.inf
         n, k = len(self.experts), len(self.arms)

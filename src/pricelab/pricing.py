@@ -103,7 +103,7 @@ def expected_reward(model: NoiseModel, price, valuation):
 # One table per noise class: the standardized Mills ratio m is a function of
 # the law alone, so GaussianNoise(0.25) and GaussianNoise(0.02) share a table
 # and a process holds one per class, however many models it builds.  A table
-# takes about 5 ms to build and 512 kB to hold.
+# takes about 10 ms to build and 512 kB to hold.
 _ROOT_TABLES: dict[type, np.ndarray] = {}
 
 
@@ -198,7 +198,7 @@ def greedy_price(model: NoiseModel, valuation: float) -> float:
         t = pos - i
         a0, a1, a2, a3 = _root_table(model)[i].tolist()
         z = a0 + t * (a1 + t * (a2 + t * a3))
-        m = float(model._mills(z))
+        m = model._mills(z)
         if m > 0.0:
             q = math.log(m) - math.log(z + c)
             lo, hi = (z, c + 10.0) if q > 0.0 else (-0.5 * c, z)

@@ -5,12 +5,18 @@ digits (see _oracle_* helpers, kept for regeneration); each literal is the
 correctly rounded double.
 """
 
+import importlib.util
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pricelab import GaussianNoise, LogisticNoise
+from pricelab import GaussianNoise, LogisticNoise, _mills_table
+from pricelab.noise import _FLOAT_LOOP, _gaussian_mills
 
 # mpmath.ncdf / high-precision oracle outputs, frozen:
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1
@@ -209,3 +215,122 @@ class TestValidation:
     def test_models_are_immutable(self, gauss1):
         with pytest.raises(Exception):
             gauss1.sigma = 2.0
+
+
+def _overflow_point() -> float:
+    """The largest z whose Mills ratio overflows to +inf, by bisection on the doubles."""
+    lo, hi = np.array([-37.7, -37.6]).view(np.int64)  # inf at -37.7, finite at -37.6
+    while lo - hi > 1:  # negative doubles order their bit patterns in reverse
+        mid = (lo + hi) // 2
+        if math.isinf(_gaussian_mills(float(np.int64(mid).view(np.float64)))):
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(lo).view(np.float64))
+
+
+OVERFLOW = _overflow_point()
+# the table's piece edges, where it hands over to the far pieces and the
+# reflection, the overflow point, and the ends of the line
+EDGES = sorted(
+    float(z)
+    for z in {k / 32 for k in range(-257, 258)}
+    | {256 / k for k in range(1, 33)}
+    | {OVERFLOW, np.nextafter(OVERFLOW, 0.0), math.inf, -math.inf}
+)
+NEAR_EDGES = st.sampled_from(EDGES).flatmap(
+    lambda z: st.sampled_from([z, float(np.nextafter(z, -math.inf)), float(np.nextafter(z, math.inf)), -z])
+)
+ANY_Z = st.one_of(NEAR_EDGES, st.floats(-40.0, 40.0), st.floats(allow_nan=False))
+
+
+def _numpy_path(kernel, z: float) -> float:
+    """kernel on an array long enough for the numpy evaluation, not the float loop."""
+    return float(kernel(np.full(_FLOAT_LOOP + 1, z))[0])
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _mills_oracle(z: float):
+    mp = pytest.importorskip("mpmath")
+    return mp.ncdf(-mp.mpf(z)) / mp.npdf(mp.mpf(z))
+
+
+def _ulps(got: np.ndarray, exact) -> np.ndarray:
+    """|got - exact| in units of the spacing of the double nearest exact."""
+    want = np.array([float(e) for e in exact])
+    diff = np.array([float(abs(g - e)) for g, e in zip(got.tolist(), exact)])
+    return diff / np.abs(np.spacing(want))
+
+
+class TestMillsKernel:
+    """The Gaussian Mills-ratio table: one kernel for m, Phi, log Phi and the hazard."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(z=ANY_Z)
+    def test_float_and_array_give_the_same_bits(self, z):
+        model = GaussianNoise(0.25)
+        assert type(model._mills(z)) is float
+        assert _bits(model._mills(z)) == _bits(_numpy_path(model._mills, z))
+        assert _bits(model._hazard(z)) == _bits(_numpy_path(model._hazard, z))
+        assert _bits(model._log_cdf(z)) == _bits(_numpy_path(model._log_cdf, z))
+        logistic = LogisticNoise(0.3)
+        if abs(z) < 1e300:  # beyond, w/s overflows, and numpy warns
+            assert _bits(logistic._hazard(z)) == _bits(_numpy_path(logistic._hazard, z))
+
+    def test_matches_mpmath(self):
+        # m within 2 ulp for z >= -8, and within z^2/2 + 2 ulp below, where
+        # the reflection's exp(z^2/2) inherits the rounding of z^2
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        near = np.concatenate([np.linspace(-8.0, 8.0, 4097), rng.uniform(-8.0, 8.0, 2000)])
+        far = np.geomspace(8.0, 1e6, 400)[1:]
+        left = np.linspace(-37.6, -8.0, 400)[:-1]
+        with mp.workdps(40):
+            for z, slack in ((near, 0.0), (far, 0.0), (left, 0.5 * left * left)):
+                err = _ulps(_gaussian_mills(z), [_mills_oracle(x) for x in z.tolist()])
+                assert np.all(err <= 2.0 + slack), z[np.argmax(err - slack)]
+
+    def test_cdf_and_log_cdf_match_mpmath(self):
+        # Phi within z^2/2 + 4 ulp; log Phi within 4 ulp for z <= 0 and
+        # z^2/2 + 4 ulp above, where log1p(-q) carries q's error
+        mp = pytest.importorskip("mpmath")
+        z = np.linspace(-38.0, 38.0, 3041)
+        model = GaussianNoise(1.0)
+        with mp.workdps(40):
+            lower = [mp.ncdf(mp.mpf(x)) for x in z.tolist()]
+            log_cdf = [mp.log1p(-mp.ncdf(-mp.mpf(x))) if x > 0 else mp.log(c) for x, c in zip(z.tolist(), lower)]
+            normal = np.array([float(c) > 1e-300 for c in lower])
+            cdf_err = _ulps(model.cdf(z[normal]), [c for c, n in zip(lower, normal) if n])
+            log_err = _ulps(model.log_cdf(z), log_cdf)
+        assert np.all(cdf_err <= 0.5 * z[normal] ** 2 + 4.0)
+        assert np.all(log_err <= np.where(z > 0.0, 0.5 * z * z, 0.0) + 4.0)
+
+    def test_overflow_is_silent(self):
+        model = GaussianNoise(0.25)
+        below = [np.nextafter(OVERFLOW, -math.inf), -37.7, -40.0, -1e10, -1e300, -math.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in below:
+                assert _gaussian_mills(float(z)) == math.inf
+                assert model._hazard(float(z) * 0.25) == 0.0
+            for z in (np.array(below), np.full(_FLOAT_LOOP + 1, -40.0)):
+                assert np.all(_gaussian_mills(z) == math.inf)
+                assert np.all(model._hazard_curvature(z[np.isfinite(z)] * 0.25)[1] == 0.0)
+            assert math.isfinite(_gaussian_mills(float(np.nextafter(OVERFLOW, 0.0))))
+            assert _gaussian_mills(math.inf) == 0.0
+
+    def test_nan_stays_nan(self):
+        for z in (math.nan, np.full(3, math.nan), np.full(_FLOAT_LOOP + 1, math.nan)):
+            assert np.all(np.isnan(_gaussian_mills(z)))
+
+    def test_table_is_its_generator_output(self):
+        # the committed coefficients are exactly what tools/mills_table.py prints
+        pytest.importorskip("mpmath")
+        path = Path(__file__).resolve().parents[1] / "tools" / "mills_table.py"
+        spec = importlib.util.spec_from_file_location("mills_table", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.render() == Path(_mills_table.__file__).read_text()

@@ -29,8 +29,10 @@ from pricelab import (
     greedy_price_vec,
     onsp_default_hyperparams,
     run_episode,
+    run_horizon_envelope,
 )
 from pricelab.policies import valuations
+from pricelab.pricing import greedy_price_inverse
 import pricelab.policies as policies_module
 import pricelab.regions as regions_module
 from pricelab.environments import FIXED_VALUATION
@@ -718,7 +720,7 @@ class TestExp4:
     )
     def test_recommendations_at_thresholds_on_0_and_b(self, problem, monkeypatch, thresholds):
         # T = 64: 5 arms, so 4 thresholds; B = 1
-        monkeypatch.setattr(policies_module, "greedy_price_inverse", lambda model, prices: np.array(thresholds))
+        monkeypatch.setattr(policies_module, "_exp4_thresholds", lambda model, spacing, per_axis: np.array(thresholds))
         policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=64)
         assert policy.valuation_bound == 1.0 and policy.thresholds.tolist() == thresholds
         arms = _arms_at(policy, _edge_valuations(1.0))
@@ -743,16 +745,50 @@ class TestExp4:
             assert grid.tobytes() == mesh[keep].tobytes(), f"{region} per_axis={per_axis}"
 
     def test_thresholds_need_no_optimizer(self, source_env):
+        # and no policy, on either law, imports any of scipy
         code = (
             "import sys\n"
             "import numpy as np\n"
             "import pricelab.cli\n"
-            "from pricelab import Exp4Policy, GaussianNoise, OrthantBall\n"
+            "from pricelab import Exp4Policy, GaussianNoise, LogisticNoise, OrthantBall, PricingProblem, run_episode\n"
+            "from pricelab.config import POLICY_KINDS, build_policy, build_scenario\n"
             "policy = Exp4Policy(GaussianNoise(0.25), OrthantBall(1.0, 2), 1.0, horizon=4096)\n"
             "policy.recommendations(np.array([0.6, 0.8]))\n"
             "assert 'scipy.optimize' not in sys.modules\n"
+            "for model in (GaussianNoise(0.25), LogisticNoise(0.3)):\n"
+            "    problem = PricingProblem(model=model, region=OrthantBall(1.0, 2), theta_star=np.array([0.5, 0.5]), feature_bound=1.0)\n"
+            "    for kind in POLICY_KINDS:\n"
+            "        run_episode(build_policy({'kind': kind}, problem, 64), build_scenario('stochastic', problem), 64, 0)\n"
+            "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=source_env, timeout=120)
+
+    def test_envelope_solves_each_count_once(self, problem, monkeypatch):
+        # the thresholds depend on the law and the arm grid alone: an envelope
+        # up to 4096 builds 13 policies on 10 arm counts, and solves each count once
+        solved = []
+
+        def counted(model, prices):
+            solved.append(len(prices) + 1)
+            return greedy_price_inverse(model, prices)
+
+        monkeypatch.setattr(policies_module, "greedy_price_inverse", counted)
+        policies_module._exp4_thresholds.cache_clear()
+        horizons = [2**i for i in range(13)]
+        built = []
+
+        def build(horizon):
+            built.append(Exp4Policy(problem.model, problem.region, problem.feature_bound, horizon))
+            return built[-1]
+
+        run_horizon_envelope(build, StochasticScenario(problem), horizons, 0)
+        counts = [len(policy.arms) for policy in built]
+        assert sorted(solved) == sorted(set(counts))
+        assert len(solved) < len(horizons)
+        for policy in built:
+            with pytest.raises(ValueError):
+                policy.thresholds[0] = 0.0
 
 
 class TestOracle:

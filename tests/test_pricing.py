@@ -66,8 +66,8 @@ def price_ulps(model, price):
     """Agreement unit for J = u + spread*z: one ulp of J plus spread ulps of 1.
 
     The standardized root z is of order 1 and both solvers place it only to
-    within the Mills kernel's own rounding error (scipy's erfcx is off by up
-    to 7 ulp), which the price inherits multiplied by the spread.
+    within the Mills kernel's own rounding error (up to 2 ulp for z >= -8,
+    test_noise.py), which the price inherits multiplied by the spread.
     """
     return np.spacing(np.abs(price)) + model.spread * np.spacing(1.0)
 
