@@ -3,7 +3,8 @@
 Regret is ex-ante: each round contributes
 rho_t = g(J(u*_t), u*_t) - g(v_t, u*_t) computed analytically from the true
 expected valuation u*_t = x_t'theta* and the environment's noise law - never
-from realized payoffs.  Cumulative regret is sampled at the dyadic
+from realized payoffs.  J(u*_t) is the best price at every u*_t, a negative
+one on a ``ball`` region included, so no increment is negative.  Cumulative regret is sampled at the dyadic
 checkpoints 1, 2, 4, ..., and the final round; repetitions aggregate into
 means with 95% Wald half-widths, and growth rates come from least squares on
 (log2 t, log2 Reg(t)).
@@ -215,7 +216,7 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
             raise EpisodeAbort(f"round {t + 1}: {policy.name} did not sell its block")
         t = sold
 
-    best_prices = greedy_price_vec(problem.model, np.clip(u_star, 0.0, None))
+    best_prices = greedy_price_vec(problem.model, u_star)
     best = expected_reward(problem.model, best_prices, u_star)
     got = expected_reward(problem.model, prices, u_star)
     rho = best - got

@@ -62,6 +62,7 @@ _NEAR_POWERS, _FAR_POWERS = np.array(_NEAR).T.copy(), np.array(_FAR).T.copy()
 # calls), the float loop about 0.5 us an element: they cross at 26-28
 # elements (2-core VM, z in [-0.8, 0.8], [0, 1.7] and [-7.5, 0.7]).
 _FLOAT_LOOP = 24
+_SERIES_Z = 64.0  # z past which the Gaussian sale curvature is its asymptotic series
 
 
 def _check_finite(omega) -> np.ndarray:
@@ -151,7 +152,9 @@ class NoiseModel(abc.ABC):
     """Zero-mean noise law with stable CDF/PDF/tail/hazard evaluation.
 
     Subclasses provide the scalar kernels; all public methods accept floats
-    or arrays and validate finiteness (once per call).  Instances are
+    or arrays and validate finiteness (once per call).  Every finite
+    argument is valid: where w/spread overflows, it is +-inf, and each
+    method returns its limit there without a warning.  Instances are
     immutable and safe to share; samplers take an explicit Generator.
 
     The law must be symmetric about 0: ``sf``/``log_sf`` are the CDF at -w,
@@ -199,29 +202,31 @@ class NoiseModel(abc.ABC):
 
     # -- distribution surface ----------------------------------------------
 
+    def _standardized(self, w: np.ndarray) -> np.ndarray:
+        """w/spread, +-inf where a finite w overflows it (at spread < 1)."""
+        with np.errstate(over="ignore"):
+            return w / self.spread
+
     def cdf(self, omega):
-        arr = _check_finite(omega)
-        return _like(omega, self._cdf(arr / self.spread))
+        return _like(omega, self._cdf(self._standardized(_check_finite(omega))))
 
     def sf(self, omega):
-        arr = _check_finite(omega)
-        return _like(omega, self._cdf(-arr / self.spread))
+        return _like(omega, self._cdf(self._standardized(-_check_finite(omega))))
 
     def log_cdf(self, omega):
-        arr = _check_finite(omega)
-        return _like(omega, self._log_cdf(arr / self.spread))
+        return _like(omega, self._log_cdf(self._standardized(_check_finite(omega))))
 
     def log_sf(self, omega):
-        arr = _check_finite(omega)
-        return _like(omega, self._log_cdf(-arr / self.spread))
+        return _like(omega, self._log_cdf(self._standardized(-_check_finite(omega))))
 
     def pdf(self, omega):
-        arr = _check_finite(omega)
-        return _like(omega, np.exp(self._log_pdf(arr / self.spread)) / self.spread)
+        return _like(omega, np.exp(self._log_pdf(self._standardized(_check_finite(omega)))) / self.spread)
 
     def pdf_derivative(self, omega):
         arr = _check_finite(omega)
-        return _like(omega, np.exp(self._log_pdf(arr / self.spread)) / self.spread * self._log_pdf_slope(arr))
+        pdf = self.pdf(arr)
+        with np.errstate(over="ignore", invalid="ignore"):  # f'/f may overflow where f, so f', is 0
+            return _like(omega, np.where(pdf > 0.0, pdf * self._log_pdf_slope(arr), 0.0))
 
     def hazard(self, omega):
         """f(w)/(1 - F(w))."""
@@ -326,7 +331,8 @@ class GaussianNoise(NoiseModel):
             return np.where(z > 0.0, np.log1p(m * np.exp(h) / -_SQRT_2PI), left)
 
     def _log_pdf(self, z):
-        return -0.5 * z * z - _LOG_SQRT_2PI
+        with np.errstate(over="ignore"):  # -inf past |z| = 1.3e154
+            return -0.5 * z * z - _LOG_SQRT_2PI
 
     def _mills(self, z):
         return _gaussian_mills(z)
@@ -336,6 +342,19 @@ class GaussianNoise(NoiseModel):
 
     def _log_pdf_slope(self, w):
         return -w / self.sigma**2
+
+    def _hazard_curvature(self, w):
+        """The hazard and the sale curvature, rising from 0 to 1/sigma^2: past _SERIES_Z
+        its series in u = 1/z^2 (within 6e-15 of mpmath, where h(h + f'/f), with
+        h = (z + 1/z - ...)/sigma, cancels), and 0 where -w/sigma^2 overflows."""
+        if np.abs(w).max() <= _SERIES_Z * self.sigma:
+            return super()._hazard_curvature(w)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            h, curvature = super()._hazard_curvature(w)
+            z = self._standardized(w)
+            u = 1.0 / (z * z)
+            series = (1.0 - u * (1.0 - u * (6.0 - u * (50.0 - 518.0 * u)))) / self.sigma**2
+            return h, np.where(z > _SERIES_Z, series, np.where(h > 0.0, curvature, 0.0))
 
     def sample(self, rng, size=None):
         return rng.normal(0.0, self.sigma, size)
@@ -388,20 +407,20 @@ class LogisticNoise(NoiseModel):
         return 1.0 - m
 
     def _log_pdf_slope(self, w):
-        return (1.0 - 2.0 * self._cdf(w / self.scale)) / self.scale
+        return (1.0 - 2.0 * self._cdf(self._standardized(w))) / self.scale
 
     def _hazard(self, w):
-        z = w / self.scale
-        if type(z) is float:  # _cdf's operations on floats, with numpy's exp for its bits
+        if type(w) is float:  # _cdf's operations on floats, with numpy's exp for its bits
+            z = w / self.scale  # a Python float overflows to inf silently
             e = float(np.exp(-abs(z)))
             return (1.0 if z >= 0.0 else e) / (1.0 + e) / self.scale
-        return self._cdf(z) / self.scale
+        return self._cdf(self._standardized(w)) / self.scale
 
     # The curvature is F(1-F)/s^2 = f/s.  The generic h(h + f'/f) cancels in
     # the right tail: 0 at w/s = 40, where F(1-F) is 4.2e-18.
 
     def _hazard_curvature(self, w):
-        z = w / self.scale
+        z = self._standardized(w)
         cdf = self._cdf(z)
         return cdf / self.scale, cdf * self._cdf(-z) / self.scale**2
 

@@ -124,10 +124,6 @@ class PricingPolicy(abc.ABC):
         """How many upcoming rounds the policy can price without feedback."""
         return 1
 
-    def clipped_valuations(self, x: np.ndarray, theta) -> np.ndarray:
-        """valuations(x, theta) clipped to [0, B] (a numerical guard)."""
-        return valuations(x, theta).clip(0.0, self.valuation_bound)
-
     @abc.abstractmethod
     def _reset_state(self) -> None: ...
 
@@ -187,7 +183,7 @@ class EmlpPolicy(PricingPolicy):
         if self.epoch == 0:
             prices = np.array([self._rng.uniform(0.0, self.price_cap)])
         else:
-            prices = greedy_price_vec(self.model, self.clipped_valuations(x, self.theta))
+            prices = greedy_price_vec(self.model, valuations(x, self.theta))
         rows = slice(self.position, self.position + len(prices))
         self._accepted[rows] = sell(prices)
         self._features[rows] = x
@@ -242,8 +238,7 @@ class OnspPolicy(PricingPolicy):
     def play_block(self, x: np.ndarray, sell) -> None:
         row = x[0]
         xtheta = float(row @ self.theta)
-        # the clip to [0, B] on a Python float: max(0.0, -0.0) is 0.0, as np.clip gives
-        price = greedy_price(self.model, min(max(0.0, xtheta), self.valuation_bound))
+        price = greedy_price(self.model, xtheta)
         grad = round_slope(self.model, price - xtheta, sell(np.array([price]))[0]) * row
         self.matrix += grad[:, None] * grad
         newton = self.theta - solve_linear(self.matrix, grad) / self.gamma
@@ -274,16 +269,13 @@ class Exp4Policy(PricingPolicy):
     J being strictly increasing, is the number of thresholds
     J^{-1}((k + 1/2) * spacing), k = 0 .. K-2, below x'theta_e: the
     thresholds are solved once per market and grid, and a round takes one
-    sorted search.  The search runs over the cut array, the thresholds with
-    those below 0 at -inf and those at or above B at +inf: for every finite
-    u it counts what the thresholds count below u clipped to [0, B], so the
-    round does not clip x'theta_e.  The played arm is drawn from the weight
-    mixture of recommendations blended with uniform exploration.  A sale's
-    importance-weighted reward (r/V_max)/p(arm) boosts every expert that
-    recommended the arm, and the weights, 1/N at the start, are
-    renormalized, so they sum to 1; a miss earns 0 and leaves them
-    untouched.  ``clip_events`` counts the rounds whose played arm had
-    probability below the 1e-12 floor.
+    sorted search over them, whatever the sign of x'theta_e.  The played
+    arm is drawn from the weight mixture of recommendations blended with
+    uniform exploration.  A sale's importance-weighted reward
+    (r/V_max)/p(arm) boosts every expert that recommended the arm, and the
+    weights, 1/N at the start, are renormalized, so they sum to 1; a miss
+    earns 0 and leaves them untouched.  ``clip_events`` counts the rounds
+    whose played arm had probability below the 1e-12 floor.
 
     Rates: learning rate eta = sqrt(2 ln N / (T K)) and exploration
     min(1, K*eta), fixed by N, K and T.
@@ -303,8 +295,6 @@ class Exp4Policy(PricingPolicy):
         self.arms = np.linspace(0.0, self.price_cap, per_axis)
         self.arm_spacing = self.arms[1] - self.arms[0]
         self.thresholds = _exp4_thresholds(model, float(self.arm_spacing), per_axis)
-        self._cuts = np.where(self.thresholds < 0.0, -np.inf, self.thresholds)
-        self._cuts[self.thresholds >= self.valuation_bound] = np.inf
         n, k = len(self.experts), len(self.arms)
         self.learning_rate = math.sqrt(2.0 * math.log(n) / (self.horizon * k))
         self.exploration = min(1.0, k * self.learning_rate)
@@ -331,8 +321,8 @@ class Exp4Policy(PricingPolicy):
 
     def recommendations(self, x: np.ndarray) -> np.ndarray:
         """Arm index each expert recommends for feature x: the number of
-        thresholds below x'theta_e clipped to [0, B], counted on the cut array."""
-        return self._cuts.searchsorted(self.experts @ x)
+        thresholds below x'theta_e."""
+        return self.thresholds.searchsorted(self.experts @ x)
 
     def arm_distribution(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each expert's arm, and the arm probabilities, which sum to 1 because the weights do."""
@@ -381,4 +371,4 @@ class OraclePolicy(PricingPolicy):
         return sys.maxsize  # the true parameter prices every remaining round
 
     def play_block(self, x: np.ndarray, sell) -> None:
-        sell(greedy_price_vec(self.model, self.clipped_valuations(x, self.theta_star)))
+        sell(greedy_price_vec(self.model, valuations(x, self.theta_star)))

@@ -11,21 +11,23 @@ first-order condition reads m(z) = z + c with c = u/spread and m the
 standardized Mills ratio.  One safeguarded Newton loop, _newton_array,
 solves it on the log form q(z) = log m(z) - log(z + c).  On z > -c, q is
 convex and decreasing and grows only quadratically in the left tail, where
-m(z) - z - c grows like exp(z^2/2).  The bracket is [-c/2, c + 10]:
-m(z) > -z puts the root right of -c/2, and m(z) < 2 for z > 0 puts it
-left of c + 10.  The loop starts from the root read off a table: the
-roots z(c) at ROOT_TABLE_POINTS even points of [0, ROOT_TABLE_MAX], found
-once per noise law by this same loop started at z = 1, with their slopes
-dz/dc = 1/(m'(z) - 1), and interpolated by the cubic Hermite polynomial
-through both.  The start is within 4e-14 of the root for both shipped laws.
-A c beyond the table starts at z = 1.  Each step evaluates m once, shrinks
+m(z) - z - c grows like exp(z^2/2).  J is defined for every real u.  The
+bracket is [max(-c/2, -c), |c| + 10]: m(z) > -z and m(z) > 0 put the root
+right of -c/2 and of -c, and m(z) < 2 for z > 0 left of |c| + 10.  The loop
+starts from the root read off a table: the roots z(c) at ROOT_TABLE_POINTS
+even points of [0, ROOT_TABLE_MAX], found once per noise law by this same
+loop started at z = 1, with their slopes dz/dc = 1/(m'(z) - 1), and
+interpolated by the cubic Hermite polynomial through both.  The start is
+within 4e-14 of the root for both shipped laws.  A c beyond the table starts
+at z = 1, and one below 0 at z = 1 - c.  Each step evaluates m once, shrinks
 the bracket by the sign of q, and takes the Newton step if it lands in the
-bracket (ends included), else bisects.  It stops once a step moves z by
-less than tol/spread; from the table the first step does so for spreads up
-to 2.5 (tol/spread = 4e-14 there), and from z = 1 it takes 3-8 steps for
-spreads from 1e-3 to 5.  Reaching NEWTON_CAP steps raises
-InvariantViolation instead of returning a price.  greedy_price takes the
-first step on floats, and runs the loop only where that step does not settle.
+bracket (ends included), else bisects.  It stops once a step moves z by less
+than tol/spread; from the table the first step does so for spreads up to 2.5
+(tol/spread = 4e-14 there), from z = 1 it takes 3-8 steps and from z = 1 - c
+up to 24 (spreads from 1e-3 to 5, u >= -1).  Reaching NEWTON_CAP steps
+raises InvariantViolation instead of returning a price.  greedy_price takes
+the first step on floats, and runs the loop only where that step does not
+settle.
 
 The inverse J^{-1}(p) reads the same condition backwards: at price p,
 m(z) = r with r = p/spread, and u = p - spread*z.  The same loop solves
@@ -67,7 +69,7 @@ __all__ = [
 
 
 # Newton steps allowed per greedy price; one is taken from the root table
-# for spreads up to 2.5, 3-8 from z = 1 for spreads from 1e-3 to 5
+# for spreads up to 2.5, and at most 24 off it (spreads from 1e-3 to 5, u >= -1)
 NEWTON_CAP = 60
 # absolute price tolerance: iteration stops once a step moves the price less
 PRICE_TOL = 1e-13
@@ -126,29 +128,29 @@ def _root_table(model: NoiseModel) -> np.ndarray:
 
 
 def _table_start(model: NoiseModel, c: np.ndarray) -> np.ndarray:
-    """The greedy-price start at each c: the interpolated root, or 1 beyond the table.
+    """The greedy-price start at each c: the interpolated root, or 1 - min(c, 0) off the table.
 
     The interpolant lies within ROOT_TABLE_START_ERROR of the root, and so
     well inside the bracket [-c/2, c + 10].
     """
     pos = c * _ROOT_TABLE_SCALE
-    inside = pos < ROOT_TABLE_POINTS - 1
+    inside = (pos >= 0.0) & (pos < ROOT_TABLE_POINTS - 1)
     pos = np.where(inside, pos, 0.0)
     i = pos.astype(np.intp)
     t = pos - i
     a0, a1, a2, a3 = _root_table(model).take(i, axis=0).T  # take, not table[i]: ten times faster
-    return np.where(inside, a0 + t * (a1 + t * (a2 + t * a3)), 1.0)
+    return np.where(inside, a0 + t * (a1 + t * (a2 + t * a3)), 1.0 - np.minimum(c, 0.0))
 
 
 def _newton_array(model: NoiseModel, a: float, c, lo, hi, z, ztol: float) -> np.ndarray:
     """Root of q(z) = log m(z) - log(a*z + c) elementwise, for a = 1 or 0.
 
     a = 1 is the greedy-price condition, started from _table_start in the
-    bracket [-c/2, c + 10]; a = 0 is the inverse's condition m(z) = c.  An
-    element stops once a step moves it less than ztol, or lands on an end
-    of its bracket: the step has then run into the Mills kernel's rounding
-    error (the inverse's roots reach z = 500 at spread 5, where ztol is
-    finer than one ulp of z).
+    bracket [max(-c/2, -c), |c| + 10]; a = 0 is the inverse's condition
+    m(z) = c.  An element stops once a step moves it less than ztol, or
+    lands on an end of its bracket: the step has then run into the Mills
+    kernel's rounding error (the inverse's roots reach z = 500 at spread 5,
+    where ztol is finer than one ulp of z).
     """
     out, idx = np.empty_like(c), np.arange(c.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -179,21 +181,21 @@ def _newton_array(model: NoiseModel, a: float, c, lo, hi, z, ztol: float) -> np.
 
 
 def greedy_price(model: NoiseModel, valuation: float) -> float:
-    """Revenue-maximizing price J(u) = u + phi^{-1}(u) for u >= 0.
+    """Revenue-maximizing price J(u) = u + phi^{-1}(u) for every finite u.
 
     greedy_price_vec of one valuation, ONSP's price of a round.  On floats it
     takes _newton_array's first step from the root table and returns it when
     it lands in the bracket and moves z by less than PRICE_TOL/spread; every
-    other case (beyond the table, a spread above 2.5, a broken Mills kernel)
+    other case (off the table, a spread above 2.5, a broken Mills kernel)
     runs greedy_price_vec, which starts at the same point.
     """
     u = float(valuation)
-    if not math.isfinite(u) or u < 0:
-        raise ValueError("valuation must be finite and nonnegative")
+    if not math.isfinite(u):
+        raise ValueError("valuation must be finite")
     spread = model.spread
     c = u / spread
     pos = c * _ROOT_TABLE_SCALE
-    if pos < ROOT_TABLE_POINTS - 1:
+    if 0.0 <= pos < ROOT_TABLE_POINTS - 1:
         i = int(pos)
         t = pos - i
         a0, a1, a2, a3 = _root_table(model)[i].tolist()
@@ -216,11 +218,12 @@ def greedy_price_vec(model: NoiseModel, valuations) -> np.ndarray:
     NEWTON_CAP steps or on a Mills ratio that is not positive.
     """
     u = np.asarray(valuations, dtype=float)
-    if not ((u >= 0.0) & (u < math.inf)).all():
-        raise ValueError("valuations must be finite and nonnegative")
+    if not np.isfinite(u).all():
+        raise ValueError("valuations must be finite")
     spread = model.spread
     c = (u / spread).reshape(-1)
-    z = _newton_array(model, 1.0, c, -0.5 * c, c + 10.0, _table_start(model, c), PRICE_TOL / spread)
+    lo, hi = np.maximum(-0.5 * c, -c), np.abs(c) + 10.0
+    z = _newton_array(model, 1.0, c, lo, hi, _table_start(model, c), PRICE_TOL / spread)
     return u + spread * z.reshape(u.shape)
 
 

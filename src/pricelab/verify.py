@@ -219,10 +219,10 @@ def check_reward_unimodal() -> Outcome:
 
 
 def check_price_contraction() -> Outcome:
-    """0 < J(u2) - J(u1) < u2 - u1 for every ordered pair tested."""
+    """0 < J(u2) - J(u1) < u2 - u1 for every ordered pair tested, u in [-1, 1]."""
     rng = np.random.default_rng(5)
     for model in (GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(0.7), LogisticNoise(1.0)):
-        u = np.sort(rng.uniform(0.0, 1.0, 400))
+        u = np.sort(rng.uniform(-1.0, 1.0, 400))
         j = greedy_price_vec(model, u)
         du, dj = np.diff(u), np.diff(j)
         keep = du > 1e-9
@@ -246,14 +246,14 @@ def check_fixed_point_and_scaling() -> Outcome:
 
 
 def check_first_order_residual() -> Outcome:
-    """|1 - F(J-u) - J f(J-u)| <= 1e-10 on u in [0, 1], and on u in [0, 2] at
-    small noise, where u/spread reaches 2000; plus sigma = 0.01 at u = 0.384."""
+    """|1 - F(J-u) - J f(J-u)| <= 1e-10 on u in [-1, 1], and on u in [-2, 2]
+    at small noise, where |u|/spread reaches 2000; plus sigma = 0.01 at u = 0.384."""
     rng = np.random.default_rng(3)
     worst = 0.0
     cases = [(model, 1.0) for model in (GaussianNoise(0.25), GaussianNoise(1.0), LogisticNoise(1.0))]
     cases += [(model, 2.0) for model in (GaussianNoise(0.01), GaussianNoise(0.05), LogisticNoise(0.001))]
     for model, u_hi in cases:
-        u = rng.uniform(0.0, u_hi, 500)
+        u = rng.uniform(-u_hi, u_hi, 500)
         j = np.array([greedy_price(model, x) for x in u])
         worst = max(worst, float(np.max(first_order_residual(model, u, j))))
     # u/sigma = 38.4, where Newton on m(z) - z - c (not its log) crawls

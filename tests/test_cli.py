@@ -510,8 +510,12 @@ class TestRun:
         ids=["ball-negative-valuations", "orthant-boundary"],
     )
     def test_a_feasible_theta_star_plays_every_policy(self, tmp_path, small_raw, region, theta_star):
-        # x'theta* may fall below 0 here: the episode checks the features, not the valuations
+        # x'theta* may fall below 0 here: the episode checks the features, not the
+        # valuations, and J prices every real valuation.  Exp4 plays T = 2^12, its
+        # default cap, where its arms below J(0) beat a comparator that priced
+        # x'theta* clipped at 0
         small_raw["problem"].update(region=region, theta_star=theta_star)
+        small_raw["horizon"] = small_raw["policies"][2]["horizon_cap"] = 2**12
         small_raw["policies"].append({"kind": "oracle"})
         cfg = _write(tmp_path, small_raw)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0

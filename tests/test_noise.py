@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pricelab import GaussianNoise, LogisticNoise, _mills_table
-from pricelab.noise import _FLOAT_LOOP, _gaussian_mills
+from pricelab.noise import _FLOAT_LOOP, _SERIES_Z, _gaussian_mills
 
 # mpmath.ncdf / high-precision oracle outputs, frozen:
 PHI_1 = 0.8413447460685429  # standard normal CDF at 1
@@ -217,6 +217,67 @@ class TestValidation:
             gauss1.sigma = 2.0
 
 
+# far beyond every tail, up to the largest double, where w/spread overflows below spread 1
+HUGE = np.array([1e8, 1e20, 1e154, 1e200, 1e300, 1.7e308, np.finfo(float).max])
+
+
+def _limits(model) -> dict:
+    """Each public method's limits at w = +inf and w = -inf, by name."""
+    s, gaussian = model.spread, isinstance(model, GaussianNoise)
+    hazard = math.inf if gaussian else 1.0 / s  # the logistic hazard is F/s
+    curvature = 1.0 / s**2 if gaussian else 0.0  # the logistic curvature is f/s
+    return {
+        "cdf": (1.0, 0.0), "sf": (0.0, 1.0), "log_cdf": (0.0, -math.inf), "log_sf": (-math.inf, 0.0),
+        "pdf": (0.0, 0.0), "pdf_derivative": (0.0, 0.0), "hazard": (hazard, 0.0), "reverse_hazard": (0.0, hazard),
+        "log_sf_curvature": (curvature, 0.0), "log_cdf_curvature": (0.0, curvature),
+    }  # fmt: skip
+
+
+class TestExtremeArguments:
+    """Every finite argument is valid, up to the largest double."""
+
+    @pytest.mark.parametrize(
+        "model", [GaussianNoise(0.5), GaussianNoise(1e-3), LogisticNoise(0.5), LogisticNoise(0.3)], ids=str
+    )
+    def test_limits_where_the_standardized_argument_overflows(self, model):
+        w = np.array([1.7e308, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, (right, left) in _limits(model).items():
+                method = getattr(model, name)
+                np.testing.assert_array_equal(method(np.concatenate([w, -w])), [right, right, left, left], err_msg=name)
+                assert (method(1.7e308), method(-1.7e308)) == (right, left), name
+
+    @pytest.mark.parametrize("spread", [1e-3, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("law", [GaussianNoise, LogisticNoise])
+    def test_far_tails_are_silent_and_bounded(self, law, spread):
+        model = law(spread)
+        w = np.concatenate([HUGE, -HUGE])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = {name: getattr(model, name)(w) for name in _limits(model)}
+        assert not any(np.any(np.isnan(v)) for v in values.values())
+        ceilings = {"cdf": 1.0, "sf": 1.0, "pdf": model.b_f, "log_sf_curvature": _limits(model)["log_sf_curvature"][0]}
+        ceilings["log_cdf_curvature"] = ceilings["log_sf_curvature"]
+        for name, ceiling in ceilings.items():
+            assert np.all((values[name] >= 0.0) & (values[name] <= ceiling)), name
+
+    def test_gaussian_curvature_far_right_matches_mpmath(self):
+        # h(h + f'/f) cancels far right (h is about z/sigma); from z = _SERIES_Z on
+        # the asymptotic series replaces it: within 5.1e-13 of the exact value up
+        # to there (1e-12 asked), 6e-15 beyond (1e-14 asked), and 1/sigma^2 where
+        # that is exact
+        mp = pytest.importorskip("mpmath")
+        z = np.concatenate([np.geomspace(8.0, 1e8, 401), [1e20, 1e300]])
+        model = GaussianNoise(1.0)
+        with mp.workdps(60):  # at 40 digits mpmath's erfc(1e8) keeps 24
+            x = [mp.mpf(v) for v in z[:-2].tolist()]
+            exact = [float((1 - v * m) / m**2) for v, m in zip(x, (mp.ncdf(-v) / mp.npdf(v) for v in x))]
+        exact += [1.0, 1.0]  # 1 - 1/z^2 to within 1e-40 at z >= 1e20
+        err = np.abs(model.log_sf_curvature(z) - exact) / exact
+        assert np.all(err <= np.where(z >= _SERIES_Z, 1e-14, 1e-12)), z[np.argmax(err)]
+
+
 def _overflow_point() -> float:
     """The largest z whose Mills ratio overflows to +inf, by bisection on the doubles."""
     lo, hi = np.array([-37.7, -37.6]).view(np.int64)  # inf at -37.7, finite at -37.6
@@ -277,8 +338,7 @@ class TestMillsKernel:
         assert _bits(model._hazard(z)) == _bits(_numpy_path(model._hazard, z))
         assert _bits(model._log_cdf(z)) == _bits(_numpy_path(model._log_cdf, z))
         logistic = LogisticNoise(0.3)
-        if abs(z) < 1e300:  # beyond, w/s overflows, and numpy warns
-            assert _bits(logistic._hazard(z)) == _bits(_numpy_path(logistic._hazard, z))
+        assert _bits(logistic._hazard(z)) == _bits(_numpy_path(logistic._hazard, z))
 
     def test_matches_mpmath(self):
         # m within 2 ulp for z >= -8, and within z^2/2 + 2 ulp below, where

@@ -95,8 +95,7 @@ EXP4_HORIZONS = (8, 64, 4096, 10**5)
 
 def rounded_greedy_price_arms(policy, x):
     """The arm rule the thresholds replace: J(x'theta_e) rounded to the nearest arm."""
-    u = np.clip(policy.experts @ x, 0.0, policy.valuation_bound)
-    prices = greedy_price_vec(policy.model, u)
+    prices = greedy_price_vec(policy.model, policy.experts @ x)
     if len(policy.arms) == 1:
         return np.zeros(len(prices), dtype=int)
     idx = np.rint(prices / policy.arm_spacing).astype(int)
@@ -152,23 +151,24 @@ def _expert_mesh(region, per_axis):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.dim)
 
 
-def _clipped_arms(policy, x):
-    """The arm rule before the cut array: thresholds below x'theta_e clipped to [0, B]."""
-    return policy.thresholds.searchsorted(np.clip(policy.experts @ x, 0.0, policy.valuation_bound))
+def _counted_arms(policy, x):
+    """The arm rule, counted without a sorted search: the thresholds below each x'theta_e."""
+    u = policy.experts @ x
+    return np.count_nonzero(policy.thresholds[None, :] < u[:, None], axis=1)
 
 
 def _edge_valuations(b):
-    """Valuations at and around 0 and B, beyond B by as much as the grid's 1e-9 tolerance admits, and far out."""
+    """Valuations at and around -B, 0 and B, beyond B by as much as the grid's 1e-9 tolerance admits, and far out."""
     return np.array(
-        [-b, -1e-300, -0.0, 0.0, 5e-324, 0.5 * b, np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
+        [-2.0 * b, np.nextafter(-b, -np.inf), -b, np.nextafter(-b, 0.0), -1e-300, -0.0, 0.0, 5e-324]
+        + [0.5 * b, np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
         + [b * (1.0 + 1e-12), b * (1.0 + 1e-9), b * (1.0 + 1e-9) + 1e-9, 2.0 * b]
     )
 
 
 def _threshold_gap(policy, valuations):
-    """Distance of each clipped valuation to the nearest arm threshold."""
-    u = np.clip(valuations, 0.0, policy.valuation_bound)
-    return np.min(np.abs(u[:, None] - policy.thresholds[None, :]), axis=1)
+    """Distance of each valuation to the nearest arm threshold."""
+    return np.min(np.abs(valuations[:, None] - policy.thresholds[None, :]), axis=1)
 
 
 def _play(policy, x, accept):
@@ -326,7 +326,7 @@ class TestEmlp:
         _play(policy, [[1.0, 0.0]], lambda v: True)
         theta = policy.theta.copy()
         x = np.array([0.4, 0.3])
-        want = greedy_price(problem.model, float(np.clip(x @ theta, 0.0, 1.0)))
+        want = greedy_price(problem.model, float(x @ theta))
         assert _play(policy, x[None], lambda v: True)[0] == pytest.approx(want, abs=1e-12)
 
     def test_zero_feature_prices_at_j0(self, problem):
@@ -653,8 +653,6 @@ class TestExp4:
                         exact = float(mpmath_threshold(model, price, threshold))
                     unit = threshold_ulps(exact, float(price))
                     offsets = (THRESHOLD_BAND + steps) * unit
-                    if not offsets[-1] < exact < policy.valuation_bound - offsets[-1]:
-                        continue  # the clip to [0, B] would move the probes
                     arms = _arms_at(policy, np.concatenate([exact - offsets, exact + offsets]))
                     want = np.repeat([k, k + 1], steps.size)
                     np.testing.assert_array_equal(arms, want, err_msg=f"{model} T={horizon} k={k}")
@@ -674,7 +672,7 @@ class TestExp4:
                         away = _threshold_gap(policy, policy.experts @ x) > 1e-12
                         got, want = policy.recommendations(x), rounded_greedy_price_arms(policy, x)
                         np.testing.assert_array_equal(got[away], want[away], err_msg=f"{model} {region} T={horizon}")
-                u = np.linspace(-0.01, 1.01, 100_001) * policy.valuation_bound
+                u = np.linspace(-1.01, 1.01, 200_001) * policy.valuation_bound
                 got = _arms_at(policy, u[_threshold_gap(policy, u) > 1e-12])
                 want = rounded_greedy_price_arms(policy, np.array([1.0, 0.0]))
                 np.testing.assert_array_equal(got, want, err_msg=f"{model} T={horizon}")
@@ -704,15 +702,15 @@ class TestExp4:
 
     @pytest.mark.parametrize("region", [OrthantBall(1.0, 2), Ball(1.0, 2)], ids=["orthant-ball", "ball"])
     @pytest.mark.parametrize("horizon", [64, 4096])
-    def test_recommendations_count_thresholds_below_the_clipped_valuation(self, problem, rng, region, horizon):
+    def test_recommendations_count_thresholds_below_the_valuation(self, problem, rng, region, horizon):
         policy = Exp4Policy(problem.model, region, 1.0, horizon=horizon)
         assert policy.thresholds.min() < 0.0 and policy.thresholds.max() >= policy.valuation_bound
         features = rng.uniform(size=(200, 2))
         features /= np.maximum(1.0, np.linalg.norm(features, axis=1, keepdims=True))
         for x in [*features, np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.zeros(2)]:
-            np.testing.assert_array_equal(policy.recommendations(x), _clipped_arms(policy, x))
+            np.testing.assert_array_equal(policy.recommendations(x), _counted_arms(policy, x))
         arms = _arms_at(policy, _edge_valuations(policy.valuation_bound))
-        np.testing.assert_array_equal(arms, _clipped_arms(policy, np.array([1.0, 0.0])))
+        np.testing.assert_array_equal(arms, _counted_arms(policy, np.array([1.0, 0.0])))
 
     @pytest.mark.parametrize(
         "thresholds",
@@ -724,7 +722,7 @@ class TestExp4:
         policy = Exp4Policy(problem.model, problem.region, 1.0, horizon=64)
         assert policy.valuation_bound == 1.0 and policy.thresholds.tolist() == thresholds
         arms = _arms_at(policy, _edge_valuations(1.0))
-        np.testing.assert_array_equal(arms, _clipped_arms(policy, np.array([1.0, 0.0])))
+        np.testing.assert_array_equal(arms, _counted_arms(policy, np.array([1.0, 0.0])))
 
     @pytest.mark.parametrize("radius", [0.7, 1.0, 2.5])
     @pytest.mark.parametrize("dim", [2, 3])

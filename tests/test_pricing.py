@@ -49,10 +49,10 @@ REFERENCE_MODELS = tuple(GaussianNoise(s) for s in (1e-3, 1e-2, 0.25, 1.0, 5.0))
 
 
 def bisection_price(model, valuations, iterations=90):
-    """Reference J(u): plain bisection of m(z) - z = u/spread on +-(u/spread + 10)."""
+    """Reference J(u): plain bisection of m(z) - z = u/spread on +-(|u|/spread + 10)."""
     u = np.asarray(valuations, dtype=float)
     target = u / model.spread
-    lo, hi = -(target + 10.0), target + 10.0
+    lo, hi = -(np.abs(target) + 10.0), np.abs(target) + 10.0
     with np.errstate(over="ignore"):
         for _ in range(iterations):
             mid = 0.5 * (lo + hi)
@@ -62,28 +62,35 @@ def bisection_price(model, valuations, iterations=90):
     return u + model.spread * 0.5 * (lo + hi)
 
 
-def price_ulps(model, price):
-    """Agreement unit for J = u + spread*z: one ulp of J plus spread ulps of 1.
+def price_ulps(model, price, valuation=0.0):
+    """Agreement unit for J = u + spread*z: one ulp of J plus spread ulps of
+    1, plus one ulp of u for u < 0.
 
     The standardized root z is of order 1 and both solvers place it only to
     within the Mills kernel's own rounding error (up to 2 ulp for z >= -8,
     test_noise.py), which the price inherits multiplied by the spread.
+    Below u = 0, J = u + spread*z is smaller than u's magnitude, which the
+    sum keeps only to within its rounding.
     """
-    return np.spacing(np.abs(price)) + model.spread * np.spacing(1.0)
+    below = np.spacing(np.maximum(-np.asarray(valuation, dtype=float), 0.0))
+    return np.spacing(np.abs(price)) + model.spread * np.spacing(1.0) + below
 
 
 def mpmath_price(model, u):
-    """30-digit root in v of 1 - F(v - u) - v f(v - u), bracketed near the float root."""
+    """30-digit root in v of 1 - F(v - u) - v f(v - u), bracketed near the float root.
+
+    Solved divided by the density, as m(w) - v/s with w = (v - u)/s: far
+    below u = 0 the condition itself is below the solver's tolerance at every v.
+    """
     with mpmath.workdps(30):
         s, u_mp = mpmath.mpf(model.spread), mpmath.mpf(u)
         if isinstance(model, GaussianNoise):
             def foc(v):
                 w = (v - u_mp) / s
-                return mpmath.ncdf(-w) - v * mpmath.npdf(w) / s
+                return mpmath.ncdf(-w) / mpmath.npdf(w) - v / s
         else:
             def foc(v):
-                e = mpmath.exp(-(v - u_mp) / s)
-                return e / (1 + e) - v * e / (s * (1 + e) ** 2)
+                return 1 + mpmath.exp(-(v - u_mp) / s) - v / s
         guess = greedy_price(model, u)
         width = 1e-6 * model.spread
         return float(mpmath.findroot(foc, (guess - width, guess + width), solver="anderson"))
@@ -182,38 +189,39 @@ class TestGreedyPrice:
         assert np.all(j > 0.0)
         assert np.all(j <= cap + 1e-12)
 
-    def test_domain_errors(self, gauss1):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_domain_errors(self, gauss1, bad):
         with pytest.raises(ValueError):
-            greedy_price(gauss1, -0.1)
+            greedy_price(gauss1, bad)
         with pytest.raises(ValueError):
-            greedy_price_vec(gauss1, [0.2, -0.3])
+            greedy_price_vec(gauss1, [0.2, bad])
 
     def test_vec_agrees_with_scalar(self, gauss025, logistic1, rng):
         cases = [(model, 1.0) for model in (gauss025, logistic1)]
         cases += [(model, 2.0) for model in SMALL_NOISE]
         for model, u_hi in cases:
-            u = rng.uniform(0.0, u_hi, 300)
+            u = rng.uniform(-u_hi, u_hi, 300)
             vec = greedy_price_vec(model, u)
             scalar = np.array([greedy_price(model, x) for x in u])
             np.testing.assert_allclose(vec, scalar, atol=5e-13)
 
     def test_agrees_with_bisection_reference(self):
-        u = np.linspace(0.0, 2.0, 2001)
+        u = np.linspace(-2.0, 2.0, 4001)
         for model in REFERENCE_MODELS:
             ref = bisection_price(model, u)
             vec = greedy_price_vec(model, u)
             scalar = np.array([greedy_price(model, x) for x in u[::10]])
-            assert np.max(np.abs(vec - ref) / price_ulps(model, ref)) <= 4.0, model
-            assert np.max(np.abs(scalar - ref[::10]) / price_ulps(model, ref[::10])) <= 4.0, model
+            assert np.max(np.abs(vec - ref) / price_ulps(model, ref, u)) <= 4.0, model
+            assert np.max(np.abs(scalar - ref[::10]) / price_ulps(model, ref[::10], u[::10])) <= 4.0, model
 
     def test_matches_mpmath_roots(self):
         models = (GaussianNoise(1e-3), GaussianNoise(0.25), GaussianNoise(1.0), GaussianNoise(5.0))
         models += (LogisticNoise(1e-3), LogisticNoise(1.0))
         for model in models:
-            for u in (0.0, 0.37, 1.0, 1.9):
+            for u in (-1.9, -0.37, 0.0, 0.37, 1.0, 1.9):
                 want = mpmath_price(model, u)
                 got = np.array([greedy_price(model, u), greedy_price_vec(model, [u])[0]])
-                assert np.all(np.abs(got - want) <= 4.0 * price_ulps(model, want)), (model, u, got, want)
+                assert np.all(np.abs(got - want) <= 4.0 * price_ulps(model, want, u)), (model, u, got, want)
 
     def test_broken_kernel_raises(self):
         model = _NanMills(1.0)
@@ -235,14 +243,16 @@ class TestGreedyPrice:
         with pytest.raises(InvariantViolation):
             greedy_price_vec(gauss1, [0.3, 100.0])
 
-    def test_beyond_the_table_converges_from_one(self, gauss1):
-        u = np.array([64.0, 65.0, 80.0, 100.0, 1000.0])
+    def test_off_the_table_converges_from_its_start(self, gauss1):
+        # beyond the table (u/spread > 64) a price starts from z = 1; below it
+        # (u < 0) from z = 1 - c, inside the bracket [-c, -c + 10], right of the root
+        u = np.array([-50.0, -2.0, -0.3, -1e-300, 64.0, 65.0, 80.0, 100.0, 1000.0])
         c = u / gauss1.spread
-        np.testing.assert_array_equal(pricing._table_start(gauss1, c), np.ones_like(c))
+        np.testing.assert_array_equal(pricing._table_start(gauss1, c), 1.0 - np.minimum(c, 0.0))
         vec = greedy_price_vec(gauss1, u)
         np.testing.assert_array_equal(vec, [greedy_price(gauss1, x) for x in u])
         ref = bisection_price(gauss1, u)
-        assert np.max(np.abs(vec - ref) / price_ulps(gauss1, ref)) <= 4.0
+        assert np.max(np.abs(vec - ref) / price_ulps(gauss1, ref, u)) <= 4.0
 
     def test_table_holds_the_roots_from_one(self):
         # row k is the cubic on [c_k, c_k+1]: its constant term is the root the
@@ -276,8 +286,8 @@ class TestGreedyPrice:
         assert pricing.ROOT_TABLE_START_ERROR < pricing.PRICE_TOL / 0.25
 
     @given(
-        u1=st.floats(min_value=0.0, max_value=1.0),
-        u2=st.floats(min_value=0.0, max_value=1.0),
+        u1=st.floats(min_value=-1.0, max_value=1.0),
+        u2=st.floats(min_value=-1.0, max_value=1.0),
         sigma=st.floats(min_value=0.1, max_value=1.0),
     )
     @settings(max_examples=150, deadline=None)
@@ -309,10 +319,11 @@ class TestGreedyPriceInverse:
         prices = np.linspace(0.01, 2.5, 20001)
         for model in INVERSE_MODELS:
             u = greedy_price_inverse(model, prices)
-            fires = u >= 0.0  # J is defined on u >= 0
+            fires = np.isfinite(u)
             assert fires.sum() > 10_000
             back = greedy_price_vec(model, u[fires])
-            assert np.max(np.abs(back - prices[fires]) / price_ulps(model, prices[fires])) <= 4.0, model
+            unit = price_ulps(model, prices[fires], u[fires])
+            assert np.max(np.abs(back - prices[fires]) / unit) <= 4.0, model
             assert np.all(np.diff(u[np.isfinite(u)]) > 0.0)
 
     def test_far_tail_roots(self):

@@ -15,19 +15,15 @@ fixed set on both sides, each in its own subprocess with that side's
   theta* = (0.6, 0.3, 0.2), T = 4096, repetitions 0 and 1, under the
   ``d3-stochastic`` keys: unlike the reference theta* = (0.5, 0.5), whose
   products x'theta* are exact, this market shows how valuations round;
-* the same policies but Exp4 on both scenarios of a market with region
-  "ball" and theta* = (0.5, -0.2), T = 4096, repetitions 0 and 1, under
-  the ``ball-<scenario>`` keys: its projections and negative valuations are
-  those of the ball, which the reference orthant-ball market never reaches.
-  Exp4's episodes on it abort at both revisions (its arms below J(0) beat
-  the regret comparator, which prices x'theta* clipped at 0), so Exp4
-  enters with its expert grid, learning rate and exploration at T = 4096;
+* the same five policies on both scenarios of a market with region "ball"
+  and theta* = (0.5, -0.2), T = 4096, repetitions 0 and 1, under the
+  ``ball-<scenario>`` keys: its projections and negative valuations are
+  those of the ball, which the reference orthant-ball market never reaches;
 * all five policies on both scenarios of a market with region "ball" and
   theta* = (0.5, 0.5), T = 4096, repetitions 0 and 1, under the
   ``ball-exp4-<scenario>`` keys, and Exp4's horizon envelope up to 4096 on
-  it: the features are nonnegative, so x'theta* is too and Exp4 plays,
-  while the ball's experts with negative coordinates value rounds below 0,
-  where Exp4's recommendation is that of a valuation of 0;
+  it: the features are nonnegative, so x'theta* is too, while the ball's
+  experts with negative coordinates value rounds below 0;
 * the same policies but Exp4 on both scenarios of the reference market
   with logistic noise of scale 0.3, T = 4096, repetitions 0 and 1, under
   the ``logistic-<scenario>`` keys: its hazard is the logistic's, which
@@ -45,9 +41,12 @@ fixed set on both sides, each in its own subprocess with that side's
 * ``pricelab lower-bound-demo --t 1024 --reps 2`` for each demo policy,
   which plays the fixed-valuation markets: its stdout.
 
-Prints one line per array or output, "identical" when its bytes agree and
-otherwise the largest relative difference (or the first differing line),
-and exits 1 when anything differs.
+An episode that aborts leaves its message under ``<key>/aborted`` in place
+of its arrays, so an episode that aborts on one side only prints as
+differing lines, the message among them.  Prints one line per array or
+output, "identical" when its bytes agree and otherwise the largest relative
+difference (or the first differing line), and exits 1 when anything
+differs.
 """
 
 from __future__ import annotations
@@ -126,14 +125,18 @@ def _exp4_state(arrays: dict, key: str, policy) -> None:
 
 def _episodes(arrays: dict, problem, scenario, scenario_key: str, rep: int, seed, horizon: int, skip=()) -> None:
     from pricelab.config import build_policy
-    from pricelab.harness import run_episode
+    from pricelab.harness import EpisodeAbort, run_episode
 
     for label, spec in EPISODE_POLICIES.items():
         if label in skip:
             continue
         policy = build_policy(spec, problem, horizon)
-        transcript, trace = run_episode(policy, scenario, horizon, seed)
         key = f"{label}/{scenario_key}/rep{rep}"
+        try:
+            transcript, trace = run_episode(policy, scenario, horizon, seed)
+        except EpisodeAbort as exc:
+            arrays[f"{key}/aborted"] = np.array(str(exc))
+            continue
         arrays[f"{key}/features"] = transcript.features
         arrays[f"{key}/prices"] = transcript.prices
         arrays[f"{key}/accepted"] = transcript.accepted
@@ -166,7 +169,7 @@ def play(out: Path) -> None:
     """One side: write every array to ``arrays.npz`` and every text output under ``out``."""
     import pricelab
     from pricelab.cli import main
-    from pricelab.config import build_policy, build_scenario, default_raw, parse_config
+    from pricelab.config import build_scenario, default_raw, parse_config
     from pricelab.harness import episode_seed
 
     print(f"pricelab from {Path(pricelab.__file__).parent}", file=sys.stderr)
@@ -181,7 +184,7 @@ def play(out: Path) -> None:
     raw = default_raw()
     markets = (
         ("d3", ROUNDING_MARKET, ["stochastic"], ()),
-        ("ball", BALL_MARKET, raw["scenarios"], ("exp4",)),
+        ("ball", BALL_MARKET, raw["scenarios"], ()),
         ("ball-exp4", BALL_EXP4_MARKET, raw["scenarios"], ()),
         ("logistic", LOGISTIC_MARKET, raw["scenarios"], ("exp4",)),
     )
@@ -194,10 +197,6 @@ def play(out: Path) -> None:
                 _episodes(arrays, small.problem, scenario, f"{label}-{scenario_name}", rep, seed, SMALL_HORIZON, skip)
                 if label == "ball-exp4":
                     _envelope(arrays, small.problem, scenario, f"exp4-envelope/{label}-{scenario_name}/rep{rep}", seed)
-        if label == "ball":  # Exp4's episodes abort here, so its grid and rates stand in for them
-            exp4 = build_policy({"kind": "exp4"}, small.problem, SMALL_HORIZON)
-            arrays[f"exp4-grid/{label}/experts"] = exp4.experts
-            arrays[f"exp4-grid/{label}/rates"] = np.array([exp4.learning_rate, exp4.exploration])
     np.savez(out / "arrays.npz", **arrays)
 
     raw = {**default_raw(), "horizon": RUN_HORIZON, "repetitions": 2, "policies": RUN_POLICIES}
@@ -253,7 +252,9 @@ def compare(here: Path, there: Path) -> list[tuple[bool, str]]:
     with np.load(here / "arrays.npz") as a, np.load(there / "arrays.npz") as b:
         for name in sorted(set(a.files) | set(b.files)):
             if name not in a.files or name not in b.files:
-                out.append((False, f"{name}: only on one side"))
+                side, where = (a, "in the tree") if name in a.files else (b, "at the revision")
+                message = f": {side[name]}" if side[name].dtype.kind == "U" else ""
+                out.append((False, f"{name}: only {where}{message}"))
             else:
                 out.append(_array_line(name, a[name], b[name]))
     texts = ["run.stdout", "verify.stdout", *(f"demo-{kind}.stdout" for kind in DEMO_POLICIES)]
