@@ -9,7 +9,9 @@ Subcommands:
   on success; 1 on an aborted episode or a policy that cannot be built,
   such as ONSP whose theory defaults break an invariant (one line on
   stderr); 2 on an invalid config or ``--seed`` (with per-key diagnostics)
-  or a ``--workers`` below 1 (one line on stderr).
+  or a ``--workers`` below 1 (one line on stderr).  ``--workers N`` plays
+  the run's (policy, scenario, repetition) jobs through one process pool of
+  min(N, jobs) workers, and in this process when that is 1.
 * ``verify`` - run the invariant suite, one PASS/FAIL line per check; exit
   1 if anything fails.
 * ``lower-bound-demo --t T --reps R --seed S [--policy ...]`` - run one
@@ -28,6 +30,8 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,52 +63,44 @@ DEMO_POLICIES = {
 }
 
 
-def _pair_worker(args: tuple) -> dict:
-    """Run one repetition of one (policy, scenario) pair; process-pool safe.
+def _play(job: tuple) -> tuple:
+    """Play one job: (policy spec, the problem the policy believes, scenario, horizon, seed).
 
     Returns the regret trace and, for EMLP, the number of MLE fits that did
-    not report convergence.
+    not report convergence (None for the other kinds).  Process-pool safe.
     """
-    config, policy_index, scenario_name, rep = args
-    spec = config.policies[policy_index]
-    horizon = config.effective_horizon(spec)
-    scenario = build_scenario(scenario_name, config.problem)
-    seed = episode_seed(config.master_seed, rep)
+    spec, problem, scenario, horizon, seed = job
     if spec["kind"] == "exp4":
         # grid sizes depend on the horizon, so the growth law is measured
         # across one independent run per dyadic horizon
-        trace = run_horizon_envelope(
-            lambda t: build_policy(spec, config.problem, t),
-            scenario,
-            dyadic_checkpoints(horizon),
-            seed,
-        )
-    else:
-        policy = build_policy(spec, config.problem, horizon)
-        _, trace = run_episode(policy, scenario, horizon, seed)
-        if spec["kind"] == "emlp":
-            return {"trace": trace, "mle_warnings": policy.mle_warnings}
-    return {"trace": trace}
+        builder = partial(build_policy, spec, problem)
+        return run_horizon_envelope(builder, scenario, dyadic_checkpoints(horizon), seed), None
+    policy = build_policy(spec, problem, horizon)
+    _, trace = run_episode(policy, scenario, horizon, seed)
+    return trace, (policy.mle_warnings if spec["kind"] == "emlp" else None)
 
 
 def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) -> dict:
-    """Execute all (policy, scenario) pairs; returns the summary payload."""
+    """Execute all (policy, scenario) pairs; returns the summary payload.
+
+    One job per (pair, repetition), played in order as the module docstring
+    says; each pair is written once its repetitions arrive, and an abort
+    cancels the jobs still queued.
+    """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = [episode_seed(config.master_seed, rep).entropy for rep in range(config.repetitions)]
-    summary: dict = {"config": config.raw, "pairs": [], "seeds": seeds}
-    pool_size = min(workers, config.repetitions)  # a fork pool starts every worker at its first job
-    for policy_index, spec in enumerate(config.policies):
-        horizon = config.effective_horizon(spec)
-        for scenario_name in config.scenarios:
-            # both paths return the repetitions in order
-            jobs = [(config, policy_index, scenario_name, rep) for rep in range(config.repetitions)]
-            if pool_size > 1:
-                with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                    results = list(pool.map(_pair_worker, jobs))
-            else:
-                results = [_pair_worker(job) for job in jobs]
-            traces = [r["trace"] for r in results]
+    seeds = [episode_seed(config.master_seed, rep) for rep in range(config.repetitions)]
+    summary: dict = {"config": config.raw, "pairs": [], "seeds": [seed.entropy for seed in seeds]}
+    scenarios = {name: build_scenario(name, config.problem) for name in config.scenarios}
+    pairs = [(spec, name, config.effective_horizon(spec)) for spec in config.policies for name in config.scenarios]
+    jobs = [(spec, config.problem, scenarios[name], horizon, seed) for spec, name, horizon in pairs for seed in seeds]
+    size = min(workers, len(jobs))  # a fork pool starts all its workers at its first job
+    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    try:
+        # both paths return the jobs in order
+        results = pool.map(_play, jobs) if pool else map(_play, jobs)
+        for spec, scenario_name, horizon in pairs:
+            traces, mle_warnings = zip(*islice(results, config.repetitions))
             stats = aggregate(traces)
             window = config.fit_window(spec)
             # the oracle is the regret comparator: its regret is zero, so no slope
@@ -126,7 +122,10 @@ def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) ->
             )
             if spec["kind"] == "emlp":
                 # MLE fits that did not report convergence, summed over repetitions
-                summary["pairs"][-1]["mle_warnings"] = sum(r["mle_warnings"] for r in results)
+                summary["pairs"][-1]["mle_warnings"] = sum(mle_warnings)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     write_summary_json(out / "summary.json", summary)
     return summary
 
@@ -147,16 +146,12 @@ def lower_bound_demo(horizon: int, reps: int, seed: int, policy_kind: str = "ons
         raise ValueError(f"policy must be one of {tuple(DEMO_POLICIES)}")
     sigma1, sigma2 = lower_bound_pair(horizon)
     scenarios = [FixedValuationScenario.build(sigma=sigma1), FixedValuationScenario.build(sigma=sigma2)]
-
-    totals = []
-    for scenario in scenarios:
-        per_rep = []
-        for rep in range(reps):
-            # the policy believes the sigma-1 market: its model, region and theta*
-            policy = build_policy(DEMO_POLICIES[policy_kind], scenarios[0].problem, horizon)
-            _, trace = run_episode(policy, scenario, horizon, episode_seed(seed, rep))
-            per_rep.append(trace.total)
-        totals.append(float(np.mean(per_rep)))
+    # the policy believes the sigma-1 market: its model, region and theta*
+    spec, believed = DEMO_POLICIES[policy_kind], scenarios[0].problem
+    seeds = [episode_seed(seed, rep) for rep in range(reps)]
+    jobs = [(spec, believed, scenario, horizon, rep_seed) for scenario in scenarios for rep_seed in seeds]
+    finals = [trace.total for trace, _ in map(_play, jobs)]
+    totals = [float(np.mean(finals[:reps])), float(np.mean(finals[reps:]))]
     floor = float(np.sqrt(horizon) / 24000.0)
     return {
         "policy": policy_kind,
@@ -180,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", nargs="?", default=None, help="JSON config path (defaults built in)")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--seed", type=int, default=None, help="master seed override")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel repetitions")
+    p_run.add_argument("--workers", type=int, default=1, help="worker processes for the run's episodes")
 
     sub.add_parser("verify", help="run the invariant suite")
 

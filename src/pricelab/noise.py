@@ -40,6 +40,7 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MILLS_0 = math.sqrt(math.pi / 2.0)  # m(0), the largest m(|z|); the table's m near 0 is one ulp above it
 
 # The pieces of the Gaussian Mills ratio, laid out in tools/mills_table.py.
 # The near rows are padded with leading zeros to the length of the last,
@@ -290,9 +291,10 @@ class GaussianNoise(NoiseModel):
     within z^2/2 + 2 ulp below, where the reflection's exp(z^2/2) inherits
     the rounding of z^2.  It never underflows and overflows only below
     z = -37.65; there the hazard and the sale curvature are 0, where their
-    true values are below 1e-300 for sigma >= 1e-3.  With q = m(|z|) phi(z),
-    the smaller tail, Phi(z) is q for z <= 0 and 1 - q above, and log Phi(z)
-    is log m(-z) + log phi(z) for z <= 0 and log1p(-q) above.  Phi is within
+    true values are below 1e-300 for sigma >= 1e-3.  With m capped at
+    m(0) = sqrt(pi/2) and q = m(|z|) phi(z) <= 1/2, Phi(z) is q for z < 0
+    and 1 - q from 0 up, and log Phi(z) is log m(-z) + log phi(z) below 0
+    and log1p(-q) from 0 up: both are monotone across 0.  Phi is within
     z^2/2 + 4 ulp (the rounding of z^2 again), and so is log Phi above 0;
     below, log Phi is within 4 ulp.
     """
@@ -320,15 +322,15 @@ class GaussianNoise(NoiseModel):
     def _cdf(self, z):
         a = np.abs(z)
         with np.errstate(over="ignore"):
-            q = _gaussian_mills(a) * np.exp(-0.5 * a * a) / _SQRT_2PI
-        return np.where(z > 0.0, 1.0 - q, q)
+            q = np.minimum(_gaussian_mills(a), _MILLS_0) * np.exp(-0.5 * a * a) / _SQRT_2PI
+        return np.where(z >= 0.0, 1.0 - q, q)
 
     def _log_cdf(self, z):
-        m = _gaussian_mills(np.abs(z))
+        m = np.minimum(_gaussian_mills(np.abs(z)), _MILLS_0)
         with np.errstate(over="ignore", divide="ignore"):
             h = -0.5 * z * z
             left = np.log(m) + (h - _LOG_SQRT_2PI)
-            return np.where(z > 0.0, np.log1p(m * np.exp(h) / -_SQRT_2PI), left)
+            return np.where(z >= 0.0, np.log1p(m * np.exp(h) / -_SQRT_2PI), left)
 
     def _log_pdf(self, z):
         with np.errstate(over="ignore"):  # -inf past |z| = 1.3e154

@@ -187,11 +187,9 @@ def greedy_price(model: NoiseModel, valuation: float) -> float:
     takes _newton_array's first step from the root table and returns it when
     it lands in the bracket and moves z by less than PRICE_TOL/spread; every
     other case (off the table, a spread above 2.5, a broken Mills kernel)
-    runs greedy_price_vec, which starts at the same point.
+    runs greedy_price_vec, which starts there and rejects a non-finite u.
     """
     u = float(valuation)
-    if not math.isfinite(u):
-        raise ValueError("valuation must be finite")
     spread = model.spread
     c = u / spread
     pos = c * _ROOT_TABLE_SCALE
@@ -215,7 +213,8 @@ def greedy_price_vec(model: NoiseModel, valuations) -> np.ndarray:
     """J(u) elementwise: _newton_array from _table_start, as in the module docstring.
 
     Stops each element when it has converged; InvariantViolation after
-    NEWTON_CAP steps or on a Mills ratio that is not positive.
+    NEWTON_CAP steps or on a Mills ratio that is not positive.  Below u = 0
+    the price is spread*m(z), which u + spread*z equals at the root.
     """
     u = np.asarray(valuations, dtype=float)
     if not np.isfinite(u).all():
@@ -224,7 +223,10 @@ def greedy_price_vec(model: NoiseModel, valuations) -> np.ndarray:
     c = (u / spread).reshape(-1)
     lo, hi = np.maximum(-0.5 * c, -c), np.abs(c) + 10.0
     z = _newton_array(model, 1.0, c, lo, hi, _table_start(model, c), PRICE_TOL / spread)
-    return u + spread * z.reshape(u.shape)
+    price = u.reshape(-1) + spread * z
+    below = c < 0.0  # J = spread*m(z) at the root, where u + spread*z cancels u (5e-10 at spread 1e-3, u = -1.9)
+    price[below] = spread * model._mills(z[below])
+    return price.reshape(u.shape)
 
 
 def greedy_price_inverse(model: NoiseModel, prices) -> np.ndarray:

@@ -14,7 +14,16 @@ import pricelab.loss as loss_module
 import pricelab.policies as policies_module
 import pricelab.verify as verify_mod
 from pricelab.cli import lower_bound_demo, main
-from pricelab.config import POLICY_KINDS, ConfigError, default_config, default_raw, load_config, parse_config
+from pricelab.config import (
+    POLICY_KINDS,
+    ConfigError,
+    build_policy,
+    build_scenario,
+    default_config,
+    default_raw,
+    load_config,
+    parse_config,
+)
 from pricelab.environments import StochasticScenario
 from pricelab.loss import BatchObjective
 from pricelab.noise import GaussianNoise, LogisticNoise
@@ -67,6 +76,27 @@ def _scaled(grad_factor, hess_factor):
         return wrapped
 
     return fault
+
+
+def _record_pools(monkeypatch) -> list:
+    """Replace the process pool by one that plays its jobs lazily in this process: no process starts.
+
+    Returns the list its events go to: ("open", size) and ("shutdown", cancel_futures).
+    """
+    events = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            events.append(("open", max_workers))
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            events.append(("shutdown", cancel_futures))
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    return events
 
 
 def _region_faults(check, fault, label):
@@ -288,43 +318,49 @@ class TestRun:
         assert s1["seeds"] == [[small_raw["master_seed"], 0], [small_raw["master_seed"], 1]]
 
     def test_parallel_workers_match_sequential(self, tmp_path, small_raw):
-        small_raw["policies"] = [{"kind": "onsp", "gamma": 1.0, "epsilon": 1.0}]
-        small_raw["scenarios"] = ["stochastic"]
+        # every pair's repetitions through one pool, Exp4's horizon envelope included
         cfg = _write(tmp_path, small_raw)
         seq, par = tmp_path / "seq", tmp_path / "par"
         assert main(["run", str(cfg), "--out", str(seq)]) == 0
         assert main(["run", str(cfg), "--out", str(par), "--workers", "2"]) == 0
-        s = json.loads((seq / "summary.json").read_text())["pairs"]
-        p = json.loads((par / "summary.json").read_text())["pairs"]
-        assert s == p
-        assert (seq / "onsp_stochastic.csv").read_text() == (par / "onsp_stochastic.csv").read_text()
+        files = sorted(p.name for p in seq.iterdir())
+        assert files == sorted(p.name for p in par.iterdir()) and len(files) == 7
+        for name in files:
+            assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
-    @pytest.mark.parametrize("reps, pools", [(2, [2]), (1, [])], ids=["two-reps", "one-rep"])
-    def test_a_pool_has_no_more_workers_than_repetitions(self, tmp_path, small_raw, monkeypatch, reps, pools):
-        opened = []
-
-        class RecordingPool:
-            """Records its size and runs the jobs in this process: no process starts."""
-
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    @pytest.mark.parametrize(
+        "reps, scenarios, workers, pools",
+        [
+            (2, ["stochastic"], 64, [2]),
+            (1, ["stochastic"], 64, []),
+            (2, ["stochastic", "adversarial"], 64, [8]),
+            (2, ["stochastic", "adversarial"], 3, [3]),
+            (2, ["stochastic", "adversarial"], 1, []),
+        ],
+        ids=["two-reps", "one-rep", "several-pairs", "fewer-workers", "one-worker"],
+    )
+    def test_a_run_opens_one_pool_of_at_most_its_jobs(
+        self, tmp_path, small_raw, monkeypatch, reps, scenarios, workers, pools
+    ):
+        # one pair, or two policies on two scenarios: 2 x 2 pairs x 2 repetitions are 8 jobs
+        events = _record_pools(monkeypatch)
         small_raw["repetitions"] = reps
-        small_raw["policies"] = [{"kind": "oracle"}]
-        small_raw["scenarios"] = ["stochastic"]
+        small_raw["policies"] = [{"kind": "oracle"}, {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0}][: len(scenarios)]
+        small_raw["scenarios"] = scenarios
         cfg = _write(tmp_path, small_raw)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--workers", "64"]) == 0
-        assert opened == pools
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--workers", str(workers)]) == 0
+        assert events == [event for size in pools for event in (("open", size), ("shutdown", True))]
+
+    def test_an_abort_cancels_the_queued_jobs(self, tmp_path, small_raw, monkeypatch, capsys):
+        # theory-default ONSP cannot be built at sigma 0.02, so the first of eight jobs aborts
+        events, played, play = _record_pools(monkeypatch), [], cli_module._play
+        monkeypatch.setattr(cli_module, "_play", lambda job: played.append(job) or play(job))
+        small_raw["problem"]["noise"]["sigma"] = 0.02
+        small_raw["policies"] = [{"kind": "onsp"}, {"kind": "oracle"}]
+        cfg = _write(tmp_path, small_raw)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--workers", "2"]) == 1
+        assert capsys.readouterr().err.startswith("run aborted: strong-convexity floor underflowed")
+        assert len(played) == 1 and events == [("open", 2), ("shutdown", True)]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, small_raw, capsys, workers):
@@ -505,6 +541,31 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "path, line",
+        [
+            ((), "config error: top-level config must be a JSON object"),
+            (("problem",), "config error: problem must be an object"),
+            (("problem", "noise"), "config error: problem.noise must be an object"),
+            (("problem", "region"), "config error: problem.region must be 'orthant-ball' or 'ball'"),
+            (("scenarios",), "config error: scenarios must be a nonempty list drawn from"),
+            (("policies",), "config error: policies must be a nonempty list"),
+            (("policies", 0), "config error: policies[0].kind must be one of"),
+            (("output_dir",), "config error: output_dir must be a nonempty string"),
+        ],
+        ids=["top", "problem", "noise", "region", "scenarios", "policies", "policy", "output_dir"],
+    )
+    def test_a_number_in_place_of_a_section_or_name_exits_2(self, tmp_path, small_raw, capsys, path, line):
+        target = small_raw
+        for key in path[:-1]:
+            target = target[key]
+        if path:
+            target[path[-1]] = 0.5
+        cfg = _write(tmp_path, small_raw if path else 0.5)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert line in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "region, theta_star",
         [("ball", [0.5, -0.2]), ("orthant-ball", [0.5, -5e-10])],
         ids=["ball-negative-valuations", "orthant-boundary"],
@@ -629,6 +690,13 @@ class TestConfigValidation:
             "policies[0]: override gamma and epsilon together",
             f"policies[0].{key} must be a positive real",
         ]
+
+    def test_builders_reject_unknown_names(self):
+        problem = default_config().problem
+        with pytest.raises(ValueError, match="^unknown scenario 'nope'$"):
+            build_scenario("nope", problem)
+        with pytest.raises(ValueError, match="^unknown policy kind 'nope'$"):
+            build_policy({"kind": "nope"}, problem, 64)
 
     def test_load_config_reports_json_position(self, tmp_path):
         path = tmp_path / "x.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
+import pricelab.harness as harness_module
 import pricelab.regions as regions_module
 from pricelab import (
     AlternatingScenario,
@@ -289,6 +290,26 @@ class TestRunEpisode:
             run_episode(policy, AlternatingScenario(problem), 512, 3)
         assert isinstance(err.value.__cause__, InvariantViolation)
 
+    def test_a_comparator_off_j_aborts(self, problem, monkeypatch):
+        # the comparator prices 10% above J, so the oracle, which prices J, beats it
+        def shifted(model, u):
+            return 1.1 * greedy_price_vec(model, u)
+
+        monkeypatch.setattr(harness_module, "greedy_price_vec", shifted)
+        policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
+        with pytest.raises(EpisodeAbort, match="^negative regret increment: comparator not optimal$"):
+            run_episode(policy, StochasticScenario(problem), 16, 0)
+
+    @pytest.mark.parametrize("horizons", [0, [], [4, 0]], ids=["episode", "no-envelope-horizon", "envelope-zero"])
+    def test_no_round_to_play_rejected(self, problem, horizons):
+        policy = OraclePolicy(problem.model, problem.region, 1.0, problem.theta_star)
+        scen = StochasticScenario(problem)
+        with pytest.raises(ValueError, match="^horizons? must be"):
+            if isinstance(horizons, int):
+                run_episode(policy, scen, horizons, 0)
+            else:
+                run_horizon_envelope(lambda t: policy, scen, horizons, 0)
+
     def test_cumulative_nondecreasing(self, problem):
         policy = EmlpPolicy(problem.model, problem.region, 1.0)
         _, trace = run_episode(policy, StochasticScenario(problem), 256, 5)
@@ -390,6 +411,10 @@ class TestAggregate:
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
             aggregate([self._trace([1, 2], [1, 2]), self._trace([1, 4], [1, 2])])
+
+    def test_no_traces_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one trace$"):
+            aggregate([])
 
 
 class TestFitSlope:

@@ -66,10 +66,15 @@ class TestPointLoss:
             ([[1.0, 0.0]], [np.nan]),
             ([[1.0, 0.0]], [-0.5]),
             ([[1.0, 0.0], [0.0, 1.0]], [0.5, -1e-300]),
+            ([[1.0, 0.0], [0.0, 1.0]], [0.5]),
         ]
         for features, prices in cases:
             with pytest.raises(ValueError):
                 BatchObjective(features, prices, [True] * len(prices), gauss1)
+        batch = BatchObjective([[1.0, 0.0]], [0.5], [True], gauss1)
+        for theta in ([math.nan, 0.0], [0.0, -math.inf]):
+            with pytest.raises(ValueError, match="^theta must be finite$"):
+                batch.value(theta)
 
 
 class TestGradient:
@@ -385,6 +390,20 @@ class TestSolveMle:
         result = solve_mle(batch, problem.region, problem.region.interior_point(), problem.valuation_bound)
         assert not result.converged
         assert result.iterations == 3
+
+    def test_no_representable_decrease_flags(self, problem):
+        # every move leaves theta = 0 and the value rises by 1 there, so each
+        # line search halves its step 60 times and finds no decrease
+        class RisingBatch(BatchObjective):
+            def value(self, theta):
+                return super().value(theta) + float(np.any(theta != 0.0))
+
+        data = _synthetic_batch(problem, 64, seed=7)
+        batch = RisingBatch(data.features, data.prices, data.accepted, problem.model)
+        result = solve_mle(batch, problem.region, np.zeros(2), problem.valuation_bound)
+        assert not result.converged
+        assert result.iterations == 1
+        np.testing.assert_array_equal(result.theta, [0.0, 0.0])
 
     def test_batch_requires_points(self, problem):
         with pytest.raises(ValueError):

@@ -368,6 +368,17 @@ class TestMillsKernel:
         assert np.all(cdf_err <= 0.5 * z[normal] ** 2 + 4.0)
         assert np.all(log_err <= np.where(z > 0.0, 0.5 * z * z, 0.0) + 4.0)
 
+    def test_phi_is_monotone_at_every_edge(self):
+        # the table's m near 0 is one ulp above sqrt(pi/2): Phi(0) was 0.5000000000000001 and
+        # Phi(5e-324) 0.4999999999999999, and log Phi stepped the same way
+        model = GaussianNoise(1.0)
+        edges = [z for z in EDGES if math.isfinite(z)] + [-OVERFLOW, 5e-324, 1e-17]
+        z = np.unique([w for e in edges for w in (e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf), -e)])
+        assert model.cdf(0.0) == model.sf(0.0) == 0.5
+        assert model.log_cdf(0.0) == model.log_sf(0.0) == math.log(0.5)
+        for name, sign in (("cdf", 1.0), ("log_cdf", 1.0), ("sf", -1.0), ("log_sf", -1.0)):
+            assert np.all(sign * np.diff(getattr(model, name)(z)) >= 0.0), name
+
     def test_overflow_is_silent(self):
         model = GaussianNoise(0.25)
         below = [np.nextafter(OVERFLOW, -math.inf), -37.7, -40.0, -1e10, -1e300, -math.inf]

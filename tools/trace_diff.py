@@ -32,7 +32,8 @@ fixed set on both sides, each in its own subprocess with that side's
   1: Reg(T) and Reg(T)/ln T per horizon, and each horizon's final expert
   weights and ``clip_events``;
 * ``pricelab run`` on a four-policy config (T = 4096, R = 2): its stdout,
-  each trace CSV and ``summary.json``;
+  each trace CSV and ``summary.json``; and the same with ``--workers 2``,
+  whose episodes play in a process pool, under the ``run-workers2`` names;
 * ``pricelab run`` on each config of a fixed corpus, one per family of
   config error, plus an omitted ``slope_window`` at T = 512, a repeated
   scenario and each lone ONSP override: its exit code and stderr lines,
@@ -202,7 +203,11 @@ def play(out: Path) -> None:
     raw = {**default_raw(), "horizon": RUN_HORIZON, "repetitions": 2, "policies": RUN_POLICIES}
     raw["slope_window"] = [64, RUN_HORIZON]
     (out / "run.json").write_text(json.dumps(raw))
-    commands = {"run": ["run", str(out / "run.json"), "--out", str(out / "run")], "verify": ["verify"]}
+    commands = {
+        "run": ["run", str(out / "run.json"), "--out", str(out / "run")],
+        "run-workers2": ["run", str(out / "run.json"), "--out", str(out / "run-workers2"), "--workers", "2"],
+        "verify": ["verify"],
+    }
     for kind in DEMO_POLICIES:
         commands[f"demo-{kind}"] = ["lower-bound-demo", "--t", "1024", "--reps", "2", "--policy", kind]
     for name, argv in commands.items():
@@ -257,9 +262,10 @@ def compare(here: Path, there: Path) -> list[tuple[bool, str]]:
                 out.append((False, f"{name}: only {where}{message}"))
             else:
                 out.append(_array_line(name, a[name], b[name]))
-    texts = ["run.stdout", "verify.stdout", *(f"demo-{kind}.stdout" for kind in DEMO_POLICIES)]
+    texts = ["run.stdout", "run-workers2.stdout", "verify.stdout", *(f"demo-{kind}.stdout" for kind in DEMO_POLICIES)]
     texts += [f"corpus/{name}.stderr" for name in CORPUS]
-    texts += sorted({p.relative_to(side).as_posix() for side in (here, there) for p in (side / "run").iterdir()})
+    for run in ("run", "run-workers2"):
+        texts += sorted({p.relative_to(side).as_posix() for side in (here, there) for p in (side / run).iterdir()})
     for name in texts:
         files = [side / name for side in (here, there)]
         if not all(f.is_file() for f in files):
