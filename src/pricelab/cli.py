@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -51,7 +50,6 @@ from .harness import (
 )
 from .noise import GaussianNoise
 from .pricing import InvariantViolation, compute_constants
-from .verify import run_checks
 
 __all__ = ["main", "run_experiments", "lower_bound_demo"]
 
@@ -95,7 +93,11 @@ def run_experiments(config: ExperimentConfig, out_dir=None, workers: int = 1) ->
     pairs = [(spec, name, config.effective_horizon(spec)) for spec in config.policies for name in config.scenarios]
     jobs = [(spec, config.problem, scenarios[name], horizon, seed) for spec, name, horizon in pairs for seed in seeds]
     size = min(workers, len(jobs))  # a fork pool starts all its workers at its first job
-    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    pool = None
+    if size > 1:  # imported here: a run in this process loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=size)
     try:
         # both paths return the jobs in order
         results = pool.map(_play, jobs) if pool else map(_play, jobs)
@@ -226,6 +228,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
+        from .verify import run_checks  # the invariant suite, loaded by this subcommand alone
+
         results = run_checks()
         for res in results:
             print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")

@@ -49,6 +49,9 @@ __all__ = [
 
 # the valuation at which the unit-noise greedy price is a fixed point
 FIXED_VALUATION = math.sqrt(math.pi / 2.0)
+# rounds worked on at once: the stochastic features' product here, and
+# run_episode's blocks, so that no temporary grows with the horizon
+BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,24 @@ class StochasticScenario(Scenario):
     name = "stochastic"
 
     def features(self, horizon, rng):
+        """All draws first, in one order (the angles or the Gaussian rows,
+        then the magnitudes), and the product in blocks of BLOCK rows: each
+        row's bits are its own."""
         d = self.problem.dim
         if d == 2:
             angle = rng.uniform(0.0, math.pi / 2.0, horizon)
-            direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+            x = np.empty((horizon, d))
         else:
-            raw = np.abs(rng.standard_normal((horizon, d)))
-            direction = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            x = np.abs(rng.standard_normal((horizon, d)))  # the directions, normalized in place
         magnitude = rng.uniform(0.5, 1.0, horizon)
-        return self.problem.feature_bound * magnitude[:, None] * direction
+        for start in range(0, horizon, BLOCK):
+            rows = slice(start, start + BLOCK)
+            if d == 2:
+                direction = np.stack([np.cos(angle[rows]), np.sin(angle[rows])], axis=1)
+            else:
+                direction = x[rows] / np.linalg.norm(x[rows], axis=1, keepdims=True)
+            np.multiply(self.problem.feature_bound * magnitude[rows, None], direction, out=x[rows])
+        return x
 
 
 class AlternatingScenario(Scenario):

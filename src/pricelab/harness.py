@@ -22,6 +22,15 @@ sale outcomes, a sale when the price is at most x'theta* + noise.  A block
 of one row is sold on Python scalars, and its outcome is one of two shared
 one-element arrays, which are read-only.
 
+The episode is played BLOCK = 2^16 rounds at a time, so its memory is its
+transcript and increments (33 bytes a round at d = 2) plus one block's
+working arrays, whatever the horizon.  The features are drawn up front;
+each block then draws its noise, forms u* and the reservations, plays the
+policy with every policy block cut at the block's end, and evaluates its
+regret increments.  Reg(t) is one sequential sum carried from block to
+block.  Every draw, row and sum is that of one block the episode's length:
+where the blocks end shows in no output.
+
 The episode's contract is checked here, once: the scenario's features
 before the policy is reset (a finite (horizon, d) array with x >= 0 and
 ||x|| <= B2, else ValueError), and in ``sell`` each block's
@@ -41,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environments import Scenario
+from .environments import BLOCK, Scenario
 from .loss import BatchObjective
 from .policies import EmlpPolicy, PricingPolicy, valuations
 from .pricing import expected_reward, greedy_price_vec
@@ -123,7 +132,7 @@ def dyadic_checkpoints(horizon: int) -> np.ndarray:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     powers = 2 ** np.arange(int(horizon).bit_length(), dtype=np.int64)
-    return np.unique(np.concatenate([powers, [horizon]]))
+    return powers if powers[-1] == horizon else np.append(powers, horizon)
 
 
 def episode_seed(master_seed: int, repetition: int) -> np.random.SeedSequence:
@@ -152,7 +161,7 @@ _SALE.flags.writeable = _MISS.flags.writeable = False
 
 
 def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -> tuple[Transcript, RegretTrace]:
-    """Play the four-step protocol for ``horizon`` rounds.
+    """Play the four-step protocol for ``horizon`` rounds, BLOCK rounds at a time.
 
     The policy is reset here with its derived stream; identical
     (policy config, scenario, seed) inputs give bit-identical outputs.
@@ -162,21 +171,23 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
     env_stream, policy_stream = _spawn(seed)
     env_rng = np.random.default_rng(env_stream)
 
-    problem = scenario.problem
+    problem, model = scenario.problem, scenario.problem.model
     features = scenario.features(horizon, env_rng)
     if np.shape(features) != (horizon, problem.dim):
         raise ValueError(f"{scenario.name} features of shape {np.shape(features)}, not ({horizon}, {problem.dim})")
-    scenario.check_features(features)
-    noise = np.asarray(problem.model.sample(env_rng, horizon))
-    u_star = valuations(features, problem.theta_star)  # the oracle's rule, so its regret is exactly 0
-    reservation = u_star + noise
+    for start in range(0, horizon, BLOCK):
+        scenario.check_features(features[start : start + BLOCK])
 
     policy.reset(policy_stream)
     prices = np.empty(horizon)
     accepted = np.empty(horizon, dtype=bool)
+    rho = np.empty(horizon)
+    cps = dyadic_checkpoints(horizon)
+    cumulative = np.empty(len(cps))
+    regret = 0.0  # Reg before the block
     # the window's upper end, with room for the solver's rounding
     ceiling = policy.price_cap * (1.0 + 1e-9) + 1e-12
-    t = stop = sold = 0  # the block's rounds t .. stop - 1 (from 0), and the rounds sold so far
+    t = stop = sold = 0  # the policy block's rounds t .. stop - 1 (from 0), and the rounds sold so far
 
     def sell(block: np.ndarray) -> np.ndarray:
         nonlocal sold
@@ -188,7 +199,7 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
             price = float(block[0])
             if not 0.0 <= price <= ceiling:  # a NaN fails every comparison
                 raise EpisodeAbort(f"round {t + 1}: {policy.name} priced {block[0]} outside [0, {policy.price_cap}]")
-            sale = price <= reservation[t]
+            sale = price <= reservation[t - start]
             prices[t] = price
             accepted[t] = sale
             sold = stop
@@ -196,35 +207,43 @@ def run_episode(policy: PricingPolicy, scenario: Scenario, horizon: int, seed) -
         if not (block.min() >= 0.0 and block.max() <= ceiling):
             row = int(np.argmin((block >= 0.0) & (block <= ceiling)))
             raise EpisodeAbort(f"round {t + row + 1}: {policy.name} priced {block[row]} outside [0, {policy.price_cap}]")
-        outcome = block <= reservation[t:stop]
+        outcome = block <= reservation[t - start : stop - start]
         prices[t:stop] = block
         accepted[t:stop] = outcome
         sold = stop
         return outcome
 
-    while t < horizon:
-        stop = t + min(policy.frozen_rounds(), horizon - t)
-        if stop <= t:
-            raise EpisodeAbort(f"round {t + 1}: {policy.name} can price no round")
-        try:
-            policy.play_block(features[t:stop], sell)
-        except EpisodeAbort:
-            raise
-        except RuntimeError as exc:
-            raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
-        if sold == t:
-            raise EpisodeAbort(f"round {t + 1}: {policy.name} did not sell its block")
-        t = sold
+    for start in range(0, horizon, BLOCK):  # the block's rounds start .. end - 1
+        end = min(start + BLOCK, horizon)
+        u_star = valuations(features[start:end], problem.theta_star)  # the oracle's rule, so its regret is exactly 0
+        reservation = u_star + np.asarray(model.sample(env_rng, end - start))
+        while t < end:
+            stop = t + min(policy.frozen_rounds(), end - t)
+            if stop <= t:
+                raise EpisodeAbort(f"round {t + 1}: {policy.name} can price no round")
+            try:
+                policy.play_block(features[t:stop], sell)
+            except EpisodeAbort:
+                raise
+            except RuntimeError as exc:
+                raise EpisodeAbort(f"round {t + 1}: {exc}") from exc
+            if sold == t:
+                raise EpisodeAbort(f"round {t + 1}: {policy.name} did not sell its block")
+            t = sold
 
-    best_prices = greedy_price_vec(problem.model, u_star)
-    best = expected_reward(problem.model, best_prices, u_star)
-    got = expected_reward(problem.model, prices, u_star)
-    rho = best - got
-    if float(np.min(rho)) < -1e-12:
-        raise EpisodeAbort("negative regret increment: comparator not optimal")
+        increments = rho[start:end]
+        best = expected_reward(model, greedy_price_vec(model, u_star), u_star)
+        np.subtract(best, expected_reward(model, prices[start:end], u_star), out=increments)
+        if float(np.min(increments)) < -1e-12:
+            raise EpisodeAbort("negative regret increment: comparator not optimal")
+        # one sequential sum on from Reg before the block: the rounding of one cumsum over the episode
+        running = np.cumsum(np.concatenate(([regret], increments)))
+        inside = (cps > start) & (cps <= end)
+        cumulative[inside] = running[cps[inside] - start]
+        regret = float(running[-1])
+        del best, running  # not held while the next block plays
 
-    cps = dyadic_checkpoints(horizon)
-    return Transcript(features, prices, accepted), RegretTrace(rho, cps, np.cumsum(rho)[cps - 1])
+    return Transcript(features, prices, accepted), RegretTrace(rho, cps, cumulative)
 
 
 def run_horizon_envelope(

@@ -95,7 +95,8 @@ def _record_pools(monkeypatch) -> list:
         def shutdown(self, wait=True, *, cancel_futures=False):
             events.append(("shutdown", cancel_futures))
 
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    # run_experiments imports the pool where it opens one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return events
 
 

@@ -2,17 +2,21 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import linregress
 
+import pricelab.environments as environments_module
 import pricelab.harness as harness_module
 import pricelab.regions as regions_module
 from pricelab import (
     AlternatingScenario,
     EmlpPolicy,
     Exp4Policy,
+    GaussianNoise,
+    LogisticNoise,
     OnspPolicy,
     OraclePolicy,
     OrthantBall,
@@ -28,6 +32,7 @@ from pricelab import (
     run_episode,
     run_horizon_envelope,
 )
+from pricelab.config import build_policy
 from pricelab.harness import EpisodeAbort, emlp_epoch_gaps, write_trace_csv
 from pricelab.policies import PricingPolicy
 from pricelab.pricing import InvariantViolation
@@ -383,6 +388,65 @@ class TestOneRowSell:
         with pytest.raises(ValueError):
             policy.outcomes[0][0] = not policy.outcomes[0][0]
         np.testing.assert_array_equal(np.concatenate(policy.outcomes), transcript.accepted)
+
+
+BLOCK_POLICIES = {
+    "oracle": {"kind": "oracle"},
+    "emlp": {"kind": "emlp"},
+    "onsp-tuned": {"kind": "onsp", "gamma": 1.0, "epsilon": 1.0},
+    "exp4": {"kind": "exp4"},
+}
+
+
+class TestBlocks:
+    """run_episode plays BLOCK rounds at a time, and where the blocks end shows in no output."""
+
+    HORIZON = 4099  # four blocks of 1000 and a short fifth
+
+    def _play(self, monkeypatch, block, spec, scenario):
+        monkeypatch.setattr(harness_module, "BLOCK", block)
+        monkeypatch.setattr(environments_module, "BLOCK", block)
+        policy = build_policy(spec, scenario.problem, self.HORIZON)
+        transcript, trace = run_episode(policy, scenario, self.HORIZON, episode_seed(5, 1))
+        return [transcript.features, transcript.prices, transcript.accepted, trace.increments, trace.cumulative]
+
+    @pytest.mark.parametrize("label", BLOCK_POLICIES)
+    @pytest.mark.parametrize(
+        "market, scenario_class",
+        [("reference", StochasticScenario), ("reference", AlternatingScenario), ("d3", StochasticScenario)],
+        ids=["stochastic", "adversarial", "d3-stochastic"],
+    )
+    def test_block_boundaries_are_invisible(self, problem, gauss025, monkeypatch, label, market, scenario_class):
+        if market == "d3":  # its products x'theta* round
+            problem = PricingProblem(gauss025, OrthantBall(1.0, 3), np.array([0.6, 0.3, 0.2]))
+        scenario = scenario_class(problem)
+        blocked = self._play(monkeypatch, 1000, BLOCK_POLICIES[label], scenario)
+        whole = self._play(monkeypatch, 2 * self.HORIZON, BLOCK_POLICIES[label], scenario)
+        assert blocked[0].shape == (self.HORIZON, problem.dim)
+        for a, b in zip(blocked, whole):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("model", [GaussianNoise(0.25), LogisticNoise(0.3)], ids=["gaussian", "logistic"])
+    def test_noise_drawn_in_blocks_is_one_draw(self, model):
+        whole = model.sample(np.random.default_rng(7), 4099)
+        rng = np.random.default_rng(7)
+        blocked = np.concatenate([model.sample(rng, n) for n in (1000, 1000, 1000, 1000, 99)])
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("kind, bound", [("oracle", 48.0), ("emlp", 112.0)])
+    def test_episode_memory_per_round_is_bounded(self, problem, kind, bound):
+        # an episode keeps its transcript and increments (33 bytes a round at
+        # d = 2) and a block's working arrays; EMLP adds its last epoch's fit
+        horizon, scenario = 2**20, StochasticScenario(problem)
+        run_episode(build_policy({"kind": kind}, problem, 4096), scenario, 4096, 1)  # tables and caches
+        policy = build_policy({"kind": kind}, problem, horizon)
+        tracemalloc.start()
+        try:
+            run_episode(policy, scenario, horizon, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / horizon <= bound
 
 
 class TestAggregate:

@@ -762,6 +762,24 @@ class TestExp4:
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=source_env, timeout=120)
 
+    def test_a_run_in_one_process_loads_only_what_it_calls(self, source_env):
+        # no numpy.ma (np.unique loads it), no process pool and no invariant suite
+        code = (
+            "import sys\n"
+            "import pricelab.cli\n"
+            "from pricelab.config import build_policy, build_scenario, default_raw, parse_config\n"
+            "from pricelab.harness import run_episode\n"
+            "config = parse_config(default_raw())\n"
+            "for spec in config.policies:\n"
+            "    for name in config.scenarios:\n"
+            "        policy = build_policy(spec, config.problem, config.effective_horizon(spec))\n"
+            "        run_episode(policy, build_scenario(name, config.problem), 64, 0)\n"
+            "unwanted = ('numpy.ma', 'concurrent.futures.process', 'multiprocessing', 'pricelab.verify')\n"
+            "loaded = [name for name in unwanted if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=source_env, timeout=120)
+
     def test_envelope_solves_each_count_once(self, problem, monkeypatch):
         # the thresholds depend on the law and the arm grid alone: an envelope
         # up to 4096 builds 13 policies on 10 arm counts, and solves each count once

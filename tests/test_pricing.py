@@ -280,6 +280,15 @@ class TestGreedyPrice:
         assert pricing._root_table(GaussianNoise(0.02)) is pricing._root_table(GaussianNoise(0.25))
 
     @pytest.mark.parametrize("model", [GaussianNoise(1.0), LogisticNoise(1.0)], ids=["gaussian", "logistic"])
+    def test_table_built_in_chunks_has_the_bits_of_one_solve(self, model, monkeypatch):
+        tables = []
+        for chunk in (1000, pricing.ROOT_TABLE_POINTS):  # a short last chunk, and every row at once
+            monkeypatch.setattr(pricing, "_ROOT_TABLES", {})
+            monkeypatch.setattr(pricing, "_ROOT_TABLE_CHUNK", chunk)
+            tables.append(pricing._root_table(model))
+        assert tables[0].tobytes() == tables[1].tobytes()
+
+    @pytest.mark.parametrize("model", [GaussianNoise(1.0), LogisticNoise(1.0)], ids=["gaussian", "logistic"])
     def test_table_start_within_its_stated_error(self, model):
         # against the root the loop reaches from the start at a tolerance of
         # 1e-16, where it stops on the Mills kernel's rounding; the largest

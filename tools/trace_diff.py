@@ -11,6 +11,10 @@ fixed set on both sides, each in its own subprocess with that side's
   repetitions 0 and 1 of the default master seed: features, prices,
   outcomes, regret increments, Reg(t) and Reg(t)/ln t at the dyadic
   checkpoints; for Exp4 also the final expert weights and ``clip_events``;
+* the oracle and EMLP at T = 2^17 + 3 and tuned ONSP at T = 2^16 + 3 on
+  both scenarios of the reference market, repetition 0, under the
+  ``<scenario>-T<horizon>`` keys: longer than one of ``run_episode``'s
+  blocks of 2^16 rounds, so the comparison crosses a block boundary;
 * the same five policies on stochastic features of a d = 3 market with
   theta* = (0.6, 0.3, 0.2), T = 4096, repetitions 0 and 1, under the
   ``d3-stochastic`` keys: unlike the reference theta* = (0.5, 0.5), whose
@@ -75,6 +79,8 @@ EPISODE_POLICIES = {
     "exp4": {"kind": "exp4"},
     "oracle": {"kind": "oracle"},
 }
+# label -> horizon: each crosses a block boundary of run_episode
+LONG_HORIZONS = {"oracle": 2**17 + 3, "emlp": 2**17 + 3, "onsp-tuned": 2**16 + 3}
 RUN_HORIZON = 4096
 RUN_POLICIES = [
     {"kind": "emlp"},
@@ -182,6 +188,10 @@ def play(out: Path) -> None:
             seed = episode_seed(config.master_seed, rep)
             _episodes(arrays, config.problem, scenario, scenario_name, rep, seed, HORIZON)
             _envelope(arrays, config.problem, scenario, f"exp4-envelope/{scenario_name}/rep{rep}", seed)
+        seed = episode_seed(config.master_seed, 0)
+        for label, horizon in LONG_HORIZONS.items():
+            skip = set(EPISODE_POLICIES) - {label}
+            _episodes(arrays, config.problem, scenario, f"{scenario_name}-T{horizon}", 0, seed, horizon, skip)
     raw = default_raw()
     markets = (
         ("d3", ROUNDING_MARKET, ["stochastic"], ()),
